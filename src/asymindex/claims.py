@@ -13,7 +13,8 @@ clean exit code while still printing them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
 from .automorphism import (automorphism_group, cycles_str,
@@ -25,8 +26,7 @@ from .families import (FamilySpec, cycle, cycle_with_pendant_paths, generate,
                        path, pendant_extension, star, torus, wheel, witness)
 from .search import (AiResult, BudgetExceededError, FlipSet,
                      NoAsymmetrizationError, apply_flips, asymmetric_index,
-                     count_nonisomorphic_asymmetrizations, flip_orbit_layers,
-                     _flipset_from_indices)
+                     count_nonisomorphic_asymmetrizations, flip_orbit_layers)
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -49,7 +49,12 @@ DEFAULT_ALLOWLIST = (
 
 @dataclass
 class ClaimReport:
-    """Outcome of one claim instance."""
+    """Outcome of one claim instance.
+
+    ``ai`` and ``vertices`` are the exact index a row computed and the
+    vertex count of its graph; the Thm1.2 sweep reads them, and
+    ``to_dict`` leaves them out.
+    """
 
     claim_id: str
     params: dict
@@ -58,6 +63,8 @@ class ClaimReport:
     status: str
     evidence: dict = field(default_factory=dict)
     allowlist_key: str | None = None
+    ai: int | None = None
+    vertices: int | None = None
 
     def to_dict(self) -> dict:
         return {"claim": self.claim_id, "params": self.params,
@@ -119,14 +126,7 @@ def _aut_evidence(g: Graph) -> dict:
     return {"automorphism": cycles_str(sigma) if sigma else None}
 
 
-def _exact_ai(g: Graph, budget: int | None = None) -> AiResult:
-    return asymmetric_index(g, max_k=budget)
-
-
-def _norm_range(value, default: tuple[int, int]) -> list[int]:
-    if value is None:
-        lo, hi = default
-        return list(range(lo, hi + 1))
+def _norm_range(value) -> list[int]:
     if isinstance(value, int):
         return [value]
     if isinstance(value, tuple) and len(value) == 2:
@@ -134,159 +134,143 @@ def _norm_range(value, default: tuple[int, int]) -> list[int]:
     return list(value)
 
 
-def _out_of_range(claim_id: str, params: dict, expected: str, minimum: int) -> ClaimReport:
-    return ClaimReport(claim_id, params, expected, None, NOT_APPLICABLE,
-                       {"note": f"instance below the claim's domain "
-                                f"(needs at least {minimum})"})
-
-
 # -- claim handlers --------------------------------------------------------
-# Each handler returns a list of ClaimReport rows; parameters select the
-# instances and default to desk-scale ranges.
+# Each handler yields ClaimReport rows.  ``budget`` is the search layer
+# budget; a ranged handler's second argument holds the in-domain values
+# of its range parameter and defaults to desk scale.
+
+_PROP_1_2 = "ai(G) = ai(complement(G))"
+_LEM_1_1 = "pendant extension of an asymmetric graph is asymmetric"
+_LEM_2_1 = "floor((i-5)/2) distinct partitions"
+_THM_2_4 = "ai(C_{n^2 +/- 1}(1, n)) = 2"
+_THM_2_5 = "floor((n-1)/2) <= ai(K_{1,n-1}) <= n-1"
+_EX_3_1 = ("joining each pendant path to its own cycle vertex gives an "
+           "asymmetric graph (ai <= l)")
 
 
-def _prop_1_1(n: int | None = None, **_) -> list[ClaimReport]:
+def _prop_1_1(budget, orders=(6,)) -> Iterator[ClaimReport]:
     """Aut(G) equals Aut(complement(G)), checked on all classes of order n."""
-    rows = []
-    for g in nonisomorphic_graphs(6 if n is None else n):
+    for g in (g for n in orders for g in nonisomorphic_graphs(n)):
         gc = g.complement()
         rep, repc = automorphism_group(g), automorphism_group(gc)
         cross_ok = all(is_automorphism(gc, p) for p in rep.generators) and \
             all(is_automorphism(g, p) for p in repc.generators)
         same = rep.order == repc.order and rep.orbits == repc.orbits and cross_ok
-        rows.append(ClaimReport(
+        yield ClaimReport(
             "Prop1.1", {"graph6": to_graph6(g).decode()},
             "Aut(G) = Aut(complement(G))",
             {"order": rep.order, "complement_order": repc.order},
             CONFIRMED if same else REFUTED,
-            {} if same else {"generators_cross_check": cross_ok}))
-    return rows
+            {} if same else {"generators_cross_check": cross_ok})
 
 
-def _prop_1_2(n: int | None = None, budget: int | None = None, **_) -> list[ClaimReport]:
+def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
     """ai(G) = ai(complement(G)); witnesses map by swapping removed/added."""
-    rows = []
-    for g in nonisomorphic_graphs(6 if n is None else n):
+    for g in (g for n in orders for g in nonisomorphic_graphs(n)):
         gc = g.complement()
-        res, resc = _exact_ai(g, budget), _exact_ai(gc, budget)
+        res = asymmetric_index(g, max_k=budget)
+        resc = asymmetric_index(gc, max_k=budget)
         mapped_ok = all(is_asymmetric(apply_flips(gc, w.inverse()))
                         for w in res.witnesses)
         ok = res.value == resc.value and mapped_ok
-        rows.append(ClaimReport(
-            "Prop1.2", {"graph6": to_graph6(g).decode()},
-            "ai(G) = ai(complement(G))",
+        yield ClaimReport(
+            "Prop1.2", {"graph6": to_graph6(g).decode()}, _PROP_1_2,
             {"ai": res.value, "complement_ai": resc.value,
              "witness_map_ok": mapped_ok},
             CONFIRMED if ok else REFUTED,
-            {} if ok else {"witness": _ai_evidence(res)}))
-    return rows
+            {} if ok else {"witness": _ai_evidence(res)},
+            ai=res.value, vertices=g.n)
 
 
-def _pair_preservation(claim_id: str, combine, text: str, n: int | None = None,
-                       **_) -> list[ClaimReport]:
-    rows = []
-    asym = asymmetric_graphs(6 if n is None else n)
-    for i, g in enumerate(asym):
-        for j, h in enumerate(asym):
-            if i == j:
-                continue
-            combined = combine(g, h)
-            ok = is_asymmetric(combined)
-            rows.append(ClaimReport(
-                claim_id, {"g": to_graph6(g).decode(), "h": to_graph6(h).decode()},
-                text, {"asymmetric": ok},
-                CONFIRMED if ok else REFUTED,
-                {} if ok else _aut_evidence(combined)))
-    return rows
+def _pair_preservation(claim_id: str, combine, text: str,
+                       orders) -> Iterator[ClaimReport]:
+    for n in orders:
+        asym = asymmetric_graphs(n)
+        for i, g in enumerate(asym):
+            for j, h in enumerate(asym):
+                if i == j:
+                    continue
+                combined = combine(g, h)
+                ok = is_asymmetric(combined)
+                yield ClaimReport(
+                    claim_id, {"g": to_graph6(g).decode(), "h": to_graph6(h).decode()},
+                    text, {"asymmetric": ok},
+                    CONFIRMED if ok else REFUTED,
+                    {} if ok else _aut_evidence(combined))
 
 
-def _prop_1_3(**kw) -> list[ClaimReport]:
+def _prop_1_3(budget, orders=(6,)) -> Iterator[ClaimReport]:
     return _pair_preservation("Prop1.3", join,
-                              "join of non-isomorphic asymmetric graphs is asymmetric", **kw)
+                              "join of non-isomorphic asymmetric graphs is asymmetric",
+                              orders)
 
 
-def _prop_1_4(**kw) -> list[ClaimReport]:
+def _prop_1_4(budget, orders=(6,)) -> Iterator[ClaimReport]:
     return _pair_preservation("Prop1.4", disjoint_union,
-                              "union of non-isomorphic asymmetric graphs is asymmetric", **kw)
+                              "union of non-isomorphic asymmetric graphs is asymmetric",
+                              orders)
 
 
-def _lem_1_1(n=None, **_) -> list[ClaimReport]:
+def _lem_1_1(budget, orders=(6, 7)) -> Iterator[ClaimReport]:
     """Single-vertex pendant extension preserves asymmetry."""
-    rows = []
-    for order in _norm_range(n, (6, 7)):
-        if order < 6:
-            rows.append(_out_of_range(
-                "Lem1.1", {"n": order},
-                "pendant extension of an asymmetric graph is asymmetric", 6))
-            continue
+    for order in orders:
         for g in asymmetric_graphs(order):
             extended = pendant_extension(g)
             ok = is_asymmetric(extended)
-            rows.append(ClaimReport(
-                "Lem1.1", {"n": order, "graph6": to_graph6(g).decode()},
-                "pendant extension of an asymmetric graph is asymmetric",
+            yield ClaimReport(
+                "Lem1.1", {"n": order, "graph6": to_graph6(g).decode()}, _LEM_1_1,
                 {"asymmetric": ok},
                 CONFIRMED if ok else REFUTED,
-                {} if ok else _aut_evidence(extended)))
-    return rows
+                {} if ok else _aut_evidence(extended))
 
 
-def _lem_1_4(budget: int | None = None, **_) -> list[ClaimReport]:
+def _lem_1_4(budget) -> Iterator[ClaimReport]:
     """floor((t-1)/2) lower bound from a pairwise-transposable t-set."""
     instances = [("K_1,5", star(6), None), ("K_6", Graph.complete(6), None),
                  ("C_8", cycle(8), "Lem1.4-overreach")]
-    rows = []
     for label, g, key in instances:
         bound = transposable_clique_lower_bound(g)
-        res = _exact_ai(g, budget)
+        res = asymmetric_index(g, max_k=budget)
         ok = bound <= res.value
-        rows.append(ClaimReport(
+        yield ClaimReport(
             "Lem1.4", {"graph": label},
             "ai(G) >= floor((t-1)/2) for a pairwise-transposable t-set",
             {"bound": bound, "ai": res.value},
             CONFIRMED if ok else REFUTED,
             {} if ok else {"witness": _ai_evidence(res),
                            "note": "bound exceeds the exact index"},
-            allowlist_key=None if ok else key))
-    return rows
+            allowlist_key=None if ok else key, ai=res.value, vertices=g.n)
 
 
-def _lem_2_1(i=None, **_) -> list[ClaimReport]:
+def _lem_2_1(budget, values=range(6, 61)) -> Iterator[ClaimReport]:
     """Closed form for two-part partitions with distinct parts >= 3."""
-    rows = []
-    for value in _norm_range(i, (6, 60)):
-        if value < 6:
-            rows.append(_out_of_range("Lem2.1", {"i": value},
-                                      "floor((i-5)/2) distinct partitions", 6))
-            continue
+    for value in values:
         oracle = sum(1 for a in range(3, value)
                      for b in range(a + 1, value) if a + b == value)
         formula = partition_count(value)
         ok = oracle == formula
-        rows.append(ClaimReport(
-            "Lem2.1", {"i": value}, "floor((i-5)/2) distinct partitions",
+        yield ClaimReport(
+            "Lem2.1", {"i": value}, _LEM_2_1,
             {"formula": formula, "enumeration": oracle},
-            CONFIRMED if ok else REFUTED))
-    return rows
+            CONFIRMED if ok else REFUTED)
 
 
-def _thm_1_2(budget: int | None = None, **_) -> list[ClaimReport]:
+def _thm_1_2(budget) -> Iterator[ClaimReport]:
     """0 <= ai(G) <= n(n-1)/2 - (n-2) on a spread of named graphs."""
     instances = [("P_8", path(8)), ("C_9", cycle(9)), ("W_8", wheel(8)),
                  ("K_6", Graph.complete(6)), ("K_1,6", star(7)),
                  ("empty_6", Graph.empty(6))]
-    rows = []
     for label, g in instances:
-        res = _exact_ai(g, budget)
+        res = asymmetric_index(g, max_k=budget)
         cap = general_upper_bound(g.n)
         ok = 0 <= res.value <= cap
-        rows.append(ClaimReport(
+        yield ClaimReport(
             "Thm1.2", {"graph": label},
             "0 <= ai(G) <= n(n-1)/2 - (n-2)",
             {"ai": res.value, "upper": cap},
             CONFIRMED if ok else REFUTED,
-            {} if ok else {"witness": _ai_evidence(res)}))
-    return rows
+            {} if ok else {"witness": _ai_evidence(res)},
+            ai=res.value, vertices=g.n)
 
 
 def _witness_row(claim_id: str, name: str, args: tuple, expected: str,
@@ -304,10 +288,9 @@ def _witness_row(claim_id: str, name: str, args: tuple, expected: str,
 
 def _value_row(claim_id: str, params: dict, g: Graph, expected_value: int,
                expected_text: str, budget: int | None = None,
-               allowlist_key: str | None = None,
                boundary_key: str | None = None) -> ClaimReport:
     try:
-        res = _exact_ai(g, budget)
+        res = asymmetric_index(g, max_k=budget)
     except NoAsymmetrizationError:
         return ClaimReport(claim_id, params, expected_text, "no-asymmetrization",
                            REFUTED, {"note": "graphs on 2..5 vertices cannot be "
@@ -320,183 +303,119 @@ def _value_row(claim_id: str, params: dict, g: Graph, expected_value: int,
     ok = res.value == expected_value
     return ClaimReport(claim_id, params, expected_text, res.value,
                        CONFIRMED if ok else REFUTED, _ai_evidence(res),
-                       allowlist_key=None if ok else allowlist_key)
+                       ai=res.value, vertices=g.n)
 
 
-def _thm_2_1(n=None, budget=None, **_) -> list[ClaimReport]:
-    rows = []
-    for order in _norm_range(n, (6, 12)):
-        if order < 6:
-            rows.append(_out_of_range("Thm2.1", {"n": order}, "ai(P_n) = 1", 6))
-            continue
-        rows.append(_value_row("Thm2.1", {"n": order}, path(order), 1,
-                               "ai(P_n) = 1", budget))
-        rows.append(_witness_row("Thm2.1-witness", "path-add-chord", (order,),
-                                 "adding the chord (1,3) asymmetrizes P_n"))
-    return rows
+def _removal_free_row(claim_id: str, params: dict, g: Graph,
+                      expected_text: str) -> ClaimReport:
+    """Searching every set of edge removals must find no asymmetrization."""
+    try:
+        asymmetric_index(g, mode="remove-only", max_k=g.edge_count)
+        status, computed = REFUTED, "found pure-removal asymmetrization"
+    except BudgetExceededError as exc:
+        status = CONFIRMED if exc.universe_exhausted else BUDGET_EXCEEDED
+        computed = "impossible (universe exhausted)" if exc.universe_exhausted \
+            else f"> {exc.lower_bound - 1}"
+    return ClaimReport(claim_id, params, expected_text, computed, status)
 
 
-def _thm_2_2(n=None, budget=None, **_) -> list[ClaimReport]:
-    rows = []
-    for order in _norm_range(n, (6, 12)):
-        if order < 6:
-            rows.append(_out_of_range("Thm2.2", {"n": order}, "ai(C_n) = 2", 6))
-            continue
-        rows.append(_value_row("Thm2.2", {"n": order}, cycle(order), 2,
-                               "ai(C_n) = 2", budget))
-        rows.append(_witness_row("Thm2.2-witness", "cycle-remove-add", (order,),
-                                 "remove one cycle edge, add the path chord"))
-        try:
-            asymmetric_index(cycle(order), mode="remove-only", max_k=order)
-            status, computed = REFUTED, "found pure-removal asymmetrization"
-        except BudgetExceededError as exc:
-            status = CONFIRMED if exc.universe_exhausted else BUDGET_EXCEEDED
-            computed = "impossible (universe exhausted)" if exc.universe_exhausted \
-                else f"> {exc.lower_bound - 1}"
-        rows.append(ClaimReport(
-            "Thm2.2-remove-only", {"n": order},
-            "no pure edge removal asymmetrizes a cycle", computed, status))
-    return rows
-
-
-def _sec_2_2_cycle_aut(n=None, **_) -> list[ClaimReport]:
-    rows = []
-    for order in _norm_range(n, (6, 10)):
+def _sec_2_2_cycle_aut(budget, orders=range(6, 11)) -> Iterator[ClaimReport]:
+    for order in orders:
         rep = automorphism_group(cycle(order))
         claimed = 1
         for i in range(2, order + 1):
             claimed *= i
         ok = rep.order == claimed
-        rows.append(ClaimReport(
+        yield ClaimReport(
             "Sec2.2-cycle-aut", {"n": order},
             "Aut(C_n) is the full symmetric group S_n",
             {"computed_order": rep.order, "claimed_order": claimed},
             CONFIRMED if ok else REFUTED,
             {"note": "computed group is dihedral of order 2n"},
-            allowlist_key=None if ok else "Sec2.2-cycle-aut"))
-    return rows
+            allowlist_key=None if ok else "Sec2.2-cycle-aut")
 
 
-def _chord_count_rows(claim_id: str, variant: str, key: str, n, **_) -> list[ClaimReport]:
-    rows = []
-    for order in _norm_range(n, (6, 12)):
-        if order < 6:
-            rows.append(_out_of_range(claim_id, {"n": order},
-                                      "chord-count formula matches enumeration", 6))
-            continue
+def _chord_count_rows(claim_id: str, variant: str, key: str,
+                      orders) -> Iterator[ClaimReport]:
+    for order in orders:
         oracle = count_nonisomorphic_asymmetrizations(cycle(order), 0, 2)
         value = cycle_augmentation_formula(order, variant)
         ok = oracle == value
-        rows.append(ClaimReport(
+        yield ClaimReport(
             claim_id, {"n": order},
             f"{variant} chord-count formula matches enumeration",
             {"formula": value, "enumeration": oracle},
             CONFIRMED if ok else REFUTED,
             {} if ok else {"note": "formula disagrees with brute-force count"},
-            allowlist_key=None if ok else key))
-    return rows
+            allowlist_key=None if ok else key)
 
 
-def _rem_2_1(n=None, **_) -> list[ClaimReport]:
-    return _chord_count_rows("Rem2.1", "remark", "Rem2.1-remark-variant", n)
+def _rem_2_1(budget, orders=range(6, 13)) -> Iterator[ClaimReport]:
+    return _chord_count_rows("Rem2.1", "remark", "Rem2.1-remark-variant", orders)
 
 
-def _sec_2_2_count(n=None, **_) -> list[ClaimReport]:
-    return _chord_count_rows("Sec2.2-count", "text", "Sec2.2-count-text", n)
+def _sec_2_2_count(budget, orders=range(6, 13)) -> Iterator[ClaimReport]:
+    return _chord_count_rows("Sec2.2-count", "text", "Sec2.2-count-text", orders)
 
 
-def _thm_2_3(n=None, budget=None, **_) -> list[ClaimReport]:
-    rows = []
-    for order in _norm_range(n, (6, 10)):
-        if order < 6:
-            rows.append(_out_of_range("Thm2.3", {"n": order}, "ai(W_n) = 2", 6))
-            continue
-        rows.append(_value_row("Thm2.3", {"n": order, "convention": "hub degree n-1"},
-                               wheel(order), 2, "ai(W_n) = 2", budget))
-        rows.append(_witness_row("Thm2.3-witness", "wheel-two-removals", (order,),
-                                 "removing a rim edge then an adjacent spoke"))
-    for order in _norm_range(None if n is None else n, (6, 9)):
-        if order < 6:
-            rows.append(_out_of_range("Thm2.3-alt", {"n": order},
-                                      "ai = 2 under the (n+1)-vertex reading", 6))
-            continue
-        rows.append(_value_row("Thm2.3-alt", {"n": order, "convention": "hub degree n"},
-                               wheel(order + 1), 2,
-                               "ai = 2 under the (n+1)-vertex reading", budget))
-    return rows
+def _thm_2_4(budget, orders=(4,)) -> Iterator[ClaimReport]:
+    for n in orders:
+        for sign in ("+", "-"):
+            m = n * n + 1 if sign == "+" else n * n - 1
+            spec = FamilySpec("circulant", (m, (1, n)))
+            yield _value_row("Thm2.4", {"n": n, "sign": sign}, generate(spec), 2,
+                             _THM_2_4, budget if budget is not None else 3)
+            for name in ("circulant-remove2", "circulant-add2", "circulant-mixed"):
+                yield _witness_row("Thm2.4-witness", name, (n, sign),
+                                   f"{name} asymmetrizes the circulant")
 
 
-def _thm_2_4(n: int = 4, budget=None, **_) -> list[ClaimReport]:
-    rows = []
-    if isinstance(n, tuple):
-        n = n[0]
-    if n < 4:
-        return [_out_of_range("Thm2.4", {"n": n},
-                              "ai(C_{n^2 +/- 1}(1, n)) = 2", 4)]
-    for sign in ("+", "-"):
-        m = n * n + 1 if sign == "+" else n * n - 1
-        spec = FamilySpec("circulant", (m, (1, n)))
-        rows.append(_value_row("Thm2.4", {"n": n, "sign": sign},
-                               generate(spec), 2, "ai(C_{n^2 +/- 1}(1, n)) = 2",
-                               budget if budget is not None else 3))
-        for name in ("circulant-remove2", "circulant-add2", "circulant-mixed"):
-            rows.append(_witness_row("Thm2.4-witness", name, (n, sign),
-                                     f"{name} asymmetrizes the circulant"))
-    return rows
-
-
-def _thm_2_5(n=None, budget=None, **_) -> list[ClaimReport]:
-    rows = []
-    for order in _norm_range(n, (6, 9)):
-        if order < 6:
-            rows.append(_out_of_range(
-                "Thm2.5", {"n": order},
-                "floor((n-1)/2) <= ai(K_{1,n-1}) <= n-1", 6))
-            continue
+def _thm_2_5(budget, orders=range(6, 10)) -> Iterator[ClaimReport]:
+    for order in orders:
         lower = (order - 1) // 2
         upper = order - 1
-        res = _exact_ai(star(order), budget)
+        res = asymmetric_index(star(order), max_k=budget)
         ok = lower <= res.value <= upper
-        rows.append(ClaimReport(
-            "Thm2.5", {"n": order},
-            "floor((n-1)/2) <= ai(K_{1,n-1}) <= n-1",
+        yield ClaimReport(
+            "Thm2.5", {"n": order}, _THM_2_5,
             {"lower": lower, "ai": res.value, "upper": upper},
-            CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1)))
-    return rows
+            CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1),
+            ai=res.value, vertices=order)
 
 
-def _thm_2_6(budget=None, **_) -> list[ClaimReport]:
-    rows = []
+def _thm_2_6(budget) -> Iterator[ClaimReport]:
     for order in (6, 7):
-        rows.append(_value_row("Thm2.6-exact", {"n": order},
-                               Graph.complete(order), 6, "ai(K_n) = 6", budget))
+        yield _value_row("Thm2.6-exact", {"n": order},
+                         Graph.complete(order), 6, "ai(K_n) = 6", budget)
     formulas = kn_bound_formulas(8)
     consistent = formulas["lower_printed"] <= formulas["upper"]
-    rows.append(ClaimReport(
+    yield ClaimReport(
         "Thm2.6-printed-lower", {"n": 8},
         "printed lower bound n - floor((n-1)/7) + 4 <= upper bound n - 2",
         formulas, CONFIRMED if consistent else REFUTED,
         {"note": "printed lower bound exceeds the upper bound"},
-        allowlist_key=None if consistent else "Thm2.6-printed-lower"))
-    res8 = _exact_ai(Graph.complete(8), budget if budget is not None else 6)
+        allowlist_key=None if consistent else "Thm2.6-printed-lower")
+    res8 = asymmetric_index(Graph.complete(8),
+                            max_k=budget if budget is not None else 6)
     asym_ok = formulas["lower_asymptotic"] <= res8.value <= formulas["upper"]
-    rows.append(ClaimReport(
+    yield ClaimReport(
         "Thm2.6-asymptotic", {"n": 8},
         "6*floor(n/7) <= ai(K_n) <= n - 2",
         {"lower": formulas["lower_asymptotic"], "ai": res8.value,
          "upper": formulas["upper"]},
-        CONFIRMED if asym_ok else REFUTED, _ai_evidence(res8, cap=1)))
+        CONFIRMED if asym_ok else REFUTED, _ai_evidence(res8, cap=1),
+        ai=res8.value, vertices=8)
     for order in (8, 9, 10):
         removed = asymmetric_forest_edges(order)
         edited = apply_flips(Graph.complete(order),
                              FlipSet(removed=frozenset(removed)))
         ok = is_asymmetric(edited)
-        rows.append(ClaimReport(
+        yield ClaimReport(
             "Thm2.6-upper", {"n": order},
             "removing an asymmetric forest leaves K_n asymmetric (ai <= n-2)",
             {"edits": len(removed), "asymmetric": ok},
             CONFIRMED if ok else REFUTED,
-            {} if ok else _aut_evidence(edited)))
+            {} if ok else _aut_evidence(edited))
     trees = asymmetric_trees(9)
     edges = []
     base = 1
@@ -505,41 +424,11 @@ def _thm_2_6(budget=None, **_) -> list[ClaimReport]:
         base += 9
     edited = apply_flips(Graph.complete(28), FlipSet(removed=frozenset(edges)))
     ok = is_asymmetric(edited)
-    rows.append(ClaimReport(
+    yield ClaimReport(
         "Sec2.5-k28", {"n": 28},
         "K_28 minus three distinct asymmetric 9-trees is asymmetric (ai <= 25)",
         {"edits": len(edges), "asymmetric": ok},
-        CONFIRMED if ok else REFUTED, {} if ok else _aut_evidence(edited)))
-    return rows
-
-
-def _thm_2_8(budget=None, **_) -> list[ClaimReport]:
-    rows = []
-    for (r, s) in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)):
-        rows.append(_value_row(
-            "Thm2.8", {"r": r, "s": s}, generate(FamilySpec("grid", (r, s))),
-            1, "ai(P_r x P_s) = 1", budget,
-            boundary_key="Thm2.8-boundary" if (r, s) == (2, 2) else None))
-        if (r, s) != (2, 2):
-            rows.append(_witness_row(
-                "Thm2.8-witness", "grid-corner", (r, s),
-                "removing the corner edge (0,0)-(1,0) asymmetrizes the grid",
-                allowlist_key="Thm2.8-corner-witness-r2" if r == 2 else None))
-    return rows
-
-
-def _thm_2_9(budget=None, **_) -> list[ClaimReport]:
-    rows = []
-    for (r, s) in ((2, 3), (2, 4)):
-        rows.append(_value_row("Thm2.9", {"r": r, "s": s},
-                               generate(FamilySpec("pxc", (r, s))), 2,
-                               "ai(P_r x C_s) = 2", budget))
-    for (r, s) in ((2, 3), (2, 4), (3, 5)):
-        rows.append(_witness_row(
-            "Thm2.9-witness", "pxc-two-removals", (r, s),
-            "removing two edges at the corner vertex asymmetrizes P_r x C_s",
-            allowlist_key="Thm2.9-witness-cube" if (r, s) == (2, 4) else None))
-    return rows
+        CONFIRMED if ok else REFUTED, {} if ok else _aut_evidence(edited))
 
 
 def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
@@ -563,34 +452,18 @@ def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
                 one_hits.append((u, v))
         evidence["one_flip_candidates"] = len(pairs)
         evidence["one_flip_hits"] = len(one_hits)
-        gen = flip_orbit_layers(g, 2, "mixed")
-        orbits, _, _ = next(gen)
-        next(gen)
-        _, reps2 = next(gen)
-        two_hits = []
-        for rep in reps2:
-            fs = _flipset_from_indices(g, rep, orbits.pairs)
-            if is_asymmetric(apply_flips(g, fs)):
-                two_hits.append(fs)
-        evidence["two_flip_orbit_reps"] = len(reps2)
+        *_, (_, two_sets) = flip_orbit_layers(g, 2, "mixed")
+        two_hits = [fs for fs in two_sets if is_asymmetric(apply_flips(g, fs))]
+        evidence["two_flip_orbit_reps"] = len(two_sets)
         evidence["two_flip_hits"] = len(two_hits)
         if two_hits:
             evidence["two_flip_witness"] = two_hits[0].as_dict()
             removals = [fs for fs in two_hits if not fs.added]
             if removals:
                 evidence["two_removal_witness"] = removals[0].as_dict()
-        gen = flip_orbit_layers(g, 3, "remove-only")
-        orbits_r, _, _ = next(gen)
-        three_witness = None
-        for k, reps in gen:
-            if k < 3:
-                continue
-            for rep in reps:
-                fs = _flipset_from_indices(g, rep, orbits_r.pairs)
-                if is_asymmetric(apply_flips(g, fs)):
-                    three_witness = fs
-                    break
-            break
+        *_, (_, three_sets) = flip_orbit_layers(g, 3, "remove-only")
+        three_witness = next((fs for fs in three_sets
+                              if is_asymmetric(apply_flips(g, fs))), None)
         evidence["three_removal_witness"] = (three_witness.as_dict()
                                              if three_witness else None)
         if one_hits:
@@ -627,136 +500,243 @@ def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
                        computed, status, evidence, allowlist_key=key)
 
 
-def _thm_2_10(full: bool = True, **_) -> list[ClaimReport]:
-    return [_torus_scan(6, 7, full=full), _torus_scan(10, 11, full=False)]
+def _thm_2_10(budget) -> Iterator[ClaimReport]:
+    yield _torus_scan(6, 7, full=True)
+    yield _torus_scan(10, 11, full=False)
 
 
-def _thm_3_1(budget=None, **_) -> list[ClaimReport]:
-    rows = []
+def _thm_3_1(budget) -> Iterator[ClaimReport]:
     instances = [("P6+C6", [path(6), cycle(6)]), ("P6+P7", [path(6), path(7)])]
     for label, comps in instances:
         g = comps[0]
         for c in comps[1:]:
             g = disjoint_union(g, c)
-        parts = []
-        for c in comps:
-            parts.append(_exact_ai(c, budget).value)
-        res = _exact_ai(g, budget)
+        parts = [asymmetric_index(c, max_k=budget).value for c in comps]
+        res = asymmetric_index(g, max_k=budget)
         lower, upper = min(parts), sum(parts)
         ok = lower <= res.value <= upper
-        rows.append(ClaimReport(
+        yield ClaimReport(
             "Thm3.1", {"components": label},
             "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)",
             {"component_ai": parts, "ai": res.value},
-            CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1)))
-    rows.append(ClaimReport(
+            CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1),
+            ai=res.value, vertices=g.n)
+    yield ClaimReport(
         "Thm3.1", {"components": "P6+P6"},
         "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)", None, NOT_APPLICABLE,
-        {"note": "isomorphic components; the one-line proof does not cover them"}))
-    return rows
+        {"note": "isomorphic components; the one-line proof does not cover them"})
 
 
-def _ex_3_1(l=None, **_) -> list[ClaimReport]:
-    rows = []
-    for value in _norm_range(l, (3, 4)):
-        if value < 3:
-            rows.append(_out_of_range(
-                "Ex3.1", {"l": value},
-                "cycle with pendant paths is asymmetric", 3))
-            continue
+def _ex_3_1(budget, values=(3, 4)) -> Iterator[ClaimReport]:
+    for value in values:
         g = cycle_with_pendant_paths(value)
         ok = is_asymmetric(g)
-        rows.append(ClaimReport(
-            "Ex3.1", {"l": value},
-            "joining each pendant path to its own cycle vertex gives an "
-            "asymmetric graph (ai <= l)",
+        yield ClaimReport(
+            "Ex3.1", {"l": value}, _EX_3_1,
             {"vertices": g.n, "edges": g.edge_count, "asymmetric": ok},
-            CONFIRMED if ok else REFUTED, {} if ok else _aut_evidence(g)))
-    return rows
+            CONFIRMED if ok else REFUTED, {} if ok else _aut_evidence(g))
 
 
-def _thm_3_2(instances=((8, 1), (8, 2), (9, 3)), **_) -> list[ClaimReport]:
-    rows = []
-    for (s, t) in instances:
+def _thm_3_2(budget) -> Iterator[ClaimReport]:
+    for (s, t) in ((8, 1), (8, 2), (9, 3)):
         spec, flips = witness("split-construction", s, t)
         edited = apply_flips(generate(spec), flips)
         ok = is_asymmetric(edited) and flips.size == s - 2 + t - 1
-        rows.append(ClaimReport(
+        yield ClaimReport(
             "Thm3.2", {"s": s, "t": t},
             "ai(K_s + t*K_1) <= s - 2 + t - 1",
             {"edits": flips.size, "asymmetric": is_asymmetric(edited)},
             CONFIRMED if ok else REFUTED,
             {"flips": flips.as_dict(),
-             **({} if ok else _aut_evidence(edited))}))
-    return rows
+             **({} if ok else _aut_evidence(edited))})
+
+
+# -- family claims as data ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One row per instance x (a tuple) of a family claim: the catalog
+    ``witness(*x)`` asymmetrizes its graph, or else ai(``spec(*x)``) is
+    ``value``, or with no value, no edge removals asymmetrize it.
+    ``keys`` maps an instance to the allowlist key of its refutation (for
+    a value row: of a graph that cannot be asymmetrized at all).
+    """
+
+    row_id: str
+    text: str
+    instances: tuple
+    spec: Callable[..., FamilySpec] | None = None
+    value: int | None = None
+    witness: str | None = None
+    params: dict = field(default_factory=dict)
+    keys: dict = field(default_factory=dict)
+
+
+def _family_rows(checks: tuple[_Check, ...], coords: tuple[str, ...],
+                 budget, values=None) -> Iterator[ClaimReport]:
+    """Rows of every check, on its default instances or on ``values``."""
+    for check in checks:
+        for x in check.instances if values is None else [(v,) for v in values]:
+            key = check.keys.get(x)
+            if check.witness:
+                yield _witness_row(check.row_id, check.witness, x, check.text, key)
+                continue
+            params = {**dict(zip(coords, x)), **check.params}
+            g = generate(check.spec(*x))
+            if check.value is None:
+                yield _removal_free_row(check.row_id, params, g, check.text)
+            else:
+                yield _value_row(check.row_id, params, g, check.value,
+                                 check.text, budget, key)
+
+
+def _ns(lo: int, hi: int) -> tuple:
+    return tuple((n,) for n in range(lo, hi + 1))
+
+
+def _kind(kind: str) -> Callable[..., FamilySpec]:
+    return lambda *args: FamilySpec(kind, args)
+
+
+_GRIDS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
 
 
 # -- catalog ----------------------------------------------------------------
 
 
-_HANDLERS: dict[str, Callable[..., list[ClaimReport]]] = {
-    "Prop1.1": _prop_1_1,
-    "Prop1.2": _prop_1_2,
-    "Prop1.3": _prop_1_3,
-    "Prop1.4": _prop_1_4,
-    "Lem1.1": _lem_1_1,
-    "Lem1.4": _lem_1_4,
-    "Lem2.1": _lem_2_1,
-    "Thm1.2": _thm_1_2,
-    "Thm2.1": _thm_2_1,
-    "Thm2.2": _thm_2_2,
-    "Sec2.2-cycle-aut": _sec_2_2_cycle_aut,
-    "Rem2.1": _rem_2_1,
-    "Sec2.2-count": _sec_2_2_count,
-    "Thm2.3": _thm_2_3,
-    "Thm2.4": _thm_2_4,
-    "Thm2.5": _thm_2_5,
-    "Thm2.6": _thm_2_6,
-    "Thm2.8": _thm_2_8,
-    "Thm2.9": _thm_2_9,
-    "Thm2.10": _thm_2_10,
-    "Thm3.1": _thm_3_1,
-    "Ex3.1": _ex_3_1,
-    "Thm3.2": _thm_3_2,
-}
+@dataclass(frozen=True)
+class _Entry:
+    """One catalog entry: ``rows(budget)`` yields the default instances'
+    rows.  With a range ``param`` it also takes ``rows(budget, values)``;
+    values below ``minimum`` give not-applicable rows expecting ``text``.
+    ``parts`` are the row ids it produces, when more than its own.
+    """
 
-#: Granular row ids produced by each catalog entry (for id resolution).
-_PART_IDS = {
-    "Thm2.1": ("Thm2.1", "Thm2.1-witness"),
-    "Thm2.2": ("Thm2.2", "Thm2.2-witness", "Thm2.2-remove-only"),
-    "Thm2.3": ("Thm2.3", "Thm2.3-witness", "Thm2.3-alt"),
-    "Thm2.4": ("Thm2.4", "Thm2.4-witness"),
-    "Thm2.6": ("Thm2.6-exact", "Thm2.6-printed-lower", "Thm2.6-asymptotic",
-               "Thm2.6-upper", "Sec2.5-k28"),
-    "Thm2.8": ("Thm2.8", "Thm2.8-witness"),
-    "Thm2.9": ("Thm2.9", "Thm2.9-witness"),
+    rows: Callable[..., Iterator[ClaimReport]]
+    param: str | None = None
+    minimum: int | None = None
+    text: str = ""
+    parts: tuple[str, ...] = ()
+
+
+def _family(param, minimum, coords, *checks: _Check) -> _Entry:
+    """Entry of a family claim; ``coords`` name an instance's parts."""
+    return _Entry(partial(_family_rows, checks, coords), param, minimum,
+                  checks[0].text, tuple(c.row_id for c in checks))
+
+
+_CATALOG: dict[str, _Entry] = {
+    "Prop1.1": _Entry(_prop_1_1, "n"),
+    "Prop1.2": _Entry(_prop_1_2, "n", 6, _PROP_1_2),
+    "Prop1.3": _Entry(_prop_1_3, "n"),
+    "Prop1.4": _Entry(_prop_1_4, "n"),
+    "Lem1.1": _Entry(_lem_1_1, "n", 6, _LEM_1_1),
+    "Lem1.4": _Entry(_lem_1_4),
+    "Lem2.1": _Entry(_lem_2_1, "i", 6, _LEM_2_1),
+    "Thm1.2": _Entry(_thm_1_2),
+    "Thm2.1": _family(
+        "n", 6, ("n",),
+        _Check("Thm2.1", "ai(P_n) = 1", _ns(6, 12), _kind("path"), 1),
+        _Check("Thm2.1-witness", "adding the chord (1,3) asymmetrizes P_n",
+               _ns(6, 12), witness="path-add-chord")),
+    "Thm2.2": _family(
+        "n", 6, ("n",),
+        _Check("Thm2.2", "ai(C_n) = 2", _ns(6, 12), _kind("cycle"), 2),
+        _Check("Thm2.2-witness", "remove one cycle edge, add the path chord",
+               _ns(6, 12), witness="cycle-remove-add"),
+        _Check("Thm2.2-remove-only", "no pure edge removal asymmetrizes a cycle",
+               _ns(6, 12), _kind("cycle"))),
+    "Sec2.2-cycle-aut": _Entry(_sec_2_2_cycle_aut, "n"),
+    "Rem2.1": _Entry(_rem_2_1, "n", 6,
+                     "remark chord-count formula matches enumeration"),
+    "Sec2.2-count": _Entry(_sec_2_2_count, "n", 6,
+                           "text chord-count formula matches enumeration"),
+    "Thm2.3": _family(
+        "n", 6, ("n",),
+        _Check("Thm2.3", "ai(W_n) = 2", _ns(6, 10), _kind("wheel"), 2,
+               params={"convention": "hub degree n-1"}),
+        _Check("Thm2.3-witness", "removing a rim edge then an adjacent spoke",
+               _ns(6, 10), witness="wheel-two-removals"),
+        _Check("Thm2.3-alt", "ai = 2 under the (n+1)-vertex reading", _ns(6, 9),
+               lambda n: FamilySpec("wheel", (n + 1,)), 2,
+               params={"convention": "hub degree n"})),
+    "Thm2.4": _Entry(_thm_2_4, "n", 4, _THM_2_4, ("Thm2.4", "Thm2.4-witness")),
+    "Thm2.5": _Entry(_thm_2_5, "n", 6, _THM_2_5),
+    "Thm2.6": _Entry(_thm_2_6, parts=("Thm2.6-exact", "Thm2.6-printed-lower",
+                                      "Thm2.6-asymptotic", "Thm2.6-upper",
+                                      "Sec2.5-k28")),
+    "Thm2.8": _family(
+        None, None, ("r", "s"),
+        _Check("Thm2.8", "ai(P_r x P_s) = 1", _GRIDS, _kind("grid"), 1,
+               keys={(2, 2): "Thm2.8-boundary"}),
+        _Check("Thm2.8-witness",
+               "removing the corner edge (0,0)-(1,0) asymmetrizes the grid",
+               _GRIDS[1:], witness="grid-corner",
+               keys={(2, 3): "Thm2.8-corner-witness-r2",
+                     (2, 4): "Thm2.8-corner-witness-r2"})),
+    "Thm2.9": _family(
+        None, None, ("r", "s"),
+        _Check("Thm2.9", "ai(P_r x C_s) = 2", ((2, 3), (2, 4)), _kind("pxc"), 2),
+        _Check("Thm2.9-witness",
+               "removing two edges at the corner vertex asymmetrizes P_r x C_s",
+               ((2, 3), (2, 4), (3, 5)), witness="pxc-two-removals",
+               keys={(2, 4): "Thm2.9-witness-cube"})),
+    "Thm2.10": _Entry(_thm_2_10),
+    "Thm3.1": _Entry(_thm_3_1),
+    "Ex3.1": _Entry(_ex_3_1, "l", 3, _EX_3_1),
+    "Thm3.2": _Entry(_thm_3_2),
 }
 
 _ALIASES = {"Thm2.7": "Thm1.2"}
 
-CLAIM_IDS = tuple(_HANDLERS)
+CLAIM_IDS = tuple(_CATALOG)
+
+#: Row ids produced by each catalog entry (for id resolution).
+ROW_IDS = {cid: entry.parts or (cid,) for cid, entry in _CATALOG.items()}
 
 
 def _resolve(claim_id: str) -> tuple[str, str | None]:
-    """Return (handler id, row filter id or None)."""
+    """Return (entry id, row filter id or None)."""
     if claim_id in _ALIASES:
         return _ALIASES[claim_id], None
-    if claim_id in _HANDLERS:
+    if claim_id in _CATALOG:
         return claim_id, None
-    for handler_id, parts in _PART_IDS.items():
+    for entry_id, parts in ROW_IDS.items():
         if claim_id in parts:
-            return handler_id, claim_id
+            return entry_id, claim_id
     raise ValueError(f"unknown claim {claim_id!r}")
+
+
+def _entry_rows(entry_id: str, budget: int | None, params: dict) -> list[ClaimReport]:
+    """Rows of one entry; out-of-domain values give not-applicable rows."""
+    entry = _CATALOG[entry_id]
+    unknown = ", ".join(map(repr, sorted(set(params) - {entry.param})))
+    if unknown:
+        takes = f"only {entry.param!r}" if entry.param else "no parameters"
+        raise ValueError(f"{entry_id} takes {takes}; got {unknown}")
+    if entry.param not in params:
+        return list(entry.rows(budget))
+    values = _norm_range(params[entry.param])
+    low = [v for v in values if entry.minimum is not None and v < entry.minimum]
+    na = [ClaimReport(entry_id, {entry.param: v}, entry.text, None, NOT_APPLICABLE,
+                      {"note": f"instance below the claim's domain "
+                               f"(needs at least {entry.minimum})"})
+          for v in low]
+    return na + list(entry.rows(budget, [v for v in values if v not in low]))
 
 
 def verify(claim_id: str, budget: int | None = None, **params) -> list[ClaimReport]:
     """Evaluate one catalog claim; one report per instance.
 
     ``claim_id`` may be a catalog entry (``Thm2.2``) or a granular row id
-    (``Thm2.6-printed-lower``); extra keyword parameters narrow ranges.
+    (``Thm2.6-printed-lower``); an entry's range parameter (``n``, ``i``
+    or ``l``) narrows its instances, and any other parameter raises
+    ValueError.  A parameter set to None is left out.
     """
-    handler_id, row_filter = _resolve(claim_id)
-    rows = _HANDLERS[handler_id](budget=budget, **params)
+    entry_id, row_filter = _resolve(claim_id)
+    params = {k: v for k, v in params.items() if v is not None}
+    rows = _entry_rows(entry_id, budget, params)
     if row_filter is not None:
         rows = [r for r in rows if r.claim_id == row_filter]
     return _sorted_rows(rows)
@@ -777,59 +757,20 @@ def _sorted_rows(rows: list[ClaimReport]) -> list[ClaimReport]:
     return sorted(rows, key=key)
 
 
-def verify_suite(budget: int | None = None, claims=None) -> list[ClaimReport]:
-    """Run the whole catalog (or a subset) at default desk-scale ranges.
+def verify_suite(budget: int | None = None) -> list[ClaimReport]:
+    """Run the whole catalog at default desk-scale ranges.
 
     Appends one sweep row checking the universal upper bound against
     every index value computed by the suite itself.
     """
     rows: list[ClaimReport] = []
-    for claim_id in (claims or CLAIM_IDS):
-        handler_id, _ = _resolve(claim_id)
-        rows.extend(_HANDLERS[handler_id](budget=budget))
-    checked = 0
-    violations = []
-    for row in rows:
-        value, n = _extract_ai(row)
-        if value is None:
-            continue
-        checked += 1
-        if not 0 <= value <= general_upper_bound(n):
-            violations.append(row.claim_id)
+    for entry in _CATALOG.values():
+        rows.extend(entry.rows(budget))
+    computed = [r for r in rows if r.ai is not None]
+    violations = [r.claim_id for r in computed
+                  if not 0 <= r.ai <= general_upper_bound(r.vertices)]
     rows.append(ClaimReport(
-        "Thm1.2-sweep", {"values_checked": checked},
+        "Thm1.2-sweep", {"values_checked": len(computed)},
         "every index computed by the suite obeys the universal bounds",
         {"violations": violations}, CONFIRMED if not violations else REFUTED))
     return _sorted_rows(rows)
-
-
-def _extract_ai(row: ClaimReport) -> tuple[int | None, int]:
-    evid = row.evidence if isinstance(row.evidence, dict) else {}
-    value = evid.get("value")
-    if value is None and isinstance(row.computed, dict):
-        value = row.computed.get("ai")
-    if not isinstance(value, int):
-        return None, 0
-    n = _instance_order(row)
-    return (value, n) if n else (None, 0)
-
-
-def _instance_order(row: ClaimReport) -> int:
-    params = row.params
-    if "graph6" in params:
-        from .graph import from_graph6
-        return from_graph6(params["graph6"]).n
-    if "n" in params and isinstance(params["n"], int):
-        claim = row.claim_id
-        n = params["n"]
-        if claim.startswith("Thm2.3") and params.get("convention") == "hub degree n":
-            return n + 1
-        return n
-    if "r" in params and "s" in params:
-        return params["r"] * params["s"]
-    if "graph" in params or "components" in params:
-        sizes = {"P_8": 8, "C_9": 9, "W_8": 8, "K_6": 6, "K_1,6": 7,
-                 "empty_6": 6, "K_1,5": 6, "C_8": 8, "P6+C6": 12, "P6+P7": 13}
-        label = params.get("graph", params.get("components"))
-        return sizes.get(label, 0)
-    return 0

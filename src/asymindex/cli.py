@@ -203,15 +203,12 @@ def _parse_range(text: str):
 
 def _cmd_verify(args, config) -> int:
     allowlist = config.get("allowlist", claims_mod.DEFAULT_ALLOWLIST)
-    params = {}
-    if args.n is not None:
-        params["n"] = _parse_range(args.n)
-    if args.l is not None:
-        params["l"] = _parse_range(args.l)
-    if args.i is not None:
-        params["i"] = _parse_range(args.i)
+    params = {name: _parse_range(text) for name in ("n", "l", "i")
+              if (text := getattr(args, name)) is not None}
     try:
         if args.claim == "suite":
+            if params:
+                raise ValueError("suite takes no parameters")
             rows = claims_mod.verify_suite(budget=args.budget)
         else:
             rows = claims_mod.verify(args.claim, budget=args.budget, **params)
@@ -288,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="count asymmetrizing chord pairs on a cycle and "
                             "compare both closed-form variants")
     p.add_argument("n", type=int)
-    p.add_argument("--compare", action="store_true",
-                   help="kept for symmetry; comparison is always printed")
     p.set_defaults(func=_cmd_count_cycle_aug)
 
     p = sub.add_parser("verify", parents=[common],

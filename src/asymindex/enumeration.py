@@ -8,8 +8,6 @@ bytes.  Intended for desk scale (graphs to ~8 vertices, trees to ~12).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graph import Graph
 from .automorphism import canonical_form, is_asymmetric
 
@@ -32,13 +30,6 @@ def graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]] | None = Non
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph(n, rows, _trusted=True)
-
-
-def all_labeled_graphs(n: int):
-    """Iterate every labeled graph on n vertices (2^C(n,2) of them)."""
-    pairs = all_pairs(n)
-    for mask in range(1 << len(pairs)):
-        yield graph_from_mask(n, mask, pairs)
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
@@ -121,8 +112,3 @@ def asymmetric_forest_edges(n: int) -> list[tuple[int, int]]:
         raise ValueError("no asymmetric tree on fewer than 7 vertices")
     tree = asymmetric_trees(n - 1)[0]
     return list(tree.edges())
-
-
-def labeled_subsets(items, k: int):
-    """Thin wrapper so callers do not need itertools directly."""
-    return combinations(items, k)

@@ -12,8 +12,6 @@ full group is too large to enumerate; coarser orbits only cost time).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -26,7 +24,6 @@ from .automorphism import (automorphism_group, canonical_form, group_elements,
 
 MODES = ("mixed", "add-only", "remove-only")
 DEFAULT_WITNESS_CAP = 4
-THREADS_ENV_VAR = "ASYMINDEX_THREADS"
 
 
 class NoAsymmetrizationError(Exception):
@@ -214,16 +211,13 @@ class _FlipOrbits:
         return out
 
 
-def _universe_indices(g: Graph, mode: str, orbits: _FlipOrbits) -> list[int]:
+def _universe(g: Graph, mode: str) -> list[int]:
+    """Indices, in lexicographic pair order, of the pairs ``mode`` may flip."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    out = []
-    for i, (u, v) in enumerate(orbits.pairs):
-        present = bool((g.rows[u] >> v) & 1)
-        if mode == "mixed" or (mode == "remove-only" and present) \
-                or (mode == "add-only" and not present):
-            out.append(i)
-    return out
+    pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
+    return [i for i, (u, v) in enumerate(pairs)
+            if mode == "mixed" or g.has_edge(u, v) == (mode == "remove-only")]
 
 
 def _flipset_from_indices(g: Graph, subset, pairs) -> FlipSet:
@@ -234,17 +228,18 @@ def _flipset_from_indices(g: Graph, subset, pairs) -> FlipSet:
     return FlipSet(removed=frozenset(removed), added=frozenset(added))
 
 
-def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed"):
-    """Yield (k, representatives) for k = 1..max_k.
+def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
+                      stats: SearchStats | None = None):
+    """Yield (k, flip_sets) for k = 1..max_k.
 
-    Representatives are canonical min-image forms, one per orbit of
-    k-subsets of the mode's universe under Aut(g); sorted, so iteration
-    order is deterministic.  Also yields the running stats object first.
+    One FlipSet per orbit of k-subsets of the mode's universe under
+    Aut(g), ordered by the orbit's canonical min-image subset, so
+    iteration order is deterministic.  Candidates generated and orbit
+    duplicates skipped are added to ``stats`` when given.
     """
+    stats = SearchStats() if stats is None else stats
     orbits = _FlipOrbits(g)
-    universe = _universe_indices(g, mode, orbits)
-    stats = SearchStats()
-    yield orbits, universe, stats
+    universe = _universe(g, mode)
     reps: list[tuple[int, ...]] = [()]
     for k in range(1, max_k + 1):
         cands: list[tuple[int, ...]] = []
@@ -257,14 +252,7 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed"):
         seen = orbits.canonical_many(cands)
         stats.dedup_hits += len(cands) - len(seen)
         reps = sorted(seen)
-        yield k, reps
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
+        yield k, [_flipset_from_indices(g, r, orbits.pairs) for r in reps]
 
 
 def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
@@ -286,54 +274,23 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         return AiResult(0, [FlipSet()], mode, stats)
     if max_k is None:
         max_k = 8 if n <= 12 else 3
-    gen = flip_orbit_layers(g, max_k, mode)
-    orbits, universe, layer_stats = next(gen)
-    threads = _threads()
-    hit_layer: list[FlipSet] = []
-    last_k = 0
-    for k, reps in gen:
-        last_k = k
-        hits = _evaluate_layer(g, reps, orbits.pairs, stats, witness_cap, threads)
-        if hits:
-            hit_layer = hits
-            break
-    stats.nodes += layer_stats.nodes
-    stats.dedup_hits += layer_stats.dedup_hits
-    if not hit_layer:
-        exhausted = last_k >= len(universe)
-        raise BudgetExceededError(min(max_k, len(universe)) + 1, stats,
-                                  universe_exhausted=exhausted)
-    witnesses = sorted(hit_layer, key=FlipSet.sort_key)[:witness_cap]
-    return AiResult(witnesses[0].size, witnesses, mode, stats)
-
-
-def _evaluate_layer(g, reps, pairs, stats: SearchStats, witness_cap: int,
-                    threads: int) -> list[FlipSet]:
-    flip_sets = [_flipset_from_indices(g, r, pairs) for r in reps]
-
-    def test(fs: FlipSet) -> bool:
-        return is_asymmetric(apply_flips(g, fs))
-
+    universe = len(_universe(g, mode))
     hits: list[FlipSet] = []
-    if threads > 1 and len(flip_sets) > 1:
-        chunk = max(16, len(flip_sets) // (threads * 4))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, len(flip_sets), chunk):
-                batch = flip_sets[start:start + chunk]
-                for fs, ok in zip(batch, pool.map(test, batch)):
-                    stats.tested += 1
-                    if ok:
-                        hits.append(fs)
-                if len(hits) >= witness_cap:
-                    break
-    else:
+    last_k = 0
+    for last_k, flip_sets in flip_orbit_layers(g, max_k, mode, stats):
         for fs in flip_sets:
             stats.tested += 1
-            if test(fs):
+            if is_asymmetric(apply_flips(g, fs)):
                 hits.append(fs)
                 if len(hits) >= witness_cap:
                     break
-    return hits
+        if hits:
+            break
+    if not hits:
+        raise BudgetExceededError(min(max_k, universe) + 1, stats,
+                                  universe_exhausted=last_k >= universe)
+    witnesses = sorted(hits, key=FlipSet.sort_key)[:witness_cap]
+    return AiResult(witnesses[0].size, witnesses, mode, stats)
 
 
 def lower_bound(g: Graph) -> int:

@@ -1,6 +1,9 @@
 """Claim ledger: formulas against enumeration oracles, statuses, evidence
 discipline, and determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 from asymindex import claims
@@ -9,6 +12,7 @@ from asymindex.claims import (cycle_augmentation_formula,
                               verify_suite, DEFAULT_ALLOWLIST, CONFIRMED,
                               REFUTED, NOT_APPLICABLE)
 from asymindex.families import cycle
+from asymindex.graph import from_graph6
 from asymindex.search import count_nonisomorphic_asymmetrizations
 
 
@@ -150,8 +154,12 @@ class TestSuite:
     def test_every_catalog_claim_has_rows(self, suite_rows):
         produced = {r.claim_id for r in suite_rows}
         for cid in claims.CLAIM_IDS:
-            parts = claims._PART_IDS.get(cid, (cid,))
-            assert any(p in produced for p in parts), cid
+            assert any(p in produced for p in claims.ROW_IDS[cid]), cid
+
+    def test_ledger_pinned(self, suite_rows):
+        ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
+        assert hashlib.sha256(ledger.encode()).hexdigest() == (
+            "6ce262937fec87754155205cbca0a802e043c18243303f6572cab974d1f7b08c")
 
     def test_no_empty_rows(self, suite_rows):
         for r in suite_rows:
@@ -170,3 +178,17 @@ class TestSuite:
         assert sweep[0].status == CONFIRMED
         # at least the 156 complement-duality instances feed the sweep
         assert sweep[0].params["values_checked"] > 156
+
+    def test_sweep_rows_carry_vertex_counts(self, suite_rows):
+        fed = [r for r in suite_rows if r.ai is not None]
+        sweep = next(r for r in suite_rows if r.claim_id == "Thm1.2-sweep")
+        assert len(fed) == sweep.params["values_checked"] == 206
+        by_claim = {}
+        for r in fed:
+            by_claim.setdefault(r.claim_id, []).append(r.vertices)
+        assert sorted(by_claim["Thm2.4"]) == [15, 17]
+        assert sorted(by_claim["Thm2.3-alt"]) == [7, 8, 9, 10]
+        assert sorted(by_claim["Thm3.1"]) == [12, 13]
+        for r in fed:
+            if "graph6" in r.params:
+                assert r.vertices == from_graph6(r.params["graph6"]).n

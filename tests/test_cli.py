@@ -165,6 +165,27 @@ class TestVerify:
                            "--config", str(cfg))
         assert code == 5
 
+    def test_prop11_range_covers_both_orders(self, capsys):
+        code, out, _ = run(capsys, "verify", "Prop1.1", "--n", "5..6", "--json")
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        assert {from_graph6(r["params"]["graph6"]).n for r in rows} == {5, 6}
+
+    def test_thm24_range_honoured(self, capsys):
+        code, out, _ = run(capsys, "verify", "Thm2.4", "--n", "4..5", "--json")
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        assert sorted(r["params"]["n"] for r in rows if r["claim"] == "Thm2.4") \
+            == [4, 4, 5, 5]
+
+    def test_undeclared_parameter_exit2(self, capsys):
+        code, _, err = run(capsys, "verify", "Thm2.6", "--n", "8")
+        assert code == 2 and "takes no parameters" in err
+        code, _, err = run(capsys, "verify", "Lem2.1", "--n", "7")
+        assert code == 2 and "'i'" in err
+        code, _, err = run(capsys, "verify", "suite", "--n", "6")
+        assert code == 2 and "suite takes no parameters" in err
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "verify", "Lem2.1", "--i", "6..12", "--json")
         assert code == 0

@@ -16,7 +16,7 @@ from asymindex.automorphism import are_isomorphic, is_asymmetric
 from asymindex.enumeration import all_pairs, graph_from_mask
 from asymindex.families import path, cycle, complete, star, wheel
 from asymindex.search import (BudgetExceededError, FlipSet,
-                              NoAsymmetrizationError, apply_flips,
+                              NoAsymmetrizationError, SearchStats, apply_flips,
                               asymmetric_index,
                               count_nonisomorphic_asymmetrizations,
                               flip_orbit_layers, lower_bound)
@@ -170,19 +170,11 @@ class TestAsymmetricIndex:
 class TestLayers:
     def test_layer_reps_cover_k6_classes(self):
         # orbits of k-subsets of K_6 edges = k-edge graph classes on 6 vertices
-        gen = flip_orbit_layers(complete(6), 3, "remove-only")
-        next(gen)
-        _, reps1 = next(gen)
-        _, reps2 = next(gen)
-        _, reps3 = next(gen)
-        assert (len(reps1), len(reps2), len(reps3)) == (1, 2, 5)
-
-    def test_threads_give_same_result(self, monkeypatch):
-        baseline = asymmetric_index(cycle(9))
-        monkeypatch.setenv("ASYMINDEX_THREADS", "3")
-        threaded = asymmetric_index(cycle(9))
-        assert threaded.value == baseline.value
-        assert threaded.witnesses == baseline.witnesses
+        stats = SearchStats()
+        layers = flip_orbit_layers(complete(6), 3, "remove-only", stats)
+        assert [(k, len(sets)) for k, sets in layers] == [(1, 1), (2, 2), (3, 5)]
+        # 15 + 1*14 + 2*13 candidates; 1 + 2 + 5 of them are kept
+        assert (stats.nodes, stats.dedup_hits) == (55, 47)
 
 
 class TestCounting:
