@@ -16,8 +16,6 @@ from .graph import Graph, pack_triangle_bits
 
 Perm = tuple[int, ...]
 
-# Canonical-form search retries with group-orbit pruning past this many leaves.
-_CANON_LEAF_BUDGET = 512
 # Largest automorphism group that is ever enumerated element by element.
 MAX_CLOSURE = 1_000_000
 
@@ -248,6 +246,20 @@ def _orbits_from_generators(n: int, generators) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(vs)) for vs in groups.values()))
 
 
+def _orbit(points, gens) -> set[int]:
+    """Closure of ``points`` under the permutations ``gens``."""
+    orbit = set(points)
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for p in gens:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
 def automorphism_group(g: Graph) -> AutReport:
     """Generators, exact order, and orbits via a stabilizer chain.
 
@@ -291,14 +303,7 @@ def automorphism_group(g: Graph) -> AutReport:
                 continue
             level_gens.append(sigma)
             # Schreier closure: new generator may reach further orbit points.
-            frontier = list(orbit)
-            while frontier:
-                x = frontier.pop()
-                for gperm in level_gens:
-                    y = gperm[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
+            orbit = _orbit(orbit, level_gens)
         order *= len(orbit)
         generators.extend(level_gens)
         fixed.append(b)
@@ -345,10 +350,6 @@ def subgroup_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm]:
 # -- canonical form -----------------------------------------------------
 
 
-class _LeafBudgetExceeded(Exception):
-    pass
-
-
 def _leaf_bits(rows, cells, n: int) -> int:
     label_of = [0] * n
     for i, c in enumerate(cells):
@@ -364,48 +365,49 @@ def _leaf_bits(rows, cells, n: int) -> int:
     return acc
 
 
-def _canon_search(rows, n, cells, stab: list[Perm] | None, budget: int | None) -> int:
+def _canon_search(rows, n, cells) -> int:
     """Minimum leaf triangle-bit value over the individualization tree.
 
-    ``stab`` (when given) is the full element list of the automorphism
-    group; at each node only one candidate per orbit of the prefix
-    stabilizer is descended, which cannot change the minimum.
+    A leaf whose bits equal the best leaf's gives an automorphism (leaf
+    order to best-leaf order), which is kept.  A child in the orbit of an
+    explored sibling under the kept automorphisms fixing the node's path
+    is skipped, and a branch that a new automorphism maps onto the best
+    leaf's branch is abandoned.  Both skip only subtrees that an
+    automorphism maps onto explored ones, so the minimum is unchanged.
     """
-    best: int | None = None
-    leaves = 0
+    best = None                     # (bits, path, cells) of the best leaf
+    auts: list[Perm] = []
 
-    def rec(cells, stab_elems):
-        nonlocal best, leaves
+    def rec(cells, path) -> int:
+        # Returns the depth to unwind to; len(path) or more carries on.
+        nonlocal best
         cells = _refine(rows, cells)
         i = _first_target(cells)
         if i < 0:
-            leaves += 1
-            if budget is not None and leaves > budget:
-                raise _LeafBudgetExceeded
             bits = _leaf_bits(rows, cells, n)
-            if best is None or bits < best:
-                best = bits
-            return
-        candidates = cells[i]
-        if stab_elems is not None and len(stab_elems) > 1:
-            chosen = []
-            seen = set()
-            for w in candidates:
-                if w in seen:
-                    continue
-                chosen.append(w)
-                for sigma in stab_elems:
-                    seen.add(sigma[w])
-            candidates = chosen
-        for w in candidates:
-            sub = None
-            if stab_elems is not None:
-                sub = [sigma for sigma in stab_elems if sigma[w] == w]
-            rec(_individualize(cells, i, w), sub)
+            if best is None or bits < best[0]:
+                best = (bits, path, cells)
+            elif bits == best[0]:
+                sigma = _leaf_perm(cells, best[2], n)
+                auts.append(sigma)
+                bpath = best[1]
+                d = next(k for k, v in enumerate(path) if v != bpath[k])
+                if sigma[path[d]] == bpath[d] and all(sigma[v] == v for v in path[:d]):
+                    return d
+            return n
+        explored: list[int] = []
+        for w in cells[i]:
+            if explored and w in _orbit(
+                    explored, [s for s in auts if all(s[v] == v for v in path)]):
+                continue
+            explored.append(w)
+            back = rec(_individualize(cells, i, w), path + (w,))
+            if back < len(path):
+                return back
+        return n
 
-    rec(cells, stab)
-    assert best is not None
-    return best
+    rec(cells, ())
+    return best[0]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -418,16 +420,7 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n <= 1:
         return pack_triangle_bits(n, 0)
-    cells = _refine(g.rows, [tuple(range(n))])
-    try:
-        bits = _canon_search(g.rows, n, cells, None, _CANON_LEAF_BUDGET)
-    except _LeafBudgetExceeded:
-        report = automorphism_group(g)
-        elems = group_elements(report.generators, n)
-        if elems is None:
-            elems = subgroup_elements(report.generators, n)
-        bits = _canon_search(g.rows, n, cells, elems, None)
-    return pack_triangle_bits(n, bits)
+    return pack_triangle_bits(n, _canon_search(g.rows, n, [tuple(range(n))]))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -263,9 +263,15 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     representative per Aut(g)-orbit is tested (equivalent flip sets give
     isomorphic results).  Raises NoAsymmetrizationError for 2 <= n <= 5
     and BudgetExceededError (with the proven lower bound) when the layer
-    budget runs out.
+    budget runs out.  Raises ValueError for an unknown mode, a negative
+    ``max_k`` or a ``witness_cap`` below 1.
     """
     n = g.n
+    universe = len(_universe(g, mode))
+    if max_k is not None and max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
+    if witness_cap < 1:
+        raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     if 2 <= n <= 5:
         raise NoAsymmetrizationError(n)
     stats = SearchStats()
@@ -274,7 +280,6 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         return AiResult(0, [FlipSet()], mode, stats)
     if max_k is None:
         max_k = 8 if n <= 12 else 3
-    universe = len(_universe(g, mode))
     hits: list[FlipSet] = []
     last_k = 0
     for last_k, flip_sets in flip_orbit_layers(g, max_k, mode, stats):

@@ -2,22 +2,26 @@
 forms, transposable pairs.  Expected values come from brute-force
 permutation loops or exhaustive enumeration, never from the engine."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asymindex.graph import Graph, disjoint_union, join
-from asymindex.automorphism import (are_isomorphic, automorphism_group,
+from asymindex import automorphism
+from asymindex.graph import Graph, disjoint_union, join, pack_triangle_bits
+from asymindex.automorphism import (_first_target, _individualize, _leaf_bits,
+                                    _refine, are_isomorphic, automorphism_group,
                                     canonical_form, can_transpose, cycles_str,
                                     find_nontrivial_automorphism, invert,
                                     is_asymmetric, is_automorphism, compose,
                                     identity_perm, is_identity,
                                     transposable_clique_lower_bound,
                                     transposable_pairs)
-from asymindex.families import path, cycle, complete, star, wheel, circulant
-from asymindex.enumeration import all_pairs, graph_from_mask
+from asymindex.families import (path, cycle, complete, star, wheel, circulant,
+                                torus)
+from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 
 from conftest import brute_automorphism_count, brute_is_asymmetric
 
@@ -30,6 +34,27 @@ def figure_two_graph() -> Graph:
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def unpruned_canonical_form(g: Graph) -> bytes:
+    """Minimum leaf over the whole individualization-refinement tree,
+    with no automorphism pruning: the definition canonical_form keeps."""
+    def rec(cells):
+        cells = _refine(g.rows, cells)
+        i = _first_target(cells)
+        if i < 0:
+            return _leaf_bits(g.rows, cells, g.n)
+        return min(rec(_individualize(cells, i, w)) for w in cells[i])
+
+    if g.n <= 1:
+        return pack_triangle_bits(g.n, 0)
+    return pack_triangle_bits(g.n, rec([tuple(range(g.n))]))
+
+
+def petersen() -> Graph:
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)])
 
 
 class TestPermutations:
@@ -209,8 +234,54 @@ class TestCanonicalForm:
         assert len(keys) == 156
 
     def test_symmetric_extremes(self):
-        assert canonical_form(Graph.empty(8)) != canonical_form(complete(8))
-        assert are_isomorphic(Graph.empty(8).complement(), complete(8))
+        for n in (8, 9, 10):
+            assert canonical_form(Graph.empty(n)) != canonical_form(complete(n))
+            assert are_isomorphic(Graph.empty(n).complement(), complete(n))
+
+    def test_matches_unpruned_search_on_seven_vertex_classes(self):
+        for g in nonisomorphic_graphs(7):
+            assert canonical_form(g) == unpruned_canonical_form(g)
+
+    @pytest.mark.parametrize("g", [
+        petersen(), circulant(13, (1, 3, 4)),                  # Paley(13)
+        join(Graph.empty(4), Graph.empty(4)),                  # K_{4,4}
+        disjoint_union(disjoint_union(cycle(4), cycle(4)), cycle(4)),
+        disjoint_union(disjoint_union(cycle(3), cycle(3)), cycle(3)),
+        disjoint_union(disjoint_union(path(2), cycle(3)), cycle(4)),
+        torus(3, 4), Graph.empty(7),
+    ], ids=["petersen", "paley13", "k44", "3c4", "3k3", "k2+k3+c4", "torus3x4",
+            "empty7"])
+    def test_matches_unpruned_search_where_pruning_fires(self, g):
+        expected = unpruned_canonical_form(g)
+        for seed in range(16):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            assert canonical_form(g.relabel(tuple(perm))) == expected
+
+    def test_seven_vertex_bytes_pinned(self):
+        # sha256 of the canonical bytes of every 7-vertex class and of one
+        # seeded relabelling of each, recorded before pruning was added.
+        rng = random.Random(2018)
+        digest = hashlib.sha256()
+        for g in nonisomorphic_graphs(7):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            digest.update(canonical_form(g))
+            digest.update(canonical_form(g.relabel(tuple(perm))))
+        assert digest.hexdigest() == ("88e24bb033ce9342a03930e3e368508b"
+                                      "b7f944ead316b69a1f7587c77e99bff7")
+
+    def test_needs_no_group_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("canonical_form must not build the group")
+
+        for name in ("group_elements", "subgroup_elements", "automorphism_group"):
+            monkeypatch.setattr(automorphism, name, forbidden)
+        rng = random.Random(10)
+        for g in (Graph.empty(10), complete(10), star(11)):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(tuple(perm))) == canonical_form(g)
 
 
 class TestTransposablePairs:

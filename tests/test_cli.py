@@ -103,6 +103,13 @@ class TestAi:
         code, _, err = run(capsys, "ai", "~z")
         assert code == 2
 
+    def test_bad_witness_cap_and_budget_exit2(self, capsys):
+        g6 = to_graph6(path(6)).decode()
+        for flag, value in (("--witnesses", "0"), ("--max-k", "-1")):
+            code, out, err = run(capsys, "ai", g6, flag, value)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestAut:
     def test_c6(self, capsys):

@@ -1,0 +1,24 @@
+"""Demo scripts run to completion from a checkout.
+
+``05_claim_ledger.py`` is left out: it runs the whole claim ledger,
+which ``test_claims.py`` already exercises.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["01_graphs_and_formats.py", "02_families_and_witnesses.py",
+         "03_automorphism_engine.py", "04_asymmetric_index.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

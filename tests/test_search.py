@@ -118,6 +118,21 @@ class TestAsymmetricIndex:
         with pytest.raises(ValueError, match="unknown mode"):
             asymmetric_index(path(9), mode="sideways")
 
+    def test_unknown_mode_checked_before_shortcuts(self):
+        asymmetric = cycle(6).add_edge(2, 4).add_edge(2, 5)
+        for g in (asymmetric, Graph.empty(4)):
+            with pytest.raises(ValueError, match="unknown mode"):
+                asymmetric_index(g, mode="bogus")
+
+    def test_rejects_negative_budget_and_empty_witness_cap(self):
+        with pytest.raises(ValueError, match="witness_cap"):
+            asymmetric_index(path(6), witness_cap=0)
+        with pytest.raises(ValueError, match="max_k"):
+            asymmetric_index(path(6), max_k=-1)
+        with pytest.raises(BudgetExceededError) as exc:
+            asymmetric_index(path(6), max_k=0)
+        assert exc.value.lower_bound == 1
+
     def test_witnesses_are_valid_and_sorted(self):
         res = asymmetric_index(wheel(8), witness_cap=3)
         assert len(res.witnesses) <= 3
