@@ -312,21 +312,33 @@ def automorphism_group(g: Graph) -> AutReport:
 
 
 def group_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm] | None:
-    """All elements generated by ``generators`` (None if more than ``cap``)."""
-    elems = {identity_perm(n)}
-    frontier = [identity_perm(n)]
-    gens = [tuple(p) for p in generators]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gperm in gens:
-                c = compose(gperm, a)
-                if c not in elems:
-                    if len(elems) >= cap:
+    """All elements generated by ``generators``, by Dimino's coset
+    algorithm (None if more than ``cap``).
+
+    The group H of the generators taken so far grows by whole right
+    cosets H x: each new x is a coset representative times a generator.
+    """
+    ident = identity_perm(n)
+    elems = [ident]
+    seen = {ident}
+    gens: list[Perm] = []
+    for s in generators:
+        s = tuple(s)
+        if s in seen:
+            continue
+        gens.append(s)
+        sub = list(elems)
+        reps = [ident]
+        for r in reps:                  # reps grows while it is read
+            for t in gens:
+                x = compose(r, t)
+                if x not in seen:
+                    if len(elems) + len(sub) > cap:
                         return None
-                    elems.add(c)
-                    nxt.append(c)
-        frontier = nxt
+                    coset = [compose(h, x) for h in sub]
+                    elems.extend(coset)
+                    seen.update(coset)
+                    reps.append(x)
     return sorted(elems)
 
 

@@ -5,9 +5,11 @@ The togglable universe is the set of all vertex pairs: a pair currently
 present is a removal candidate, an absent one an addition candidate, and
 the mode masks the universe down to removals or additions only.  Layer k
 enumerates one representative per orbit of k-subsets under Aut(G) by
-extending the layer-(k-1) representatives and canonicalizing with a
-min-image over the group's element closure (a subgroup closure when the
-full group is too large to enumerate; coarser orbits only cost time).
+extending the layer-(k-1) representatives by one pair and keeping each
+extension's min-image over the group's elements (built coset by coset;
+a subgroup when the full group is too large to enumerate, and coarser
+orbits only cost time).  The image of a representative is computed once
+per group element and reused for all of its extensions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _iter_bits
 from .automorphism import (automorphism_group, canonical_form, group_elements,
                            is_asymmetric, subgroup_elements,
                            transposable_clique_lower_bound, MAX_CLOSURE)
@@ -89,7 +91,7 @@ class FlipSet:
 
 @dataclass
 class SearchStats:
-    nodes: int = 0        # candidate flip sets generated (before dedup)
+    nodes: int = 0        # candidate extensions (counted, not built)
     tested: int = 0       # asymmetry oracle calls
     dedup_hits: int = 0   # candidates skipped as orbit duplicates
 
@@ -135,77 +137,98 @@ def apply_flips(g: Graph, flips: FlipSet) -> Graph:
 
 
 class _FlipOrbits:
-    """Canonicalizes pair-index subsets under a permutation group."""
+    """Canonicalizes pair-index subsets under a permutation group.
+
+    ``table[i, w]`` encodes the image of pair i under group element w.
+    With at most 62 pairs it is the bit ``1 << image``, so a subset's
+    image is the OR of its rows; otherwise it is the image's pair index.
+    """
 
     def __init__(self, g: Graph):
         n = g.n
-        self.n = n
         self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        self.index = {p: i for i, p in enumerate(self.pairs)}
         report = automorphism_group(g)
-        self.group_order = report.order
         elems = group_elements(report.generators, n, MAX_CLOSURE)
         if elems is None:
             elems = subgroup_elements(report.generators, n, MAX_CLOSURE)
-        perms = np.array(elems, dtype=np.int32)           # (W, n)
+        perms = np.array(elems, dtype=np.int32).T                # (n, W)
+        del elems                       # free the tuples before the table
+        npairs = len(self.pairs)
+        self.bitmask = npairs <= 62
+        codes = (np.left_shift(np.ones(npairs, dtype=np.int64),
+                               np.arange(npairs, dtype=np.int64))
+                 if self.bitmask else np.arange(npairs, dtype=np.int32))
         pair_id = np.zeros((n, n), dtype=np.int32)
         for i, (u, v) in enumerate(self.pairs):
             pair_id[u, v] = pair_id[v, u] = i
-        us = np.array([u for u, _ in self.pairs])
-        vs = np.array([v for _, v in self.pairs])
-        pu, pv = perms[:, us], perms[:, vs]
-        self.table = pair_id[np.minimum(pu, pv), np.maximum(pu, pv)]  # (W, P)
-        self.trivial = self.table.shape[0] == 1
+        self.table = np.empty((npairs, perms.shape[1]), dtype=codes.dtype)
+        for i, (u, v) in enumerate(self.pairs):
+            self.table[i] = codes[pair_id[perms[u], perms[v]]]
+
+    def extend(self, reps: list[tuple[int, ...]],
+               universe: list[int]) -> set[tuple[int, ...]]:
+        """Min-image forms of every ``base`` in ``reps`` (all of one size)
+        plus one universe pair not in it.
+
+        In the bitmask encoding each base's rows are OR-ed once, so an
+        extension costs one OR and one minimum over the group axis.  A
+        pair already in the base gives a key one bit short, which is
+        dropped.  The index encoding canonicalizes explicit candidates.
+        """
+        if not self.bitmask:
+            return self.canonical_many([tuple(sorted(base + (e,)))
+                                        for base in reps for e in universe
+                                        if e not in base])
+        if not reps or not universe:
+            return set()
+        k = len(reps[0]) + 1
+        nelems = self.table.shape[1]
+        # chunk sizes keep each (r, u, W) int64 temporary near 8 MB
+        per_u = max(1, 1_000_000 // nelems)
+        per_r = max(1, 1_000_000 // (min(per_u, len(universe)) * nelems))
+        bases = np.array(reps, dtype=np.intp).reshape(len(reps), k - 1)
+        keys: set[int] = set()
+        for u0 in range(0, len(universe), per_u):
+            ext = self.table[universe[u0:u0 + per_u]]                  # (u, W)
+            for r0 in range(0, len(reps), per_r):
+                packed = np.bitwise_or.reduce(self.table[bases[r0:r0 + per_r]],
+                                              axis=1)                  # (r, W)
+                keys.update((ext | packed[:, None]).min(axis=2).ravel().tolist())
+        return {tuple(_iter_bits(key)) for key in keys if key.bit_count() == k}
 
     def canonical(self, subset: tuple[int, ...]) -> tuple[int, ...]:
-        if self.trivial:
-            return tuple(sorted(subset))
-        images = np.sort(self.table[:, subset], axis=1)
-        order = np.lexsort(images.T[::-1])
-        return tuple(int(x) for x in images[order[0]])
+        """Lexicographically least sorted image (index encoding)."""
+        images = np.sort(self.table[list(subset)], axis=0)         # (k, W)
+        best = np.lexsort(images[::-1])[0]
+        return tuple(int(x) for x in images[:, best])
 
     def canonical_many(self, cands: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-        """Min-image forms of equal-size subsets, chunked for memory.
+        """Min-image forms of equal-size subsets in the index encoding,
+        chunked for memory.
 
-        Each subset image is packed into one integer so the canonical
-        choice is a plain numeric minimum over the group axis: a 62-bit
-        universe bitmask when the pair count allows it, otherwise the
-        sorted index tuple packed into bit fields.
+        Each sorted image is packed into bit fields of one integer, so the
+        canonical choice is a plain numeric minimum over the group axis;
+        when the fields need more than 62 bits each subset goes through
+        ``canonical``.
         """
         if not cands:
             return set()
-        if self.trivial:
-            return {tuple(sorted(c)) for c in cands}
         k = len(cands[0])
-        npairs = len(self.pairs)
-        nelems = self.table.shape[0]
-        arr = np.array(sorted(set(cands)), dtype=np.intp)     # (C, k)
-        chunk = max(1, 8_000_000 // (nelems * k))
-        out: set[tuple[int, ...]] = set()
-        if npairs <= 62:
-            pow2 = np.left_shift(np.ones(npairs, dtype=np.int64),
-                                 np.arange(npairs, dtype=np.int64))
-            for start in range(0, len(arr), chunk):
-                sub = arr[start:start + chunk]
-                packed = pow2[self.table[:, sub[:, 0]]]       # (W, c)
-                for i in range(1, k):
-                    packed |= pow2[self.table[:, sub[:, i]]]
-                for key in packed.min(axis=0):
-                    key = int(key)
-                    out.add(tuple(i for i in range(npairs) if (key >> i) & 1))
-            return out
+        npairs, nelems = self.table.shape
         width = max(1, (npairs - 1).bit_length())
         if k * width > 62:
             return {self.canonical(c) for c in cands}
+        arr = np.array(sorted(set(cands)), dtype=np.intp)         # (C, k)
+        chunk = max(1, 8_000_000 // (nelems * k))
         shifts = np.arange(k - 1, -1, -1, dtype=np.int64) * width
         mask = (1 << width) - 1
+        out: set[tuple[int, ...]] = set()
         for start in range(0, len(arr), chunk):
-            sub = arr[start:start + chunk]                    # (c, k)
-            imgs = np.sort(self.table[:, sub], axis=-1)       # (W, c, k)
-            packed = imgs[..., 0].astype(np.int64)
+            imgs = np.sort(self.table[arr[start:start + chunk]], axis=1)  # (c, k, W)
+            packed = imgs[:, 0].astype(np.int64)
             for i in range(1, k):
-                packed = (packed << width) | imgs[..., i]
-            for key in packed.min(axis=0):
+                packed = (packed << width) | imgs[:, i]
+            for key in packed.min(axis=1):
                 key = int(key)
                 out.add(tuple(int((key >> int(sh)) & mask) for sh in shifts))
         return out
@@ -242,15 +265,11 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     universe = _universe(g, mode)
     reps: list[tuple[int, ...]] = [()]
     for k in range(1, max_k + 1):
-        cands: list[tuple[int, ...]] = []
-        for base in reps:
-            inbase = set(base)
-            for e in universe:
-                if e not in inbase:
-                    stats.nodes += 1
-                    cands.append(tuple(sorted(inbase | {e})))
-        seen = orbits.canonical_many(cands)
-        stats.dedup_hits += len(cands) - len(seen)
+        seen = orbits.extend(reps, universe)
+        # every base is a (k-1)-subset of the universe
+        nodes = len(reps) * (len(universe) - (k - 1))
+        stats.nodes += nodes
+        stats.dedup_hits += nodes - len(seen)
         reps = sorted(seen)
         yield k, [_flipset_from_indices(g, r, orbits.pairs) for r in reps]
 
@@ -282,7 +301,8 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         max_k = 8 if n <= 12 else 3
     hits: list[FlipSet] = []
     last_k = 0
-    for last_k, flip_sets in flip_orbit_layers(g, max_k, mode, stats):
+    for last_k, flip_sets in flip_orbit_layers(g, min(max_k, universe), mode,
+                                               stats):
         for fs in flip_sets:
             stats.tested += 1
             if is_asymmetric(apply_flips(g, fs)):

@@ -12,7 +12,7 @@ from asymindex.automorphism import (are_isomorphic, automorphism_group,
                                     group_elements, identity_perm,
                                     is_asymmetric, subgroup_elements)
 from asymindex.enumeration import all_pairs, graph_from_mask
-from asymindex.families import cycle, wheel
+from asymindex.families import complete, cycle, star, wheel
 from asymindex.search import FlipSet, apply_flips, asymmetric_index
 
 from test_search import reference_index
@@ -108,3 +108,58 @@ class TestClosureFallback:
         for w in res.witnesses:
             assert is_asymmetric(apply_flips(cycle(8), w))
         assert asymmetric_index(wheel(7)).value == 2
+
+
+def bfs_closure(generators, n: int) -> list:
+    """Every product of generators, by breadth-first search from the
+    identity: each element is composed with every generator."""
+    ident = tuple(range(n))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in generators:
+                c = tuple(s[x] for x in a)
+                if c not in elems:
+                    elems.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(elems)
+
+
+class TestGroupElementsOracle:
+    @pytest.fixture(scope="class")
+    def cases(self, classes6):
+        rng = random.Random(41)
+        out = []
+        for g in list(classes6) + [star(8), complete(7)]:
+            gens = list(automorphism_group(g).generators)
+            rng.shuffle(gens)
+            out.append((gens, g.n, bfs_closure(gens, g.n)))
+        return out
+
+    def test_matches_bfs_closure(self, cases):
+        assert max(len(expected) for _, _, expected in cases) == 5040
+        for gens, n, expected in cases:
+            assert group_elements(gens, n) == expected
+
+    def test_cap_boundary(self, cases):
+        for gens, n, expected in cases:
+            assert group_elements(gens, n, cap=len(expected)) == expected
+            if len(expected) > 1:
+                assert group_elements(gens, n, cap=len(expected) - 1) is None
+
+    def test_subgroup_is_leading_generator_closure(self, cases):
+        for gens, n, expected in cases:
+            # closures of gens[:m] for m = 0, 1, ... until the whole group
+            prefixes = [bfs_closure([], n)]
+            while len(prefixes[-1]) < len(expected):
+                prefixes.append(bfs_closure(gens[:len(prefixes)], n))
+            for cap in {2, 6, 24, max(1, len(expected) - 1), len(expected)}:
+                kept = prefixes[0]
+                for elems in prefixes[1:]:
+                    if len(elems) > cap:
+                        break
+                    kept = elems
+                assert subgroup_elements(gens, n, cap) == kept

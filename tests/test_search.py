@@ -6,15 +6,19 @@ with no orbit pruning at all; agreement with the pruned search on every
 """
 
 from itertools import combinations
+import hashlib
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asymindex.graph import Graph
-from asymindex.automorphism import are_isomorphic, is_asymmetric
+from asymindex.graph import Graph, disjoint_union, join
+from asymindex.automorphism import (are_isomorphic, automorphism_group,
+                                    group_elements, is_asymmetric)
 from asymindex.enumeration import all_pairs, graph_from_mask
-from asymindex.families import path, cycle, complete, star, wheel
+from asymindex.families import path, cycle, complete, star, torus, wheel
 from asymindex.search import (BudgetExceededError, FlipSet,
                               NoAsymmetrizationError, SearchStats, apply_flips,
                               asymmetric_index,
@@ -22,6 +26,7 @@ from asymindex.search import (BudgetExceededError, FlipSet,
                               flip_orbit_layers, lower_bound)
 
 from conftest import brute_is_asymmetric
+from test_automorphism import petersen
 
 
 def reference_index(g: Graph, max_k: int = 8) -> int | None:
@@ -181,6 +186,37 @@ class TestAsymmetricIndex:
         assert res.stats.tested >= 1
         assert res.stats.nodes >= res.stats.dedup_hits
 
+    def test_layers_stop_at_universe(self):
+        # the 8 edges of C_8 are the whole remove-only universe: a huge
+        # budget ends there, with the same bound, flag and stats
+        outcomes = []
+        for max_k in (8, 10**9):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError) as exc:
+                asymmetric_index(cycle(8), mode="remove-only", max_k=max_k)
+            assert time.perf_counter() - start < 1
+            outcomes.append((exc.value.lower_bound, exc.value.universe_exhausted,
+                             exc.value.stats.as_dict()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (9, True)
+
+    def test_outputs_pinned(self):
+        # sha256 of value, witnesses and stats, computed before the orbit
+        # layers were rebuilt on per-representative images
+        out = []
+        for g, kw in ((star(9), {}), (complete(8), {"max_k": 6}),
+                      (complete(7), {}), (torus(6, 7), {}),
+                      (cycle(10), {"mode": "add-only"})):
+            res = asymmetric_index(g, **kw)
+            out.append([res.value, [w.as_dict() for w in res.witnesses],
+                        res.stats.as_dict()])
+        with pytest.raises(BudgetExceededError) as exc:
+            asymmetric_index(cycle(12), mode="remove-only")
+        out.append([exc.value.lower_bound, exc.value.universe_exhausted,
+                    exc.value.stats.as_dict()])
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+            "e852b131a6a5fd7edb553b6cea3f35838d1d8d616abcdb6119238f91df84bd28"
+
 
 class TestLayers:
     def test_layer_reps_cover_k6_classes(self):
@@ -190,6 +226,45 @@ class TestLayers:
         assert [(k, len(sets)) for k, sets in layers] == [(1, 1), (2, 2), (3, 5)]
         # 15 + 1*14 + 2*13 candidates; 1 + 2 + 5 of them are kept
         assert (stats.nodes, stats.dedup_hits) == (55, 47)
+
+    @pytest.mark.parametrize("g,max_k", [
+        (star(7), 3), (complete(6), 3), (cycle(8), 3), (wheel(7), 3),
+        (petersen(), 3), (disjoint_union(complete(3), complete(3)), 3),
+        (join(Graph.empty(3), Graph.empty(3)), 3), (cycle(12), 2),
+    ], ids=["star7", "k6", "c8", "w7", "petersen", "2k3", "k33", "c12"])
+    @pytest.mark.parametrize("mode", ["mixed", "add-only", "remove-only"])
+    def test_reps_are_brute_force_min_images(self, g, max_k, mode):
+        pairs = all_pairs(g.n)
+        index = {p: i for i, p in enumerate(pairs)}
+        elems = group_elements(automorphism_group(g).generators, g.n)
+        universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
+                    or g.has_edge(u, v) == (mode == "remove-only")]
+        # with at most 62 pairs the least image is the least bitmask,
+        # otherwise the lexicographically least sorted index tuple
+        key = (lambda t: sum(1 << i for i in t)) if len(pairs) <= 62 else None
+        stats = SearchStats()
+        layers = dict(flip_orbit_layers(g, max_k, mode, stats))
+        nodes = dedup = 0
+        prev = [()]
+        for k in range(1, max_k + 1):
+            expected, seen = set(), set()
+            for subset in combinations(universe, k):
+                if subset in seen:
+                    continue
+                orbit = {tuple(sorted(index[tuple(sorted((p[u], p[v])))]
+                                      for u, v in (pairs[i] for i in subset)))
+                         for p in elems}
+                seen |= orbit
+                expected.add(min(orbit, key=key))
+            got = {tuple(sorted(index[e] for e in fs.removed | fs.added))
+                   for fs in layers[k]}
+            assert got == expected, (k, mode)
+            cands = [tuple(sorted(base + (e,)))
+                     for base in prev for e in universe if e not in base]
+            nodes += len(cands)
+            dedup += len(cands) - len(expected)
+            prev = sorted(expected)
+        assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
 
 
 class TestCounting:
