@@ -6,7 +6,11 @@ backtracking individualization, run on a pair of ordered partitions (the
 two sides coincide for automorphism questions).  Refinement orders split
 cells by neighbor-count signatures, which keeps partition traces
 label-invariant; that invariance is what makes positional cell matching
-between the two sides complete.
+between the two sides complete.  Refinement is incremental: a tree node
+individualizes one vertex of an equitable partition, and only the
+remainder of its cell is queued as a splitter, which yields the same
+ordered partition as queueing every cell; refinement also stops once the
+partition is discrete.
 """
 
 from __future__ import annotations
@@ -75,17 +79,7 @@ def is_automorphism(g: Graph, p: Perm) -> bool:
         raise ValueError(f"permutation length {len(p)} != n={n}")
     if set(p) != set(range(n)):
         raise ValueError("not a permutation of 0..n-1")
-    rows = g.rows
-    for v in range(n):
-        image = 0
-        row = rows[v]
-        while row:
-            b = row & -row
-            image |= 1 << p[b.bit_length() - 1]
-            row ^= b
-        if image != rows[p[v]]:
-            return False
-    return True
+    return _verify_mapping(g.rows, g.rows, p)
 
 
 # -- equitable refinement ----------------------------------------------
@@ -98,15 +92,20 @@ def _mask(cell: tuple[int, ...]) -> int:
     return m
 
 
-def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]],
+            splitters: list[tuple[int, ...]] | None = None) -> list[tuple[int, ...]]:
     """Coarsest equitable refinement of an ordered partition.
 
     Split groups are ordered by neighbor count, so the refined cell order
-    depends only on isomorphism-invariant data.
+    depends only on isomorphism-invariant data.  The LIFO queue starts with
+    ``splitters`` (default: every cell).  After ``_individualize(cells, i, v)``
+    of an equitable partition, ``[cells[i + 1]]`` gives the same result: an
+    old cell never splits a subset of an old cell, and ``(v,)`` splits
+    nothing once the remainder is drained.  A discrete partition ends it.
     """
     cells = list(cells)
-    queue = [_mask(c) for c in cells]
-    while queue:
+    queue = [_mask(c) for c in (cells if splitters is None else splitters)]
+    while queue and len(cells) < len(rows):
         splitter = queue.pop()
         out = []
         for cell in cells:
@@ -143,6 +142,13 @@ def _individualize(cells: list[tuple[int, ...]], i: int, v: int) -> list[tuple[i
     return cells[:i] + [(v,)] + [rest] + cells[i + 1:]
 
 
+def _child(rows, cells: list[tuple[int, ...]], i: int, v: int) -> list[tuple[int, ...]]:
+    """Equitable ``cells`` with ``v`` individualized, refined from the new
+    remainder cell only."""
+    cells = _individualize(cells, i, v)
+    return _refine(rows, cells, [cells[i + 1]])
+
+
 def _leaf_perm(cells1, cells2, n: int) -> Perm:
     p = [0] * n
     for c1, c2 in zip(cells1, cells2):
@@ -164,13 +170,11 @@ def _verify_mapping(rows1, rows2, p: Perm) -> bool:
 
 def _search_mapping(rows1, rows2, cells1, cells2, n: int,
                     skip_identity: bool = False) -> Perm | None:
-    """Find a bijection respecting the paired partitions, or None.
+    """Find a bijection respecting the paired equitable partitions, or None.
 
     With ``skip_identity`` (automorphism mode, rows1 is rows2) non-fixed
     target candidates are tried first and the identity leaf is rejected.
     """
-    cells1 = _refine(rows1, cells1)
-    cells2 = _refine(rows2, cells2)
     if len(cells1) != len(cells2):
         return None
     for c1, c2 in zip(cells1, cells2):
@@ -188,10 +192,10 @@ def _search_mapping(rows1, rows2, cells1, cells2, n: int,
     candidates = list(cells2[i])
     if skip_identity and u in candidates:
         candidates = [w for w in candidates if w != u] + [u]
-    branch1 = _individualize(cells1, i, u)
+    branch1 = _child(rows1, cells1, i, u)
     for w in candidates:
         found = _search_mapping(rows1, rows2, branch1,
-                                _individualize(cells2, i, w), n, skip_identity)
+                                _child(rows2, cells2, i, w), n, skip_identity)
         if found is not None:
             return found
     return None
@@ -298,7 +302,8 @@ def automorphism_group(g: Graph) -> AutReport:
             if others1:
                 cells1.append(others1)
                 cells2.append(others2)
-            sigma = _search_mapping(rows, rows, cells1, cells2, n)
+            sigma = _search_mapping(rows, rows, _refine(rows, cells1),
+                                    _refine(rows, cells2), n)
             if sigma is None:
                 continue
             level_gens.append(sigma)
@@ -391,9 +396,9 @@ def _canon_search(rows, n, cells) -> int:
     auts: list[Perm] = []
 
     def rec(cells, path) -> int:
-        # Returns the depth to unwind to; len(path) or more carries on.
+        # Takes an equitable partition; returns the depth to unwind to,
+        # and len(path) or more carries on.
         nonlocal best
-        cells = _refine(rows, cells)
         i = _first_target(cells)
         if i < 0:
             bits = _leaf_bits(rows, cells, n)
@@ -413,12 +418,12 @@ def _canon_search(rows, n, cells) -> int:
                     explored, [s for s in auts if all(s[v] == v for v in path)]):
                 continue
             explored.append(w)
-            back = rec(_individualize(cells, i, w), path + (w,))
+            back = rec(_child(rows, cells, i, w), path + (w,))
             if back < len(path):
                 return back
         return n
 
-    rec(cells, ())
+    rec(_refine(rows, cells), ())
     return best[0]
 
 
@@ -461,7 +466,8 @@ def can_transpose(g: Graph, u: int, v: int) -> bool:
     rest1 = tuple(x for x in range(n) if x != u and x != v)
     cells1 = [(u,), (v,)] + ([rest1] if rest1 else [])
     cells2 = [(v,), (u,)] + ([rest1] if rest1 else [])
-    return _search_mapping(g.rows, g.rows, cells1, cells2, n) is not None
+    return _search_mapping(g.rows, g.rows, _refine(g.rows, cells1),
+                           _refine(g.rows, cells2), n) is not None
 
 
 def transposable_pairs(g: Graph) -> set[tuple[int, int]]:

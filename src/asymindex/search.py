@@ -64,10 +64,16 @@ class FlipSet:
     added: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "removed", frozenset(_norm_pair(*e) for e in self.removed))
-        object.__setattr__(self, "added", frozenset(_norm_pair(*e) for e in self.added))
-        if self.removed & self.added:
+        self._set(frozenset(_norm_pair(*e) for e in self.removed),
+                  frozenset(_norm_pair(*e) for e in self.added))
+
+    def _set(self, removed: frozenset, added: frozenset) -> "FlipSet":
+        # Stores pairs already in (u, v), u < v form; the one overlap check.
+        if removed & added:
             raise ValueError("removed and added sets overlap")
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "added", added)
+        return self
 
     @property
     def size(self) -> int:
@@ -248,7 +254,8 @@ def _flipset_from_indices(g: Graph, subset, pairs) -> FlipSet:
     for i in subset:
         u, v = pairs[i]
         (removed if (g.rows[u] >> v) & 1 else added).append((u, v))
-    return FlipSet(removed=frozenset(removed), added=frozenset(added))
+    # the pairs come normalized from _FlipOrbits.pairs, so skip __post_init__
+    return object.__new__(FlipSet)._set(frozenset(removed), frozenset(added))
 
 
 def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from asymindex import automorphism
 from asymindex.graph import Graph, disjoint_union, join, pack_triangle_bits
-from asymindex.automorphism import (_first_target, _individualize, _leaf_bits,
-                                    _refine, are_isomorphic, automorphism_group,
-                                    canonical_form, can_transpose, cycles_str,
+from asymindex.automorphism import (_child, _first_target, _individualize,
+                                    _leaf_bits, _refine, are_isomorphic,
+                                    automorphism_group, canonical_form,
+                                    can_transpose, cycles_str,
                                     find_nontrivial_automorphism, invert,
                                     is_asymmetric, is_automorphism, compose,
                                     identity_perm, is_identity,
@@ -49,6 +50,32 @@ def unpruned_canonical_form(g: Graph) -> bytes:
     if g.n <= 1:
         return pack_triangle_bits(g.n, 0)
     return pack_triangle_bits(g.n, rec([tuple(range(g.n))]))
+
+
+def full_queue_refine(rows, cells):
+    """Equitable refinement with every cell queued (LIFO) and no early exit
+    on a discrete partition: the reference for the incremental queue."""
+    cells = list(cells)
+    queue = [sum(1 << v for v in c) for c in cells]
+    while queue:
+        splitter = queue.pop()
+        out = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault((rows[v] & splitter).bit_count(), []).append(v)
+            for key in sorted(groups):
+                out.append(tuple(groups[key]))
+                if len(groups) > 1:
+                    queue.append(sum(1 << v for v in groups[key]))
+        cells = out
+    return cells
+
+
+def is_equitable(rows, cells) -> bool:
+    """Every vertex of a cell has the same neighbour count in each cell."""
+    return all(len({sum((rows[v] >> w) & 1 for w in other) for v in cell}) == 1
+               for cell in cells for other in cells)
 
 
 def petersen() -> Graph:
@@ -200,6 +227,65 @@ class TestGroup:
         assert automorphism_group(mixed).order == 12  # 2 * 6, no swap
         lonely = disjoint_union(cycle(6), Graph.empty(2))
         assert automorphism_group(lonely).order == 24  # dihedral * swap
+
+
+class TestIncrementalRefinement:
+    """Refining an individualized equitable partition from its remainder
+    cell alone, and stopping once it is discrete, must give exactly the
+    full-queue result without that stop."""
+
+    @staticmethod
+    def check_children(g: Graph, cells) -> None:
+        i = _first_target(cells)
+        for v in cells[i]:
+            child = _individualize(cells, i, v)
+            got = _child(g.rows, cells, i, v)
+            assert got == _refine(g.rows, child) == full_queue_refine(g.rows, child)
+            assert is_equitable(g.rows, got)
+
+    @staticmethod
+    def graphs(classes6):
+        rng = random.Random(606)
+        flipped = torus(6, 7)
+        flipped = flipped.remove_edge(*next(flipped.edges()))
+        return (list(classes6)
+                + [random_graph(rng.randrange(7, 13), rng, rng.uniform(0.2, 0.8))
+                   for _ in range(40)]
+                + [petersen(), torus(3, 4), flipped])
+
+    def test_root_and_one_child(self, classes6):
+        checked = 0
+        for g in self.graphs(classes6):
+            root = _refine(g.rows, [tuple(range(g.n))])
+            assert root == full_queue_refine(g.rows, [tuple(range(g.n))])
+            i = _first_target(root)
+            if i < 0:
+                continue
+            self.check_children(g, root)
+            child = _child(g.rows, root, i, root[i][0])
+            if _first_target(child) >= 0:
+                self.check_children(g, child)
+                checked += 1
+        assert checked > 100
+
+
+class TestEngineOutputs:
+    def test_engine_outputs_pinned(self):
+        # sha256 over automorphism_group (order, generators, orbits),
+        # find_nontrivial_automorphism and transposable_pairs; `aut --json`
+        # and the ledger's evidence print these, so a change in the search
+        # order that alters a generator or witness fails here.
+        digest = hashlib.sha256()
+        graphs = list(nonisomorphic_graphs(7)) + [
+            torus(6, 7), star(9), complete(8), wheel(9), petersen(),
+            circulant(17, (1, 4))]
+        for g in graphs:
+            rep = automorphism_group(g)
+            digest.update(repr((rep.order, rep.generators, rep.orbits,
+                                find_nontrivial_automorphism(g),
+                                sorted(transposable_pairs(g)))).encode())
+        assert digest.hexdigest() == ("d8fc7b7c57211d288a2dbd6cae1f8c26"
+                                      "ad6725d60401bb2662da294aa1aeddc6")
 
 
 class TestCanonicalForm:

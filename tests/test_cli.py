@@ -2,6 +2,8 @@
 
 import json
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from asymindex.cli import main
 from asymindex.graph import from_graph6, to_graph6
 from asymindex.families import cycle, path, wheel
@@ -223,3 +225,71 @@ class TestConfig:
         code, _, err = run(capsys, "ai", to_graph6(cycle(8)).decode(),
                            "--config", str(cfg))
         assert code == 2 and "integer" in err
+
+
+def graph6_order(data: bytes):
+    """n if ``data`` is well-formed graph6 with a one-byte size field, else None."""
+    data = data.strip()
+    n, body = data[0] - 63, data[1:]
+    nbits = n * (n - 1) // 2
+    if not (0 <= n <= 62 and len(body) == -(-nbits // 6)
+            and all(63 <= b <= 126 for b in body)):
+        return None
+    pad = 6 * len(body) - nbits
+    return None if body and (body[-1] - 63) & ((1 << pad) - 1) else n
+
+
+def edge_list_order(text: str):
+    """n if ``text`` is a well-formed edge list, else None."""
+    try:
+        text.encode("ascii")
+        (n,), *edges = [line.split() for line in text.splitlines() if line.split()]
+        n = int(n)
+        edges = [(int(u), int(v)) for u, v in edges]
+    except ValueError:
+        return None
+    pairs = {frozenset(e) for e in edges}
+    if n < 0 or len(pairs) != len(edges) or any(
+            u == v or not (0 <= u < n and 0 <= v < n) for u, v in edges):
+        return None
+    return n
+
+
+# Size bytes for n <= 9, and invalid ones that are neither whitespace
+# (stripped, so the next byte would become the size) nor '-' (an option).
+# '@' (n = 1) is left out: a leading '@' names an edge-list file.
+SIZE_BYTES = st.sampled_from(b"?ABCDEFGH\x00\x01!0=\x7f\x80\xff")
+NOISE = st.text("x.+-\u00e9", min_size=1, max_size=2)
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestMalformedInput:
+    """`aut` on arbitrary input exits 0 on a well-formed graph and 2 with
+    one `error:` line otherwise; it never raises."""
+
+    @staticmethod
+    def check(capsys, arg, expected_n):
+        code, out, err = run(capsys, "aut", arg, "--json")
+        if expected_n is None:
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            assert code == 0 and err == ""
+            assert from_graph6(json.loads(out)["input"]).n == expected_n
+
+    @FUZZ
+    @given(size=SIZE_BYTES, body=st.binary(max_size=10))
+    def test_graph6_bytes(self, capsys, size, body):
+        data = bytes([size]) + body
+        self.check(capsys, data.decode("latin-1"), graph6_order(data))
+
+    @FUZZ
+    @given(head=st.lists(st.integers(-2, 9).map(str) | NOISE, max_size=2),
+           lines=st.lists(st.lists(st.integers(-2, 10).map(str) | NOISE,
+                                   max_size=3), max_size=6))
+    def test_edge_list_files(self, capsys, tmp_path, head, lines):
+        text = "\n".join(" ".join(toks) for toks in [head] + lines) + "\n"
+        path_ = tmp_path / "edges.txt"
+        path_.write_bytes(text.encode("utf-8"))
+        self.check(capsys, f"@{path_}", edge_list_order(text))

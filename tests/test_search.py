@@ -23,7 +23,8 @@ from asymindex.search import (BudgetExceededError, FlipSet,
                               NoAsymmetrizationError, SearchStats, apply_flips,
                               asymmetric_index,
                               count_nonisomorphic_asymmetrizations,
-                              flip_orbit_layers, lower_bound)
+                              _flipset_from_indices, flip_orbit_layers,
+                              lower_bound)
 
 from conftest import brute_is_asymmetric
 from test_automorphism import petersen
@@ -64,6 +65,21 @@ class TestFlipSet:
             apply_flips(path(4), FlipSet(added={(0, 1)}))
         with pytest.raises(ValueError, match="out of range"):
             apply_flips(path(4), FlipSet(added={(0, 9)}))
+
+    def test_from_indices_matches_public_constructor(self):
+        # _flipset_from_indices skips re-normalization; the result must be
+        # indistinguishable from a FlipSet built the public way.
+        g = path(5)
+        pairs = all_pairs(5)
+        for subset in combinations(range(len(pairs)), 3):
+            fs = _flipset_from_indices(g, subset, pairs)
+            chosen = [pairs[i] for i in subset]
+            public = FlipSet(removed={(v, u) for u, v in chosen if g.has_edge(u, v)},
+                             added={(v, u) for u, v in chosen if not g.has_edge(u, v)})
+            assert fs == public and hash(fs) == hash(public)
+            assert fs.sort_key() == public.sort_key() and repr(fs) == repr(public)
+        with pytest.raises(ValueError, match="overlap"):
+            object.__new__(FlipSet)._set(frozenset({(0, 1)}), frozenset({(0, 1)}))
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
