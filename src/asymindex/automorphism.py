@@ -1,20 +1,22 @@
 """Automorphism-group machinery: asymmetry decisions, group order and
 orbits, canonical forms, and transposable vertex pairs.
 
-Everything is built on one primitive: equitable partition refinement plus
-backtracking individualization, run on a pair of ordered partitions (the
-two sides coincide for automorphism questions).  Refinement orders split
-cells by neighbor-count signatures, which keeps partition traces
-label-invariant; that invariance is what makes positional cell matching
-between the two sides complete.  Refinement is incremental: a tree node
-individualizes one vertex of an equitable partition, and only the
-remainder of its cell is queued as a splitter, which yields the same
-ordered partition as queueing every cell; refinement also stops once the
-partition is discrete.
+Everything is built on one primitive: an individualization-refinement
+tree search of one ordered partition (``_search``).  Refinement orders
+split cells by neighbor-count signatures, which keeps partition traces
+label-invariant, so the least leaf over the tree is a canonical form of
+the graph with its ordered partition.  A leaf equal to the best one
+gives an automorphism; the automorphisms found prune the tree and
+generate the group that fixes the partition's cells.  Refinement is
+incremental: a tree node individualizes one vertex of an equitable
+partition, and only the remainder of its cell is queued as a splitter,
+which yields the same ordered partition as queueing every cell;
+refinement also stops once the partition is discrete.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from .graph import Graph, pack_triangle_bits
 
@@ -79,7 +81,7 @@ def is_automorphism(g: Graph, p: Perm) -> bool:
         raise ValueError(f"permutation length {len(p)} != n={n}")
     if set(p) != set(range(n)):
         raise ValueError("not a permutation of 0..n-1")
-    return _verify_mapping(g.rows, g.rows, p)
+    return g.relabel(p) == g
 
 
 # -- equitable refinement ----------------------------------------------
@@ -156,49 +158,91 @@ def _leaf_perm(cells1, cells2, n: int) -> Perm:
     return tuple(p)
 
 
-def _verify_mapping(rows1, rows2, p: Perm) -> bool:
-    for v, row in enumerate(rows1):
-        image = 0
-        while row:
-            b = row & -row
-            image |= 1 << p[b.bit_length() - 1]
-            row ^= b
-        if image != rows2[p[v]]:
-            return False
-    return True
+def _leaf_bits(rows, cells, n: int) -> int:
+    """Upper-triangle bits, column by column, of the graph relabelled by a
+    discrete partition (``cells[j][0]`` gets label j).
 
-
-def _search_mapping(rows1, rows2, cells1, cells2, n: int,
-                    skip_identity: bool = False) -> Perm | None:
-    """Find a bijection respecting the paired equitable partitions, or None.
-
-    With ``skip_identity`` (automorphism mode, rows1 is rows2) non-fixed
-    target candidates are tried first and the identity leaf is rejected.
+    Vertex v holds bit ``n-1-label(v)``, so the relabelled row of label j
+    keeps the bits of labels below j in its top j bits, in column order:
+    O(n + m) work per leaf.
     """
-    if len(cells1) != len(cells2):
-        return None
-    for c1, c2 in zip(cells1, cells2):
-        if len(c1) != len(c2):
-            return None
-    i = _first_target(cells1)
-    if i < 0:
-        p = _leaf_perm(cells1, cells2, n)
-        if skip_identity and is_identity(p):
-            return None
-        if _verify_mapping(rows1, rows2, p):
-            return p
-        return None
-    u = cells1[i][0]
-    candidates = list(cells2[i])
-    if skip_identity and u in candidates:
-        candidates = [w for w in candidates if w != u] + [u]
-    branch1 = _child(rows1, cells1, i, u)
-    for w in candidates:
-        found = _search_mapping(rows1, rows2, branch1,
-                                _child(rows2, cells2, i, w), n, skip_identity)
-        if found is not None:
-            return found
-    return None
+    bit = [0] * n
+    for i, (v,) in enumerate(cells):
+        bit[v] = 1 << (n - 1 - i)
+    acc = 0
+    for j, (v,) in enumerate(cells):
+        row = 0
+        r = rows[v]
+        while r:
+            b = r & -r
+            row |= bit[b.bit_length() - 1]
+            r ^= b
+        acc = (acc << j) | (row >> (n - j))
+    return acc
+
+
+def _orbit(points, gens) -> set:
+    """Closure of ``points`` under the maps ``gens`` (indexed by point)."""
+    orbit = set(points)
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for p in gens:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
+    """Minimum leaf triangle-bit value over the individualization tree of
+    the ordered partition ``cells``, and the automorphisms found.
+
+    A leaf whose bits equal the best leaf's gives an automorphism (leaf
+    order to best-leaf order), which is kept; ``first`` stops the search
+    there.  A child in the orbit of an explored sibling under the kept
+    automorphisms fixing the node's path is skipped, and a branch that a
+    new automorphism maps onto the best leaf's branch is abandoned.  Both
+    skip only subtrees that an automorphism maps onto explored ones, so
+    the minimum is unchanged, and the automorphisms found generate the
+    group fixing every cell of ``cells`` (McKay & Piperno 2014).
+    """
+    best = None                     # (bits, path, cells) of the best leaf
+    auts: list[Perm] = []
+
+    def rec(cells, path) -> int:
+        # Takes an equitable partition; returns the depth to unwind to,
+        # and len(path) or more carries on.
+        nonlocal best
+        i = _first_target(cells)
+        if i < 0:
+            bits = _leaf_bits(rows, cells, n)
+            if best is None or bits < best[0]:
+                best = (bits, path, cells)
+            elif bits == best[0]:
+                sigma = _leaf_perm(cells, best[2], n)
+                auts.append(sigma)
+                if first:
+                    return -1
+                bpath = best[1]
+                d = next(k for k, v in enumerate(path) if v != bpath[k])
+                if sigma[path[d]] == bpath[d] and all(sigma[v] == v for v in path[:d]):
+                    return d
+            return n
+        explored: list[int] = []
+        for w in cells[i]:
+            if explored and w in _orbit(
+                    explored, [s for s in auts if all(s[v] == v for v in path)]):
+                continue
+            explored.append(w)
+            back = rec(_child(rows, cells, i, w), path + (w,))
+            if back < len(path):
+                return back
+        return n
+
+    rec(_refine(rows, cells), ())
+    return best[0], auts
 
 
 # -- public asymmetry / group API ---------------------------------------
@@ -206,13 +250,10 @@ def _search_mapping(rows1, rows2, cells1, cells2, n: int,
 
 def find_nontrivial_automorphism(g: Graph) -> Perm | None:
     """Some non-identity automorphism of ``g``, or None when asymmetric."""
-    n = g.n
-    if n <= 1:
+    if g.n <= 1:
         return None
-    cells = _refine(g.rows, [tuple(range(n))])
-    if all(len(c) == 1 for c in cells):
-        return None
-    return _search_mapping(g.rows, g.rows, cells, cells, n, skip_identity=True)
+    auts = _search(g.rows, g.n, [tuple(range(g.n))], first=True)[1]
+    return auts[0] if auts else None
 
 
 def is_asymmetric(g: Graph) -> bool:
@@ -230,90 +271,40 @@ class AutReport:
     orbits: tuple[tuple[int, ...], ...]
 
 
-def _orbits_from_generators(n: int, generators) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in generators:
-        for v in range(n):
-            a, b = find(v), find(p[v])
-            if a != b:
-                parent[b] = a
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(sorted(vs)) for vs in groups.values()))
-
-
-def _orbit(points, gens) -> set[int]:
-    """Closure of ``points`` under the permutations ``gens``."""
-    orbit = set(points)
-    frontier = list(orbit)
-    while frontier:
-        x = frontier.pop()
-        for p in gens:
-            y = p[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
-
-
 def automorphism_group(g: Graph) -> AutReport:
-    """Generators, exact order, and orbits via a stabilizer chain.
+    """Generators, exact order and orbits from the canonical tree search.
 
-    At each level the smallest vertex in a non-singleton cell of the
-    prefix-refined partition is taken as the next base point; its orbit
-    under the prefix stabilizer is collected from one backtracking search
-    per candidate (with Schreier-style closure to skip known images).
-    The order is the product of the orbit sizes, computed exactly.
+    The generators are the automorphisms found by one search of the
+    root partition.  The base is the search's first path: each step
+    individualizes the first vertex of the first smallest non-singleton
+    cell.  The search runs the subtree below the k-th base node first,
+    exactly as a search of that node's partition would, so the
+    generators fixing the first k base points generate their pointwise
+    stabilizer.  The order is the product of each base point's orbit
+    under the generators fixing the earlier ones, computed exactly.
     """
     n = g.n
     rows = g.rows
     if n == 0:
         return AutReport(True, 1, (), ())
-    generators: list[Perm] = []
+    cells = _refine(rows, [tuple(range(n))])
+    generators = _search(rows, n, cells)[1]
+    auts = generators
     order = 1
-    fixed: list[int] = []
-    while True:
-        base_cells = [(f,) for f in fixed]
-        rest = tuple(v for v in range(n) if v not in fixed)
-        if rest:
-            base_cells = base_cells + [rest]
-        refined = _refine(rows, base_cells)
-        target = _first_target(refined)
-        if target < 0:
-            break
-        b = refined[target][0]
-        level_gens: list[Perm] = []
-        orbit = {b}
-        for w in refined[target][1:]:
-            if w in orbit:
-                continue
-            cells1 = [(f,) for f in fixed] + [(b,)]
-            cells2 = [(f,) for f in fixed] + [(w,)]
-            others1 = tuple(v for v in range(n) if v not in fixed and v != b)
-            others2 = tuple(v for v in range(n) if v not in fixed and v != w)
-            if others1:
-                cells1.append(others1)
-                cells2.append(others2)
-            sigma = _search_mapping(rows, rows, _refine(rows, cells1),
-                                    _refine(rows, cells2), n)
-            if sigma is None:
-                continue
-            level_gens.append(sigma)
-            # Schreier closure: new generator may reach further orbit points.
-            orbit = _orbit(orbit, level_gens)
-        order *= len(orbit)
-        generators.extend(level_gens)
-        fixed.append(b)
-    return AutReport(order == 1, order,
-                     tuple(generators), _orbits_from_generators(n, generators))
+    while auts:     # they move a vertex, so some cell is not a singleton
+        i = _first_target(cells)
+        b = cells[i][0]
+        order *= len(_orbit([b], auts))
+        auts = [s for s in auts if s[b] == b]
+        cells = _child(rows, cells, i, b)
+    orbits: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for v in range(n):
+        if v not in seen:
+            orbit = _orbit([v], generators)
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return AutReport(order == 1, order, tuple(generators), tuple(orbits))
 
 
 def group_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm] | None:
@@ -367,66 +358,6 @@ def subgroup_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm]:
 # -- canonical form -----------------------------------------------------
 
 
-def _leaf_bits(rows, cells, n: int) -> int:
-    label_of = [0] * n
-    for i, c in enumerate(cells):
-        label_of[c[0]] = i
-    old = [0] * n
-    for v in range(n):
-        old[label_of[v]] = v
-    acc = 0
-    for j in range(1, n):
-        oj = old[j]
-        for i in range(j):
-            acc = (acc << 1) | ((rows[old[i]] >> oj) & 1)
-    return acc
-
-
-def _canon_search(rows, n, cells) -> int:
-    """Minimum leaf triangle-bit value over the individualization tree.
-
-    A leaf whose bits equal the best leaf's gives an automorphism (leaf
-    order to best-leaf order), which is kept.  A child in the orbit of an
-    explored sibling under the kept automorphisms fixing the node's path
-    is skipped, and a branch that a new automorphism maps onto the best
-    leaf's branch is abandoned.  Both skip only subtrees that an
-    automorphism maps onto explored ones, so the minimum is unchanged.
-    """
-    best = None                     # (bits, path, cells) of the best leaf
-    auts: list[Perm] = []
-
-    def rec(cells, path) -> int:
-        # Takes an equitable partition; returns the depth to unwind to,
-        # and len(path) or more carries on.
-        nonlocal best
-        i = _first_target(cells)
-        if i < 0:
-            bits = _leaf_bits(rows, cells, n)
-            if best is None or bits < best[0]:
-                best = (bits, path, cells)
-            elif bits == best[0]:
-                sigma = _leaf_perm(cells, best[2], n)
-                auts.append(sigma)
-                bpath = best[1]
-                d = next(k for k, v in enumerate(path) if v != bpath[k])
-                if sigma[path[d]] == bpath[d] and all(sigma[v] == v for v in path[:d]):
-                    return d
-            return n
-        explored: list[int] = []
-        for w in cells[i]:
-            if explored and w in _orbit(
-                    explored, [s for s in auts if all(s[v] == v for v in path)]):
-                continue
-            explored.append(w)
-            back = rec(_child(rows, cells, i, w), path + (w,))
-            if back < len(path):
-                return back
-        return n
-
-    rec(_refine(rows, cells), ())
-    return best[0]
-
-
 def canonical_form(g: Graph) -> bytes:
     """Label-invariant encoding; equal bytes iff isomorphic graphs.
 
@@ -437,7 +368,7 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n <= 1:
         return pack_triangle_bits(n, 0)
-    return pack_triangle_bits(n, _canon_search(g.rows, n, [tuple(range(n))]))
+    return pack_triangle_bits(n, _search(g.rows, n, [tuple(range(n))])[0])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -454,36 +385,40 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 def can_transpose(g: Graph, u: int, v: int) -> bool:
     """True iff some automorphism swaps ``u`` and ``v``.
 
-    One bounded search per pair: u and v are individualized into each
-    other's cells so the swap is forced; the rest of the group is never
-    enumerated.
+    The canonical leaves of the partitions [u | v | rest] and
+    [v | u | rest] are equal iff some automorphism maps one onto the
+    other.  Individualized singletons keep their positions in every
+    leaf, so the leaf map then sends u to v and v to u.
     """
-    n = g.n
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
         raise ValueError("transposition needs two distinct vertices")
-    rest1 = tuple(x for x in range(n) if x != u and x != v)
-    cells1 = [(u,), (v,)] + ([rest1] if rest1 else [])
-    cells2 = [(v,), (u,)] + ([rest1] if rest1 else [])
-    return _search_mapping(g.rows, g.rows, _refine(g.rows, cells1),
-                           _refine(g.rows, cells2), n) is not None
+    rest = tuple(x for x in range(g.n) if x != u and x != v)
+    tail = [rest] if rest else []
+    return (_search(g.rows, g.n, [(u,), (v,)] + tail)[0]
+            == _search(g.rows, g.n, [(v,), (u,)] + tail)[0])
 
 
 def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
-    """All unordered pairs swapped by some automorphism."""
+    """All unordered pairs swapped by some automorphism.
+
+    Swappability is constant on an orbit of the group on unordered
+    pairs, so one pair per orbit is tested.
+    """
     report = automorphism_group(g)
-    orbit_of = {}
-    for orbit in report.orbits:
-        for v in orbit:
-            orbit_of[v] = orbit[0]
-    out = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if orbit_of[u] != orbit_of[v]:
-                continue
-            if can_transpose(g, u, v):
-                out.add((u, v))
+    pairs = [pair for orbit in report.orbits
+             for pair in itertools.combinations(orbit, 2)]
+    pair_gens = [{(u, v): (min(p[u], p[v]), max(p[u], p[v])) for u, v in pairs}
+                 for p in report.generators]
+    out: set[tuple[int, int]] = set()
+    seen: set[tuple[int, int]] = set()
+    for pair in pairs:
+        if pair not in seen:
+            orbit = _orbit([pair], pair_gens)
+            seen |= orbit
+            if can_transpose(g, *pair):
+                out |= orbit
     return out
 
 

@@ -51,10 +51,13 @@ def _flips_dict(fs, base: int) -> dict:
 
 
 def _read_graph(text: str) -> Graph:
-    """graph6 literal, '-' for graph6 on stdin, or @file with an edge list."""
+    """graph6 literal, '-' for graph6 on stdin, or @file with an edge list.
+
+    A bare '@' (blanks aside) is graph6 for K_1, not a file name.
+    """
     if text == "-":
         return from_graph6(sys.stdin.read().strip())
-    if text.startswith("@"):
+    if text.startswith("@") and text[1:].strip():
         try:
             with open(text[1:], "r", encoding="ascii") as fh:
                 return from_edge_list(fh.read())

@@ -15,7 +15,8 @@ from asymindex.automorphism import (_child, _first_target, _individualize,
                                     _leaf_bits, _refine, are_isomorphic,
                                     automorphism_group, canonical_form,
                                     can_transpose, cycles_str,
-                                    find_nontrivial_automorphism, invert,
+                                    find_nontrivial_automorphism,
+                                    group_elements, invert,
                                     is_asymmetric, is_automorphism, compose,
                                     identity_perm, is_identity,
                                     transposable_clique_lower_bound,
@@ -50,6 +51,17 @@ def unpruned_canonical_form(g: Graph) -> bytes:
     if g.n <= 1:
         return pack_triangle_bits(g.n, 0)
     return pack_triangle_bits(g.n, rec([tuple(range(g.n))]))
+
+
+def quadratic_leaf_bits(rows, cells, n: int) -> int:
+    """Upper-triangle bits of the relabelled graph, one adjacency test per
+    vertex pair: the reference for the O(n + m) row-shift encoding."""
+    old = [c[0] for c in cells]
+    acc = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | ((rows[old[i]] >> old[j]) & 1)
+    return acc
 
 
 def full_queue_refine(rows, cells):
@@ -215,6 +227,26 @@ class TestGroup:
             g = random_graph(7, rng, rng.uniform(0.2, 0.8))
             assert automorphism_group(g).order == brute_automorphism_count(g)
 
+    def test_consistent_on_seven_vertex_classes(self):
+        # The generators close to a group of the reported order; the
+        # witness exists exactly when the order exceeds 1; and the sha256
+        # of (order, orbits) was recorded with the stabilizer-chain engine
+        # that built the group from one pairing search per candidate.
+        digest = hashlib.sha256()
+        for g in nonisomorphic_graphs(7):
+            rep = automorphism_group(g)
+            for p in rep.generators:
+                assert is_automorphism(g, p) and not is_identity(p)
+            assert len(group_elements(rep.generators, 7)) == rep.order
+            witness = find_nontrivial_automorphism(g)
+            if rep.order == 1:
+                assert witness is None
+            else:
+                assert is_automorphism(g, witness) and not is_identity(witness)
+            digest.update(repr((rep.order, rep.orbits)).encode())
+        assert digest.hexdigest() == ("34aeb6def1e74c7dbe2573b587895240"
+                                      "535e7d228b0e85f7a04e8eb3745ea163")
+
     def test_large_group_order_exact(self):
         assert automorphism_group(Graph.empty(12)).order == 479001600  # 12!
         assert automorphism_group(complete(12)).order == 479001600
@@ -284,8 +316,8 @@ class TestEngineOutputs:
             digest.update(repr((rep.order, rep.generators, rep.orbits,
                                 find_nontrivial_automorphism(g),
                                 sorted(transposable_pairs(g)))).encode())
-        assert digest.hexdigest() == ("d8fc7b7c57211d288a2dbd6cae1f8c26"
-                                      "ad6725d60401bb2662da294aa1aeddc6")
+        assert digest.hexdigest() == ("ed4fe806ad5e30d11f1173aeedd84e8e"
+                                      "7962f2eec3b8e9d11b575be08a8680fb")
 
 
 class TestCanonicalForm:
@@ -323,6 +355,17 @@ class TestCanonicalForm:
         for n in (8, 9, 10):
             assert canonical_form(Graph.empty(n)) != canonical_form(complete(n))
             assert are_isomorphic(Graph.empty(n).complement(), complete(n))
+
+    def test_leaf_bits_match_pairwise_reference(self):
+        rng = random.Random(4501)
+        for n in range(2, 46):
+            for _ in range(4):
+                g = random_graph(n, rng, rng.uniform(0.05, 0.95))
+                order = list(range(n))
+                rng.shuffle(order)
+                cells = [(v,) for v in order]
+                assert (_leaf_bits(g.rows, cells, n)
+                        == quadratic_leaf_bits(g.rows, cells, n))
 
     def test_matches_unpruned_search_on_seven_vertex_classes(self):
         for g in nonisomorphic_graphs(7):
@@ -380,10 +423,10 @@ class TestTransposablePairs:
     def test_asymmetric_graph_has_none(self):
         assert transposable_pairs(figure_two_graph()) == set()
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, classes6):
         rng = random.Random(31)
-        for _ in range(20):
-            g = random_graph(rng.randrange(4, 7), rng)
+        graphs = [random_graph(rng.randrange(4, 7), rng) for _ in range(20)]
+        for g in graphs + list(classes6):
             expected = set()
             for p in itertools.permutations(range(g.n)):
                 if is_automorphism(g, p):
@@ -391,6 +434,16 @@ class TestTransposablePairs:
                         if p[u] != u and p[p[u]] == u:
                             expected.add(tuple(sorted((u, p[u]))))
             assert transposable_pairs(g) == expected
+
+    def test_orbit_without_swaps(self):
+        # A triangle whose edges carry chiral gadgets: its group has order 3
+        # (brute force), so it has no involution, yet 0, 1, 2 share an orbit.
+        g = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4),
+                                 (2, 4), (0, 5), (2, 5), (3, 6), (1, 6), (4, 7),
+                                 (2, 7), (5, 8), (0, 8)])
+        assert brute_automorphism_count(g) == 3
+        assert (0, 1, 2) in automorphism_group(g).orbits
+        assert transposable_pairs(g) == set()
 
     def test_can_transpose_validates(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,10 @@ class TestAi:
         code, out, _ = run(capsys, "ai", f"@{f}", "--json")
         assert code == 0 and json.loads(out)["result"]["value"] == 1
 
+    def test_bare_at_is_k1(self, capsys):
+        code, out, _ = run(capsys, "ai", "@", "--json")
+        assert code == 0 and json.loads(out)["result"]["value"] == 0
+
     def test_one_based_labels(self, capsys):
         g6 = to_graph6(path(6)).decode()
         code, out, _ = run(capsys, "ai", g6, "--json", "--one-based")
@@ -133,6 +137,12 @@ class TestAut:
         from asymindex.families import complete
         code, out, _ = run(capsys, "aut", to_graph6(complete(5)).decode(), "--json")
         assert json.loads(out)["result"]["order"] == "120"
+
+    def test_bare_at_is_k1(self, capsys):
+        code, out, _ = run(capsys, "aut", "@", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["input"] == "@"
+        assert payload["result"]["order"] == "1"
 
 
 class TestCountCycleAug:
@@ -257,8 +267,8 @@ def edge_list_order(text: str):
 
 # Size bytes for n <= 9, and invalid ones that are neither whitespace
 # (stripped, so the next byte would become the size) nor '-' (an option).
-# '@' (n = 1) is left out: a leading '@' names an edge-list file.
-SIZE_BYTES = st.sampled_from(b"?ABCDEFGH\x00\x01!0=\x7f\x80\xff")
+# '@' (n = 1) names an edge-list file only when a non-blank name follows.
+SIZE_BYTES = st.sampled_from(b"?@ABCDEFGH\x00\x01!0=\x7f\x80\xff")
 NOISE = st.text("x.+-\u00e9", min_size=1, max_size=2)
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
