@@ -400,6 +400,22 @@ def can_transpose(g: Graph, u: int, v: int) -> bool:
             == _search(g.rows, g.n, [(v,), (u,)] + tail)[0])
 
 
+def _pair_orbits(pairs, generators) -> list[set[tuple[int, int]]]:
+    """Orbits of the group generated by ``generators`` on ``pairs``, a list
+    of unordered ``(u, v)``, ``u < v``, pairs closed under the group, in
+    the order of each orbit's first pair."""
+    pair_gens = [{(u, v): (min(p[u], p[v]), max(p[u], p[v])) for u, v in pairs}
+                 for p in generators]
+    orbits: list[set[tuple[int, int]]] = []
+    seen: set[tuple[int, int]] = set()
+    for pair in pairs:
+        if pair not in seen:
+            orbit = _orbit([pair], pair_gens)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
 def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
     """All unordered pairs swapped by some automorphism.
 
@@ -409,16 +425,10 @@ def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
     report = automorphism_group(g)
     pairs = [pair for orbit in report.orbits
              for pair in itertools.combinations(orbit, 2)]
-    pair_gens = [{(u, v): (min(p[u], p[v]), max(p[u], p[v])) for u, v in pairs}
-                 for p in report.generators]
     out: set[tuple[int, int]] = set()
-    seen: set[tuple[int, int]] = set()
-    for pair in pairs:
-        if pair not in seen:
-            orbit = _orbit([pair], pair_gens)
-            seen |= orbit
-            if can_transpose(g, *pair):
-                out |= orbit
+    for orbit in _pair_orbits(pairs, report.generators):
+        if can_transpose(g, *min(orbit)):
+            out |= orbit
     return out
 
 

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
-from .automorphism import (automorphism_group, cycles_str,
+from .automorphism import (_pair_orbits, automorphism_group, cycles_str,
                            find_nontrivial_automorphism, is_asymmetric,
                            is_automorphism, transposable_clique_lower_bound)
 from .enumeration import (asymmetric_forest_edges, asymmetric_graphs,
@@ -434,24 +434,27 @@ def _thm_2_6(budget) -> Iterator[ClaimReport]:
 def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
     """Torus instance check.
 
-    Full mode runs the exhaustive 1-flip scan, the orbit-deduped 2-flip
-    scan, and a 3-removal witness search, which pins the exact value
-    whenever the first non-empty layer is at most 3.  The cheap mode only
-    tests the shared-vertex cross-direction 2-removal witness, enough to
-    beat the claimed value on non-square tori.
+    Full mode runs the 1-flip scan, the orbit-deduped 2-flip scan, and a
+    3-removal witness search, which pins the exact value whenever the
+    first non-empty layer is at most 3.  The 1-flip scan covers every
+    pair but tests one per orbit of Aut(g) on pairs: flips in one orbit
+    give isomorphic graphs, so a hit counts its whole orbit.  The cheap
+    mode only tests the shared-vertex cross-direction 2-removal witness,
+    enough to beat the claimed value on non-square tori.
     """
     g = torus(r, s)
     evidence: dict = {}
     exact = None
     if full:
-        one_hits = []
+        one_hits = 0
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-        for (u, v) in pairs:
+        for orbit in _pair_orbits(pairs, automorphism_group(g).generators):
+            u, v = min(orbit)
             edited = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
             if is_asymmetric(edited):
-                one_hits.append((u, v))
+                one_hits += len(orbit)
         evidence["one_flip_candidates"] = len(pairs)
-        evidence["one_flip_hits"] = len(one_hits)
+        evidence["one_flip_hits"] = one_hits
         *_, (_, two_sets) = flip_orbit_layers(g, 2, "mixed")
         two_hits = [fs for fs in two_sets if is_asymmetric(apply_flips(g, fs))]
         evidence["two_flip_orbit_reps"] = len(two_sets)

@@ -310,6 +310,11 @@ def main(argv=None) -> int:
     except (_CliError, Graph6Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # the tree search recurses once per individualized vertex
+        print("error: input too large: the search is deeper than Python's "
+              "recursion limit", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def run() -> None:

@@ -7,15 +7,16 @@ the mode masks the universe down to removals or additions only.  Layer k
 enumerates one representative per orbit of k-subsets under Aut(G) by
 extending the layer-(k-1) representatives by one pair and keeping each
 extension's min-image over the group's elements (built coset by coset;
-a subgroup when the full group is too large to enumerate, and coarser
+a subgroup when the full group is too large to enumerate, and its finer
 orbits only cost time).  The image of a representative is computed once
-per group element and reused for all of its extensions.
+per group element and reused for all of its extensions.  The same layers
+drive the index search and the count of asymmetric graphs reachable by
+exactly r removals and s additions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -225,7 +226,7 @@ class _FlipOrbits:
         if k * width > 62:
             return {self.canonical(c) for c in cands}
         arr = np.array(sorted(set(cands)), dtype=np.intp)         # (C, k)
-        chunk = max(1, 8_000_000 // (nelems * k))
+        chunk = max(1, 1_000_000 // (nelems * k))
         shifts = np.arange(k - 1, -1, -1, dtype=np.int64) * width
         mask = (1 << width) - 1
         out: set[tuple[int, ...]] = set()
@@ -332,18 +333,29 @@ def lower_bound(g: Graph) -> int:
 
 def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
     """Isomorphism classes of asymmetric graphs reachable by removing
-    exactly r edges and adding exactly s, deduplicated by canonical form
-    of the result (not by flip-set orbit)."""
-    edges = list(g.edges())
-    non_edges = list(g.non_edges())
-    if r > len(edges):
-        raise ValueError(f"cannot remove {r} of {len(edges)} edges")
-    if s > len(non_edges):
-        raise ValueError(f"cannot add {s} of {len(non_edges)} non-edges")
+    exactly r edges and adding exactly s.
+
+    Flip sets in one Aut(g)-orbit give isomorphic graphs, so one
+    representative per orbit of (r + s)-subsets is tested (remove-only
+    when s = 0, add-only when r = 0, else the mixed layer's sets with r
+    removals; an automorphism maps edges to edges, so no orbit mixes
+    these).  Distinct orbits may still give isomorphic graphs, so the
+    hits are counted by canonical form.
+    """
+    n_edges = g.edge_count
+    n_non_edges = g.n * (g.n - 1) // 2 - n_edges
+    if r > n_edges:
+        raise ValueError(f"cannot remove {r} of {n_edges} edges")
+    if s > n_non_edges:
+        raise ValueError(f"cannot add {s} of {n_non_edges} non-edges")
+    if r + s == 0:
+        return int(is_asymmetric(g))
+    mode = "remove-only" if s == 0 else "add-only" if r == 0 else "mixed"
+    *_, (_, flip_sets) = flip_orbit_layers(g, r + s, mode)
     seen: set[bytes] = set()
-    for rem in combinations(edges, r):
-        for add in combinations(non_edges, s):
-            h = apply_flips(g, FlipSet(removed=frozenset(rem), added=frozenset(add)))
+    for fs in flip_sets:
+        if len(fs.removed) == r:
+            h = apply_flips(g, fs)
             if is_asymmetric(h):
                 seen.add(canonical_form(h))
     return len(seen)

@@ -6,13 +6,15 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymindex import automorphism
 from asymindex.graph import Graph, disjoint_union, join, pack_triangle_bits
 from asymindex.automorphism import (_child, _first_target, _individualize,
-                                    _leaf_bits, _refine, are_isomorphic,
+                                    _leaf_bits, _pair_orbits, _refine,
+                                    are_isomorphic,
                                     automorphism_group, canonical_form,
                                     can_transpose, cycles_str,
                                     find_nontrivial_automorphism,
@@ -25,7 +27,8 @@ from asymindex.families import (path, cycle, complete, star, wheel, circulant,
                                 torus)
 from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 
-from conftest import brute_automorphism_count, brute_is_asymmetric
+from conftest import (brute_automorphism_count, brute_is_asymmetric,
+                      perm_edge_action)
 
 
 def figure_two_graph() -> Graph:
@@ -448,6 +451,36 @@ class TestTransposablePairs:
     def test_can_transpose_validates(self):
         with pytest.raises(ValueError):
             can_transpose(path(4), 1, 1)
+
+
+class TestPairOrbits:
+    def test_single_flip_orbits_on_six_vertex_classes(self, classes6):
+        # Independent asymmetry oracle: a labeled 6-vertex graph is
+        # asymmetric iff the S_6 action gives it 720 distinct images.
+        table = perm_edge_action(6)
+        pow2 = np.left_shift(1, np.arange(15, dtype=np.int64))
+
+        def brute_asymmetric(mask: int) -> bool:
+            bits = (mask >> np.arange(15, dtype=np.int64)) & 1
+            return len(np.unique(bits[table] @ pow2)) == 720
+
+        pairs = all_pairs(6)
+        for g in classes6:
+            gens = automorphism_group(g).generators
+            orbits = _pair_orbits(pairs, gens)
+            assert sum(len(o) for o in orbits) == 15
+            assert set().union(*orbits) == set(pairs)
+            for orbit in orbits:
+                for p in gens:
+                    assert {tuple(sorted((p[u], p[v]))) for u, v in orbit} == orbit
+            hits = 0
+            for orbit in orbits:
+                u, v = min(orbit)
+                h = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+                if is_asymmetric(h):
+                    hits += len(orbit)
+            mask = sum(1 << i for i, p in enumerate(pairs) if g.has_edge(*p))
+            assert hits == sum(brute_asymmetric(mask ^ (1 << i)) for i in range(15))
 
 
 class TestCliqueBound:

@@ -144,6 +144,15 @@ class TestAut:
         assert code == 0 and payload["input"] == "@"
         assert payload["result"]["order"] == "1"
 
+    def test_too_deep_search_exit4(self, capsys, tmp_path):
+        # The tree search recurses once per individualized vertex, so 1100
+        # isolated vertices go past Python's recursion limit.
+        f = tmp_path / "empty1100.txt"
+        f.write_text("1100\n")
+        code, out, err = run(capsys, "aut", f"@{f}", "--json")
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestCountCycleAug:
     def test_n6(self, capsys):
@@ -161,6 +170,14 @@ class TestCountCycleAug:
     def test_n5_exit2(self, capsys):
         code, _, err = run(capsys, "count-cycle-aug", "5")
         assert code == 2
+
+    def test_enumerated_pinned(self, capsys):
+        # Values of the exhaustive chord-pair count, which the orbit count
+        # must keep.
+        for n, expected in ((14, 81), (18, 208)):
+            code, out, _ = run(capsys, "count-cycle-aug", str(n), "--json")
+            assert code == 0
+            assert json.loads(out)["result"]["enumerated"] == expected
 
 
 class TestVerify:

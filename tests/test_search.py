@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from asymindex.graph import Graph, disjoint_union, join
 from asymindex.automorphism import (are_isomorphic, automorphism_group,
-                                    group_elements, is_asymmetric)
+                                    canonical_form, group_elements,
+                                    is_asymmetric)
 from asymindex.enumeration import all_pairs, graph_from_mask
 from asymindex.families import path, cycle, complete, star, torus, wheel
 from asymindex.search import (BudgetExceededError, FlipSet,
@@ -283,7 +284,31 @@ class TestLayers:
         assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
 
 
+def brute_count(g: Graph, r: int, s: int) -> int:
+    """Every (r removals, s additions) flip set, deduplicated by the
+    canonical form of the result: the counter's definition, with no
+    orbit pruning."""
+    edges = list(g.edges())
+    non_edges = list(g.non_edges())
+    seen: set[bytes] = set()
+    for rem in combinations(edges, r):
+        for add in combinations(non_edges, s):
+            h = apply_flips(g, FlipSet(removed=frozenset(rem), added=frozenset(add)))
+            if is_asymmetric(h):
+                seen.add(canonical_form(h))
+    return len(seen)
+
+
 class TestCounting:
+    def test_matches_brute_count(self, classes6):
+        cases = [(g, r, s) for g in classes6
+                 for r in range(3) for s in range(3 - r)
+                 if r <= g.edge_count and s <= 15 - g.edge_count]
+        cases += [(cycle(n), 0, 2) for n in range(6, 11)]
+        cases += [(path(7), 1, 1), (path(7), 2, 1)]
+        for g, r, s in cases:
+            assert count_nonisomorphic_asymmetrizations(g, r, s) == brute_count(g, r, s)
+
     def test_c6_two_chords_oracle(self):
         # independent recount: all 36 chord pairs, brute-force asymmetry,
         # brute-force pairwise isomorphism grouping.
