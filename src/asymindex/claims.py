@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator
+from math import factorial
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
 from .automorphism import (_pair_orbits, automorphism_group, cycles_str,
@@ -126,6 +127,30 @@ def _aut_evidence(g: Graph) -> dict:
     return {"automorphism": cycles_str(sigma) if sigma else None}
 
 
+def _asym_row(claim_id: str, params: dict, text: str, g: Graph,
+              computed: dict | None = None, evidence: dict | None = None,
+              key: str | None = None) -> ClaimReport:
+    """Row for "``g`` is asymmetric": ``computed`` gains the verdict, and a
+    refutation adds an automorphism to ``evidence`` and carries ``key``."""
+    ok = is_asymmetric(g)
+    return ClaimReport(
+        claim_id, params, text, {**(computed or {}), "asymmetric": ok},
+        CONFIRMED if ok else REFUTED,
+        {**(evidence or {}), **({} if ok else _aut_evidence(g))},
+        allowlist_key=None if ok else key)
+
+
+def _bounds_row(claim_id: str, params: dict, text: str, g: Graph,
+                lower: int, upper: int, budget: int | None) -> ClaimReport:
+    """Row for "lower <= ai(``g``) <= upper", with the search's evidence."""
+    res = asymmetric_index(g, max_k=budget)
+    ok = lower <= res.value <= upper
+    return ClaimReport(
+        claim_id, params, text, {"lower": lower, "ai": res.value, "upper": upper},
+        CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1),
+        ai=res.value, vertices=g.n)
+
+
 def _norm_range(value) -> list[int]:
     if isinstance(value, int):
         return [value]
@@ -136,8 +161,8 @@ def _norm_range(value) -> list[int]:
 
 # -- claim handlers --------------------------------------------------------
 # Each handler yields ClaimReport rows.  ``budget`` is the search layer
-# budget; a ranged handler's second argument holds the in-domain values
-# of its range parameter and defaults to desk scale.
+# budget; in a ranged handler the argument after it holds the in-domain
+# values of its range parameter and defaults to desk scale.
 
 _PROP_1_2 = "ai(G) = ai(complement(G))"
 _LEM_1_1 = "pendant extension of an asymmetric graph is asymmetric"
@@ -182,46 +207,26 @@ def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
             ai=res.value, vertices=g.n)
 
 
-def _pair_preservation(claim_id: str, combine, text: str,
-                       orders) -> Iterator[ClaimReport]:
+def _pair_preservation(claim_id: str, combine, text: str, budget,
+                       orders=(6,)) -> Iterator[ClaimReport]:
+    """``combine`` of two non-isomorphic asymmetric graphs is asymmetric."""
     for n in orders:
         asym = asymmetric_graphs(n)
         for i, g in enumerate(asym):
             for j, h in enumerate(asym):
-                if i == j:
-                    continue
-                combined = combine(g, h)
-                ok = is_asymmetric(combined)
-                yield ClaimReport(
-                    claim_id, {"g": to_graph6(g).decode(), "h": to_graph6(h).decode()},
-                    text, {"asymmetric": ok},
-                    CONFIRMED if ok else REFUTED,
-                    {} if ok else _aut_evidence(combined))
-
-
-def _prop_1_3(budget, orders=(6,)) -> Iterator[ClaimReport]:
-    return _pair_preservation("Prop1.3", join,
-                              "join of non-isomorphic asymmetric graphs is asymmetric",
-                              orders)
-
-
-def _prop_1_4(budget, orders=(6,)) -> Iterator[ClaimReport]:
-    return _pair_preservation("Prop1.4", disjoint_union,
-                              "union of non-isomorphic asymmetric graphs is asymmetric",
-                              orders)
+                if i != j:
+                    yield _asym_row(
+                        claim_id, {"g": to_graph6(g).decode(),
+                                   "h": to_graph6(h).decode()},
+                        text, combine(g, h))
 
 
 def _lem_1_1(budget, orders=(6, 7)) -> Iterator[ClaimReport]:
     """Single-vertex pendant extension preserves asymmetry."""
     for order in orders:
         for g in asymmetric_graphs(order):
-            extended = pendant_extension(g)
-            ok = is_asymmetric(extended)
-            yield ClaimReport(
-                "Lem1.1", {"n": order, "graph6": to_graph6(g).decode()}, _LEM_1_1,
-                {"asymmetric": ok},
-                CONFIRMED if ok else REFUTED,
-                {} if ok else _aut_evidence(extended))
+            yield _asym_row("Lem1.1", {"n": order, "graph6": to_graph6(g).decode()},
+                            _LEM_1_1, pendant_extension(g))
 
 
 def _lem_1_4(budget) -> Iterator[ClaimReport]:
@@ -276,14 +281,9 @@ def _thm_1_2(budget) -> Iterator[ClaimReport]:
 def _witness_row(claim_id: str, name: str, args: tuple, expected: str,
                  allowlist_key: str | None = None) -> ClaimReport:
     spec, flips = witness(name, *args)
-    edited = apply_flips(generate(spec), flips)
-    ok = is_asymmetric(edited)
-    return ClaimReport(
-        claim_id, {"witness": name, "args": list(args)}, expected,
-        {"asymmetric": ok, "size": flips.size},
-        CONFIRMED if ok else REFUTED,
-        {"flips": flips.as_dict(), **({} if ok else _aut_evidence(edited))},
-        allowlist_key=None if ok else allowlist_key)
+    return _asym_row(claim_id, {"witness": name, "args": list(args)}, expected,
+                     apply_flips(generate(spec), flips), {"size": flips.size},
+                     {"flips": flips.as_dict()}, allowlist_key)
 
 
 def _value_row(claim_id: str, params: dict, g: Graph, expected_value: int,
@@ -322,9 +322,7 @@ def _removal_free_row(claim_id: str, params: dict, g: Graph,
 def _sec_2_2_cycle_aut(budget, orders=range(6, 11)) -> Iterator[ClaimReport]:
     for order in orders:
         rep = automorphism_group(cycle(order))
-        claimed = 1
-        for i in range(2, order + 1):
-            claimed *= i
+        claimed = factorial(order)
         ok = rep.order == claimed
         yield ClaimReport(
             "Sec2.2-cycle-aut", {"n": order},
@@ -335,8 +333,8 @@ def _sec_2_2_cycle_aut(budget, orders=range(6, 11)) -> Iterator[ClaimReport]:
             allowlist_key=None if ok else "Sec2.2-cycle-aut")
 
 
-def _chord_count_rows(claim_id: str, variant: str, key: str,
-                      orders) -> Iterator[ClaimReport]:
+def _chord_count_rows(claim_id: str, variant: str, key: str, budget,
+                      orders=range(6, 13)) -> Iterator[ClaimReport]:
     for order in orders:
         oracle = count_nonisomorphic_asymmetrizations(cycle(order), 0, 2)
         value = cycle_augmentation_formula(order, variant)
@@ -350,21 +348,13 @@ def _chord_count_rows(claim_id: str, variant: str, key: str,
             allowlist_key=None if ok else key)
 
 
-def _rem_2_1(budget, orders=range(6, 13)) -> Iterator[ClaimReport]:
-    return _chord_count_rows("Rem2.1", "remark", "Rem2.1-remark-variant", orders)
-
-
-def _sec_2_2_count(budget, orders=range(6, 13)) -> Iterator[ClaimReport]:
-    return _chord_count_rows("Sec2.2-count", "text", "Sec2.2-count-text", orders)
-
-
 def _thm_2_4(budget, orders=(4,)) -> Iterator[ClaimReport]:
     for n in orders:
         for sign in ("+", "-"):
             m = n * n + 1 if sign == "+" else n * n - 1
             spec = FamilySpec("circulant", (m, (1, n)))
             yield _value_row("Thm2.4", {"n": n, "sign": sign}, generate(spec), 2,
-                             _THM_2_4, budget if budget is not None else 3)
+                             _THM_2_4, budget)
             for name in ("circulant-remove2", "circulant-add2", "circulant-mixed"):
                 yield _witness_row("Thm2.4-witness", name, (n, sign),
                                    f"{name} asymmetrizes the circulant")
@@ -372,15 +362,8 @@ def _thm_2_4(budget, orders=(4,)) -> Iterator[ClaimReport]:
 
 def _thm_2_5(budget, orders=range(6, 10)) -> Iterator[ClaimReport]:
     for order in orders:
-        lower = (order - 1) // 2
-        upper = order - 1
-        res = asymmetric_index(star(order), max_k=budget)
-        ok = lower <= res.value <= upper
-        yield ClaimReport(
-            "Thm2.5", {"n": order}, _THM_2_5,
-            {"lower": lower, "ai": res.value, "upper": upper},
-            CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1),
-            ai=res.value, vertices=order)
+        yield _bounds_row("Thm2.5", {"n": order}, _THM_2_5, star(order),
+                          (order - 1) // 2, order - 1, budget)
 
 
 def _thm_2_6(budget) -> Iterator[ClaimReport]:
@@ -395,40 +378,27 @@ def _thm_2_6(budget) -> Iterator[ClaimReport]:
         formulas, CONFIRMED if consistent else REFUTED,
         {"note": "printed lower bound exceeds the upper bound"},
         allowlist_key=None if consistent else "Thm2.6-printed-lower")
-    res8 = asymmetric_index(Graph.complete(8),
-                            max_k=budget if budget is not None else 6)
-    asym_ok = formulas["lower_asymptotic"] <= res8.value <= formulas["upper"]
-    yield ClaimReport(
-        "Thm2.6-asymptotic", {"n": 8},
-        "6*floor(n/7) <= ai(K_n) <= n - 2",
-        {"lower": formulas["lower_asymptotic"], "ai": res8.value,
-         "upper": formulas["upper"]},
-        CONFIRMED if asym_ok else REFUTED, _ai_evidence(res8, cap=1),
-        ai=res8.value, vertices=8)
+    yield _bounds_row("Thm2.6-asymptotic", {"n": 8},
+                      "6*floor(n/7) <= ai(K_n) <= n - 2", Graph.complete(8),
+                      formulas["lower_asymptotic"], formulas["upper"], budget)
     for order in (8, 9, 10):
         removed = asymmetric_forest_edges(order)
-        edited = apply_flips(Graph.complete(order),
-                             FlipSet(removed=frozenset(removed)))
-        ok = is_asymmetric(edited)
-        yield ClaimReport(
+        yield _asym_row(
             "Thm2.6-upper", {"n": order},
             "removing an asymmetric forest leaves K_n asymmetric (ai <= n-2)",
-            {"edits": len(removed), "asymmetric": ok},
-            CONFIRMED if ok else REFUTED,
-            {} if ok else _aut_evidence(edited))
+            apply_flips(Graph.complete(order), FlipSet(removed=frozenset(removed))),
+            {"edits": len(removed)})
     trees = asymmetric_trees(9)
     edges = []
     base = 1
     for t in trees:
         edges += [(base + u, base + v) for (u, v) in t.edges()]
         base += 9
-    edited = apply_flips(Graph.complete(28), FlipSet(removed=frozenset(edges)))
-    ok = is_asymmetric(edited)
-    yield ClaimReport(
+    yield _asym_row(
         "Sec2.5-k28", {"n": 28},
         "K_28 minus three distinct asymmetric 9-trees is asymmetric (ai <= 25)",
-        {"edits": len(edges), "asymmetric": ok},
-        CONFIRMED if ok else REFUTED, {} if ok else _aut_evidence(edited))
+        apply_flips(Graph.complete(28), FlipSet(removed=frozenset(edges))),
+        {"edits": len(edges)})
 
 
 def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
@@ -444,7 +414,6 @@ def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
     """
     g = torus(r, s)
     evidence: dict = {}
-    exact = None
     if full:
         one_hits = 0
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
@@ -469,12 +438,8 @@ def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
                               if is_asymmetric(apply_flips(g, fs))), None)
         evidence["three_removal_witness"] = (three_witness.as_dict()
                                              if three_witness else None)
-        if one_hits:
-            exact = 1
-        elif two_hits:
-            exact = 2
-        elif three_witness is not None:
-            exact = 3
+        exact = 1 if one_hits else 2 if two_hits else \
+            3 if three_witness is not None else None
         computed = exact if exact is not None else ">= 3"
     else:
         fs = FlipSet(removed=frozenset([(0, 1), (0, s)]))
@@ -482,10 +447,8 @@ def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
         ok = is_asymmetric(edited)
         evidence["cross_direction_two_removal"] = fs.as_dict()
         evidence["asymmetric"] = ok
-        exact = None
+        exact = 2 if ok else None  # upper bound only, but already below the claim
         computed = "<= 2" if ok else "witness failed"
-        if ok:
-            exact = 2  # upper bound only, but already below the claim
     in_range = r >= 10 and s >= 10
     if not in_range:
         status = NOT_APPLICABLE
@@ -501,11 +464,6 @@ def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
         status, key = BUDGET_EXCEEDED, None
     return ClaimReport("Thm2.10", {"r": r, "s": s}, "ai(C_r x C_s) = 3",
                        computed, status, evidence, allowlist_key=key)
-
-
-def _thm_2_10(budget) -> Iterator[ClaimReport]:
-    yield _torus_scan(6, 7, full=True)
-    yield _torus_scan(10, 11, full=False)
 
 
 def _thm_3_1(budget) -> Iterator[ClaimReport]:
@@ -533,11 +491,8 @@ def _thm_3_1(budget) -> Iterator[ClaimReport]:
 def _ex_3_1(budget, values=(3, 4)) -> Iterator[ClaimReport]:
     for value in values:
         g = cycle_with_pendant_paths(value)
-        ok = is_asymmetric(g)
-        yield ClaimReport(
-            "Ex3.1", {"l": value}, _EX_3_1,
-            {"vertices": g.n, "edges": g.edge_count, "asymmetric": ok},
-            CONFIRMED if ok else REFUTED, {} if ok else _aut_evidence(g))
+        yield _asym_row("Ex3.1", {"l": value}, _EX_3_1, g,
+                        {"vertices": g.n, "edges": g.edge_count})
 
 
 def _thm_3_2(budget) -> Iterator[ClaimReport]:
@@ -616,7 +571,7 @@ class _Entry:
     ``parts`` are the row ids it produces, when more than its own.
     """
 
-    rows: Callable[..., Iterator[ClaimReport]]
+    rows: Callable[..., Iterable[ClaimReport]]
     param: str | None = None
     minimum: int | None = None
     text: str = ""
@@ -632,8 +587,12 @@ def _family(param, minimum, coords, *checks: _Check) -> _Entry:
 _CATALOG: dict[str, _Entry] = {
     "Prop1.1": _Entry(_prop_1_1, "n"),
     "Prop1.2": _Entry(_prop_1_2, "n", 6, _PROP_1_2),
-    "Prop1.3": _Entry(_prop_1_3, "n"),
-    "Prop1.4": _Entry(_prop_1_4, "n"),
+    "Prop1.3": _Entry(partial(
+        _pair_preservation, "Prop1.3", join,
+        "join of non-isomorphic asymmetric graphs is asymmetric"), "n"),
+    "Prop1.4": _Entry(partial(
+        _pair_preservation, "Prop1.4", disjoint_union,
+        "union of non-isomorphic asymmetric graphs is asymmetric"), "n"),
     "Lem1.1": _Entry(_lem_1_1, "n", 6, _LEM_1_1),
     "Lem1.4": _Entry(_lem_1_4),
     "Lem2.1": _Entry(_lem_2_1, "i", 6, _LEM_2_1),
@@ -651,9 +610,11 @@ _CATALOG: dict[str, _Entry] = {
         _Check("Thm2.2-remove-only", "no pure edge removal asymmetrizes a cycle",
                _ns(6, 12), _kind("cycle"))),
     "Sec2.2-cycle-aut": _Entry(_sec_2_2_cycle_aut, "n"),
-    "Rem2.1": _Entry(_rem_2_1, "n", 6,
+    "Rem2.1": _Entry(partial(_chord_count_rows, "Rem2.1", "remark",
+                             "Rem2.1-remark-variant"), "n", 6,
                      "remark chord-count formula matches enumeration"),
-    "Sec2.2-count": _Entry(_sec_2_2_count, "n", 6,
+    "Sec2.2-count": _Entry(partial(_chord_count_rows, "Sec2.2-count", "text",
+                                   "Sec2.2-count-text"), "n", 6,
                            "text chord-count formula matches enumeration"),
     "Thm2.3": _family(
         "n", 6, ("n",),
@@ -685,7 +646,8 @@ _CATALOG: dict[str, _Entry] = {
                "removing two edges at the corner vertex asymmetrizes P_r x C_s",
                ((2, 3), (2, 4), (3, 5)), witness="pxc-two-removals",
                keys={(2, 4): "Thm2.9-witness-cube"})),
-    "Thm2.10": _Entry(_thm_2_10),
+    "Thm2.10": _Entry(lambda budget: (_torus_scan(6, 7, full=True),
+                                      _torus_scan(10, 11, full=False))),
     "Thm3.1": _Entry(_thm_3_1),
     "Ex3.1": _Entry(_ex_3_1, "l", 3, _EX_3_1),
     "Thm3.2": _Entry(_thm_3_2),

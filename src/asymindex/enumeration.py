@@ -8,11 +8,10 @@ bytes.  Intended for desk scale (graphs to ~8 vertices, trees to ~12).
 
 from __future__ import annotations
 
-from .graph import Graph
-from .automorphism import canonical_form, is_asymmetric
+from functools import cache
 
-_GRAPH_CACHE: dict[int, list[Graph]] = {}
-_TREE_CACHE: dict[int, list[Graph]] = {}
+from .graph import Graph, _iter_bits
+from .automorphism import canonical_form, is_asymmetric
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -32,6 +31,22 @@ def graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]] | None = Non
     return Graph(n, rows, _trusted=True)
 
 
+def _extensions(bases: list[Graph], masks) -> list[Graph]:
+    """Each base plus a new last vertex joined to the vertices of each
+    mask: the first graph found per canonical form, sorted by its bytes."""
+    by_key: dict[bytes, Graph] = {}
+    for base in bases:
+        n = base.n
+        for mask in masks:
+            rows = list(base.rows) + [mask]
+            for u in _iter_bits(mask):
+                rows[u] |= 1 << n
+            g = Graph(n + 1, rows, _trusted=True)
+            by_key.setdefault(canonical_form(g), g)
+    return [g for _, g in sorted(by_key.items())]
+
+
+@cache
 def nonisomorphic_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of n-vertex graphs.
 
@@ -40,29 +55,9 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     form.  Complete because deleting the last vertex of any n-vertex
     graph leaves a representative's class.
     """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n in _GRAPH_CACHE:
-        return _GRAPH_CACHE[n]
-    if n == 0:
-        reps = [Graph.empty(0)]
-    elif n == 1:
-        reps = [Graph.empty(1)]
-    else:
-        by_key: dict[bytes, Graph] = {}
-        for base in nonisomorphic_graphs(n - 1):
-            for mask in range(1 << (n - 1)):
-                rows = list(base.rows) + [mask]
-                for u in range(n - 1):
-                    if (mask >> u) & 1:
-                        rows[u] |= 1 << (n - 1)
-                g = Graph(n, rows, _trusted=True)
-                key = canonical_form(g)
-                if key not in by_key:
-                    by_key[key] = g
-        reps = [g for _, g in sorted(by_key.items())]
-    _GRAPH_CACHE[n] = reps
-    return reps
+    if n <= 1:
+        return [Graph.empty(n)]          # ValueError for n < 0
+    return _extensions(nonisomorphic_graphs(n - 1), range(1 << (n - 1)))
 
 
 def asymmetric_graphs(n: int) -> list[Graph]:
@@ -70,6 +65,7 @@ def asymmetric_graphs(n: int) -> list[Graph]:
     return [g for g in nonisomorphic_graphs(n) if is_asymmetric(g)]
 
 
+@cache
 def nonisomorphic_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of n-vertex trees.
 
@@ -78,23 +74,10 @@ def nonisomorphic_trees(n: int) -> list[Graph]:
     """
     if n < 1:
         raise ValueError("trees need at least one vertex")
-    if n in _TREE_CACHE:
-        return _TREE_CACHE[n]
     if n == 1:
-        reps = [Graph.empty(1)]
-    else:
-        by_key: dict[bytes, Graph] = {}
-        for base in nonisomorphic_trees(n - 1):
-            for anchor in range(n - 1):
-                rows = list(base.rows) + [1 << anchor]
-                rows[anchor] |= 1 << (n - 1)
-                t = Graph(n, rows, _trusted=True)
-                key = canonical_form(t)
-                if key not in by_key:
-                    by_key[key] = t
-        reps = [t for _, t in sorted(by_key.items())]
-    _TREE_CACHE[n] = reps
-    return reps
+        return [Graph.empty(1)]
+    return _extensions(nonisomorphic_trees(n - 1),
+                       [1 << anchor for anchor in range(n - 1)])
 
 
 def asymmetric_trees(n: int) -> list[Graph]:

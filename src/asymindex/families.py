@@ -14,13 +14,13 @@ from .graph import Graph, cartesian_product, disjoint_union, join, bfs_distances
 from .search import FlipSet
 from .enumeration import asymmetric_trees
 
-FAMILY_KINDS = ("path", "cycle", "complete", "star", "wheel", "circulant",
-                "grid", "pxc", "torus", "split", "pendant-cycle")
-
 WITNESS_NAMES = ("path-add-chord", "cycle-remove-add", "cycle-two-chords",
                  "wheel-two-removals", "circulant-remove2", "circulant-add2",
                  "circulant-mixed", "grid-corner", "pxc-two-removals",
                  "split-construction")
+
+#: Separator between the two integer parameters of a two-factor kind.
+_SEPARATORS = {"grid": "x", "pxc": "x", "torus": "x", "split": "+"}
 
 
 @dataclass(frozen=True)
@@ -40,32 +40,25 @@ class FamilySpec:
         if kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family {head!r}")
         try:
-            if kind in ("path", "cycle", "complete", "star", "wheel", "pendant-cycle"):
-                return cls(kind, (int(rest),))
+            if kind in _SEPARATORS:
+                a, _, b = rest.partition(_SEPARATORS[kind])
+                return cls(kind, (int(a), int(b)))
             if kind == "circulant":
                 m_text, _, dists = rest.partition(":")
                 s = tuple(sorted({int(tok) for tok in dists.split(",") if tok.strip()}))
                 if not s:
                     raise ValueError
                 return cls(kind, (int(m_text), s))
-            if kind in ("grid", "pxc", "torus"):
-                a, _, b = rest.partition("x")
-                return cls(kind, (int(a), int(b)))
-            if kind == "split":
-                a, _, b = rest.partition("+")
-                return cls(kind, (int(a), int(b)))
+            return cls(kind, (int(rest),))
         except ValueError:
             raise ValueError(f"bad parameters in family spec {text!r}") from None
-        raise AssertionError("unreachable")
 
     def __str__(self) -> str:
         k, a = self.kind, self.args
         if k == "circulant":
             return f"circulant:{a[0]}:{','.join(str(d) for d in a[1])}"
-        if k in ("grid", "pxc", "torus"):
-            return f"{k}:{a[0]}x{a[1]}"
-        if k == "split":
-            return f"split:{a[0]}+{a[1]}"
+        if k in _SEPARATORS:
+            return f"{k}:{a[0]}{_SEPARATORS[k]}{a[1]}"
         return f"{k}:{a[0]}"
 
 
@@ -162,31 +155,18 @@ def cycle_with_pendant_paths(l: int) -> Graph:
     return Graph.from_edges(base, edges)
 
 
+_CONSTRUCTORS = {"path": path, "cycle": cycle, "complete": complete,
+                 "star": star, "wheel": wheel, "circulant": circulant,
+                 "grid": grid, "pxc": path_cycle, "torus": torus,
+                 "split": split, "pendant-cycle": cycle_with_pendant_paths}
+
+FAMILY_KINDS = tuple(_CONSTRUCTORS)
+
+
 def generate(spec: FamilySpec) -> Graph:
-    k, a = spec.kind, spec.args
-    if k == "path":
-        return path(*a)
-    if k == "cycle":
-        return cycle(*a)
-    if k == "complete":
-        return complete(*a)
-    if k == "star":
-        return star(*a)
-    if k == "wheel":
-        return wheel(*a)
-    if k == "circulant":
-        return circulant(a[0], a[1])
-    if k == "grid":
-        return grid(*a)
-    if k == "pxc":
-        return path_cycle(*a)
-    if k == "torus":
-        return torus(*a)
-    if k == "split":
-        return split(*a)
-    if k == "pendant-cycle":
-        return cycle_with_pendant_paths(*a)
-    raise ValueError(f"unknown family kind {k!r}")
+    if spec.kind not in _CONSTRUCTORS:
+        raise ValueError(f"unknown family kind {spec.kind!r}")
+    return _CONSTRUCTORS[spec.kind](*spec.args)
 
 
 # -- witness catalog ------------------------------------------------------

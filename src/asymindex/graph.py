@@ -73,6 +73,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -371,6 +373,9 @@ def from_edge_list(text: str) -> Graph:
         n = int(head[0])
     except ValueError:
         raise ValueError(f"bad vertex count {head[0]!r}") from None
+    if n > GRAPH6_MAX_N:
+        # every ai/aut report echoes its input as graph6
+        raise ValueError(f"vertex count {n} above the graph6 limit {GRAPH6_MAX_N}")
     edges = []
     for toks in tokens_by_line[1:]:
         if len(toks) != 2:

@@ -203,28 +203,20 @@ class _FlipOrbits:
                 keys.update((ext | packed[:, None]).min(axis=2).ravel().tolist())
         return {tuple(_iter_bits(key)) for key in keys if key.bit_count() == k}
 
-    def canonical(self, subset: tuple[int, ...]) -> tuple[int, ...]:
-        """Lexicographically least sorted image (index encoding)."""
-        images = np.sort(self.table[list(subset)], axis=0)         # (k, W)
-        best = np.lexsort(images[::-1])[0]
-        return tuple(int(x) for x in images[:, best])
-
     def canonical_many(self, cands: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
         """Min-image forms of equal-size subsets in the index encoding,
         chunked for memory.
 
         Each sorted image is packed into bit fields of one integer, so the
-        canonical choice is a plain numeric minimum over the group axis;
-        when the fields need more than 62 bits each subset goes through
-        ``canonical``.
+        lexicographically least sorted image is a plain numeric minimum
+        over the group axis; when the fields need more than 62 bits the
+        keys are Python ints.
         """
         if not cands:
             return set()
         k = len(cands[0])
         npairs, nelems = self.table.shape
         width = max(1, (npairs - 1).bit_length())
-        if k * width > 62:
-            return {self.canonical(c) for c in cands}
         arr = np.array(sorted(set(cands)), dtype=np.intp)         # (C, k)
         chunk = max(1, 1_000_000 // (nelems * k))
         shifts = np.arange(k - 1, -1, -1, dtype=np.int64) * width
@@ -232,7 +224,7 @@ class _FlipOrbits:
         out: set[tuple[int, ...]] = set()
         for start in range(0, len(arr), chunk):
             imgs = np.sort(self.table[arr[start:start + chunk]], axis=1)  # (c, k, W)
-            packed = imgs[:, 0].astype(np.int64)
+            packed = imgs[:, 0].astype(np.int64 if k * width <= 62 else object)
             for i in range(1, k):
                 packed = (packed << width) | imgs[:, i]
             for key in packed.min(axis=1):

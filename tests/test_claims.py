@@ -161,6 +161,19 @@ class TestSuite:
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
             "6ce262937fec87754155205cbca0a802e043c18243303f6572cab974d1f7b08c")
 
+    # each entry's default range, given explicitly, reaches the same rows
+    # through the range path as the suite does through the default path
+    @pytest.mark.parametrize("claim_id,param,values", [
+        pytest.param(cid, param, values, id=cid) for cid, param, values in (
+            ("Prop1.3", "n", [6]), ("Prop1.4", "n", [6]), ("Lem1.1", "n", [6, 7]),
+            ("Rem2.1", "n", list(range(6, 13))),
+            ("Sec2.2-count", "n", list(range(6, 13))),
+            ("Thm2.5", "n", list(range(6, 10))), ("Ex3.1", "l", [3, 4]))])
+    def test_range_path_matches_suite(self, suite_rows, claim_id, param, values):
+        rows = verify(claim_id, **{param: values})
+        assert [r.to_dict() for r in rows] == \
+            [r.to_dict() for r in suite_rows if r.claim_id == claim_id]
+
     def test_no_empty_rows(self, suite_rows):
         for r in suite_rows:
             assert r.status in (CONFIRMED, REFUTED, NOT_APPLICABLE,

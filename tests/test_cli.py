@@ -1,11 +1,13 @@
 """CLI contract: grammar round-trips, exit codes, JSON determinism."""
 
 import json
+import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from asymindex.cli import main
-from asymindex.graph import from_graph6, to_graph6
+from asymindex.graph import GRAPH6_MAX_N, from_graph6, to_graph6
 from asymindex.families import cycle, path, wheel
 
 
@@ -276,7 +278,7 @@ def edge_list_order(text: str):
     except ValueError:
         return None
     pairs = {frozenset(e) for e in edges}
-    if n < 0 or len(pairs) != len(edges) or any(
+    if not 0 <= n <= GRAPH6_MAX_N or len(pairs) != len(edges) or any(
             u == v or not (0 <= u < n and 0 <= v < n) for u, v in edges):
         return None
     return n
@@ -320,3 +322,12 @@ class TestMalformedInput:
         path_ = tmp_path / "edges.txt"
         path_.write_bytes(text.encode("utf-8"))
         self.check(capsys, f"@{path_}", edge_list_order(text))
+
+    @pytest.mark.parametrize("count", ["100000000000", "-3"])
+    def test_vertex_count_out_of_range(self, capsys, tmp_path, count):
+        # checked before any allocation, so a huge count fails at once
+        path_ = tmp_path / "edges.txt"
+        path_.write_text(f"{count}\n")
+        t0 = time.perf_counter()
+        self.check(capsys, f"@{path_}", None)
+        assert time.perf_counter() - t0 < 5

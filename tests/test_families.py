@@ -81,6 +81,10 @@ class TestSpecGrammar:
             with pytest.raises(ValueError):
                 FamilySpec.parse(bad)
 
+    def test_generate_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown family kind"):
+            generate(FamilySpec("octahedron", (5,)))
+
 
 class TestWitnessCatalog:
     def test_catalog_is_complete(self):

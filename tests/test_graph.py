@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asymindex.graph import (Graph, Graph6Error, bfs_distances,
+from asymindex.graph import (GRAPH6_MAX_N, Graph, Graph6Error, bfs_distances,
                              cartesian_product, disjoint_union, distance,
                              from_edge_list, from_graph6, join, to_edge_list,
                              to_graph6)
@@ -56,6 +56,8 @@ class TestConstruction:
             Graph.from_edges(3, [(1, 1)])
         with pytest.raises(ValueError, match="duplicate"):
             Graph.from_edges(3, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph.from_edges(-3, [])
 
     def test_edit_errors_distinct(self):
         g = complete(2)
@@ -216,3 +218,7 @@ class TestEdgeList:
             from_edge_list("3\n0 1 2\n")
         with pytest.raises(ValueError, match="empty"):
             from_edge_list("\n\n")
+        with pytest.raises(ValueError, match="graph6 limit"):
+            from_edge_list(f"{GRAPH6_MAX_N + 1}\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            from_edge_list("-3\n")

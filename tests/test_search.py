@@ -244,12 +244,18 @@ class TestLayers:
         # 15 + 1*14 + 2*13 candidates; 1 + 2 + 5 of them are kept
         assert (stats.nodes, stats.dedup_hits) == (55, 47)
 
-    @pytest.mark.parametrize("g,max_k", [
-        (star(7), 3), (complete(6), 3), (cycle(8), 3), (wheel(7), 3),
-        (petersen(), 3), (disjoint_union(complete(3), complete(3)), 3),
-        (join(Graph.empty(3), Graph.empty(3)), 3), (cycle(12), 2),
-    ], ids=["star7", "k6", "c8", "w7", "petersen", "2k3", "k33", "c12"])
-    @pytest.mark.parametrize("mode", ["mixed", "add-only", "remove-only"])
+    # every graph in every mode, plus C_12 remove-only to full depth: from
+    # k = 9 its 7-bit index fields need more than 62 bits per key
+    @pytest.mark.parametrize("g,max_k,mode", [
+        pytest.param(g, max_k, mode, id=f"{mode}-{name}")
+        for mode in ("mixed", "add-only", "remove-only")
+        for name, g, max_k in (
+            ("star7", star(7), 3), ("k6", complete(6), 3), ("c8", cycle(8), 3),
+            ("w7", wheel(7), 3), ("petersen", petersen(), 3),
+            ("2k3", disjoint_union(complete(3), complete(3)), 3),
+            ("k33", join(Graph.empty(3), Graph.empty(3)), 3),
+            ("c12", cycle(12), 2))
+    ] + [pytest.param(cycle(12), 12, "remove-only", id="remove-only-c12-k12")])
     def test_reps_are_brute_force_min_images(self, g, max_k, mode):
         pairs = all_pairs(g.n)
         index = {p: i for i, p in enumerate(pairs)}
