@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
+
 from .graph import Graph, pack_triangle_bits
 
 Perm = tuple[int, ...]
@@ -307,52 +310,53 @@ def automorphism_group(g: Graph) -> AutReport:
     return AutReport(order == 1, order, tuple(generators), tuple(orbits))
 
 
-def group_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm] | None:
-    """All elements generated by ``generators``, by Dimino's coset
-    algorithm (None if more than ``cap``).
+def _closure(generators, n: int, cap: int) -> tuple[np.ndarray, bool]:
+    """Dimino's coset algorithm over numpy rows: the group generated by
+    the longest prefix of ``generators`` that fits under ``cap``, as a
+    ``(order, n)`` int32 array with the identity first, and whether every
+    generator fit.
 
     The group H of the generators taken so far grows by whole right
-    cosets H x: each new x is a coset representative times a generator.
+    cosets H x, the rows ``H[:, x]``: each new x is a coset representative
+    times a generator, and membership is by row bytes.
     """
-    ident = identity_perm(n)
-    elems = [ident]
-    seen = {ident}
-    gens: list[Perm] = []
+    elems = np.arange(n, dtype=np.int32)[None]
+    seen = {elems[0].tobytes()}
+    gens: list[np.ndarray] = []
     for s in generators:
-        s = tuple(s)
-        if s in seen:
+        s = np.array(s, dtype=np.int32)
+        if s.tobytes() in seen:
             continue
         gens.append(s)
-        sub = list(elems)
-        reps = [ident]
+        cosets = [elems]
+        reps = [elems[0]]
         for r in reps:                  # reps grows while it is read
             for t in gens:
-                x = compose(r, t)
-                if x not in seen:
-                    if len(elems) + len(sub) > cap:
-                        return None
-                    coset = [compose(h, x) for h in sub]
-                    elems.extend(coset)
-                    seen.update(coset)
+                x = r[t]
+                if x.tobytes() not in seen:
+                    if len(elems) * (len(cosets) + 1) > cap:
+                        return elems, False
+                    cosets.append(np.take(elems, x, axis=1))
+                    seen.update(cosets[-1].view(f"V{4 * n}").ravel().tolist())
                     reps.append(x)
-    return sorted(elems)
+        elems = np.concatenate(cosets)
+    return elems, True
+
+
+def group_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm] | None:
+    """All elements generated by ``generators`` as sorted tuples, read off
+    the array that ``_closure`` builds (None if more than ``cap``)."""
+    elems, whole = _closure(generators, n, cap)
+    return sorted(map(tuple, elems.tolist())) if whole else None
 
 
 def subgroup_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm]:
-    """Closure of as many leading generators as fit under ``cap``.
+    """Closure of as many leading generators as fit under ``cap``, sorted.
 
     Always contains the identity and is closed under composition, so
     min-image over it is a sound (possibly coarse) orbit canonicalizer.
     """
-    kept: list[Perm] = []
-    elems = [identity_perm(n)]
-    for gperm in generators:
-        trial = group_elements(kept + [tuple(gperm)], n, cap)
-        if trial is None:
-            break
-        kept.append(tuple(gperm))
-        elems = trial
-    return elems
+    return sorted(map(tuple, _closure(generators, n, cap)[0].tolist()))
 
 
 # -- canonical form -----------------------------------------------------

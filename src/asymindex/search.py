@@ -6,10 +6,11 @@ present is a removal candidate, an absent one an addition candidate, and
 the mode masks the universe down to removals or additions only.  Layer k
 enumerates one representative per orbit of k-subsets under Aut(G) by
 extending the layer-(k-1) representatives by one pair and keeping each
-extension's min-image over the group's elements (built coset by coset;
-a subgroup when the full group is too large to enumerate, and its finer
-orbits only cost time).  The image of a representative is computed once
-per group element and reused for all of its extensions.  The same layers
+extension's min-image over the group's elements (one array built by
+Dimino's coset algorithm; a subgroup when the full group is too large to
+enumerate, and its finer orbits only cost time).  With at most 62 pairs a
+representative is extended only by the least pair of each orbit of its
+stabilizer, whose other pairs give the same min-image.  The same layers
 drive the index search and the count of asymmetric graphs reachable by
 exactly r removals and s additions.
 """
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _iter_bits
-from .automorphism import (automorphism_group, canonical_form, group_elements,
-                           is_asymmetric, subgroup_elements,
-                           transposable_clique_lower_bound, MAX_CLOSURE)
+from .automorphism import (_closure, automorphism_group, canonical_form,
+                           is_asymmetric, transposable_clique_lower_bound,
+                           MAX_CLOSURE)
 
 MODES = ("mixed", "add-only", "remove-only")
 DEFAULT_WITNESS_CAP = 4
@@ -146,20 +147,20 @@ def apply_flips(g: Graph, flips: FlipSet) -> Graph:
 class _FlipOrbits:
     """Canonicalizes pair-index subsets under a permutation group.
 
-    ``table[i, w]`` encodes the image of pair i under group element w.
-    With at most 62 pairs it is the bit ``1 << image``, so a subset's
-    image is the OR of its rows; otherwise it is the image's pair index.
+    The group is one array from ``_closure`` (a subgroup when the full
+    group has more than ``MAX_CLOSURE`` elements, and its finer orbits
+    only cost time).  ``table[i, w]`` encodes the image of pair i under
+    group element w.  With at most 62 pairs it is the bit ``1 << image``,
+    so a subset's image is the OR of its rows; otherwise it is the image's
+    pair index.
     """
 
     def __init__(self, g: Graph):
         n = g.n
         self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        report = automorphism_group(g)
-        elems = group_elements(report.generators, n, MAX_CLOSURE)
-        if elems is None:
-            elems = subgroup_elements(report.generators, n, MAX_CLOSURE)
-        perms = np.array(elems, dtype=np.int32).T                # (n, W)
-        del elems                       # free the tuples before the table
+        # (n, W): row u holds u's image under every element
+        perms = np.ascontiguousarray(
+            _closure(automorphism_group(g).generators, n, MAX_CLOSURE)[0].T)
         npairs = len(self.pairs)
         self.bitmask = npairs <= 62
         codes = (np.left_shift(np.ones(npairs, dtype=np.int64),
@@ -168,19 +169,23 @@ class _FlipOrbits:
         pair_id = np.zeros((n, n), dtype=np.int32)
         for i, (u, v) in enumerate(self.pairs):
             pair_id[u, v] = pair_id[v, u] = i
+        code_uv = codes[pair_id].ravel()        # pair {u, v}'s code at u * n + v
         self.table = np.empty((npairs, perms.shape[1]), dtype=codes.dtype)
         for i, (u, v) in enumerate(self.pairs):
-            self.table[i] = codes[pair_id[perms[u], perms[v]]]
+            self.table[i] = code_uv[perms[u] * n + perms[v]]
 
     def extend(self, reps: list[tuple[int, ...]],
                universe: list[int]) -> set[tuple[int, ...]]:
         """Min-image forms of every ``base`` in ``reps`` (all of one size)
         plus one universe pair not in it.
 
-        In the bitmask encoding each base's rows are OR-ed once, so an
-        extension costs one OR and one minimum over the group axis.  A
-        pair already in the base gives a key one bit short, which is
-        dropped.  The index encoding canonicalizes explicit candidates.
+        In the bitmask encoding a base R is a min-image, so the columns
+        where the OR of its rows equals its minimum are its stabilizer.
+        If e' = s(e) for s in that stabilizer, R + e' = s(R + e) has the
+        same min-image, so only the least pair of each stabilizer orbit is
+        extended, at one OR and one minimum over the group axis.  A pair
+        already in the base gives a key one bit short, which is dropped.
+        The index encoding canonicalizes explicit candidates.
         """
         if not self.bitmask:
             return self.canonical_many([tuple(sorted(base + (e,)))
@@ -188,19 +193,24 @@ class _FlipOrbits:
                                         if e not in base])
         if not reps or not universe:
             return set()
-        k = len(reps[0]) + 1
-        nelems = self.table.shape[1]
-        # chunk sizes keep each (r, u, W) int64 temporary near 8 MB
-        per_u = max(1, 1_000_000 // nelems)
-        per_r = max(1, 1_000_000 // (min(per_u, len(universe)) * nelems))
-        bases = np.array(reps, dtype=np.intp).reshape(len(reps), k - 1)
+        table = self.table
+        nelems = table.shape[1]
+        uni = np.array(universe, dtype=np.intp)
+        row = np.empty(nelems, dtype=np.int64)
         keys: set[int] = set()
-        for u0 in range(0, len(universe), per_u):
-            ext = self.table[universe[u0:u0 + per_u]]                  # (u, W)
-            for r0 in range(0, len(reps), per_r):
-                packed = np.bitwise_or.reduce(self.table[bases[r0:r0 + per_r]],
-                                              axis=1)                  # (r, W)
-                keys.update((ext | packed[:, None]).min(axis=2).ravel().tolist())
+        for base in reps:
+            packed = np.zeros(nelems, dtype=np.int64)
+            for i in base:
+                packed |= table[i]
+            stab = np.flatnonzero(packed == packed.min())
+            step = max(1, 1_000_000 // len(stab))     # (u, stab) slice size
+            for u0 in range(0, len(uni), step):
+                chunk = uni[u0:u0 + step]
+                # column 0 is the identity, so equality marks orbit minima
+                least = table[np.ix_(chunk, stab)].min(axis=1) == table[chunk, 0]
+                for e in chunk[least].tolist():
+                    keys.add(int(np.bitwise_or(table[e], packed, out=row).min()))
+        k = len(reps[0]) + 1
         return {tuple(_iter_bits(key)) for key in keys if key.bit_count() == k}
 
     def canonical_many(self, cands: list[tuple[int, ...]]) -> set[tuple[int, ...]]:

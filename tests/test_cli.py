@@ -1,5 +1,6 @@
 """CLI contract: grammar round-trips, exit codes, JSON determinism."""
 
+import hashlib
 import json
 import time
 
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from asymindex.cli import main
 from asymindex.graph import GRAPH6_MAX_N, from_graph6, to_graph6
-from asymindex.families import cycle, path, wheel
+from asymindex.families import complete, cycle, path, star, wheel
 
 
 def run(capsys, *argv):
@@ -106,6 +107,22 @@ class TestAi:
         _, out1, _ = run(capsys, "ai", g6, "--json")
         _, out2, _ = run(capsys, "ai", g6, "--json")
         assert out1 == out2
+
+    # sha256 of the whole --json output, computed before the flip-orbit
+    # group became one array and extensions were pruned by stabilizer:
+    # K_9 remove-only is exact (ai = 7) over |S_9| = 362880 elements, and
+    # the star on 10 vertices stops at its budget with bound 2
+    @pytest.mark.parametrize("g,argv,exit_code,digest", [
+        pytest.param(complete(9), ["--mode", "remove-only", "--max-k", "7"], 0,
+                     "de00ecaeecd0a81927a5cf576050c7249303e384eab0f3831eca7ff17a2aab4e",
+                     id="k9-remove-only"),
+        pytest.param(star(10), ["--max-k", "1"], 4,
+                     "14410ec9e775ba3cf8a4f29b3e7377ff6e95bd02c0dc742da33d85db8f512b0a",
+                     id="star10-budget")])
+    def test_heavy_inputs_pinned(self, capsys, g, argv, exit_code, digest):
+        code, out, _ = run(capsys, "ai", to_graph6(g).decode(), *argv, "--json")
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_parse_error_exit2(self, capsys):
         code, _, err = run(capsys, "ai", "~z")

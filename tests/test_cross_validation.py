@@ -8,8 +8,9 @@ import networkx as nx
 import pytest
 
 from asymindex.graph import Graph
-from asymindex.automorphism import (are_isomorphic, automorphism_group,
-                                    group_elements, identity_perm,
+from asymindex.automorphism import (_closure, are_isomorphic,
+                                    automorphism_group, group_elements,
+                                    identity_perm,
                                     is_asymmetric, subgroup_elements)
 from asymindex.enumeration import all_pairs, graph_from_mask
 from asymindex.families import complete, cycle, star, wheel
@@ -133,14 +134,16 @@ class TestGroupElementsOracle:
     def cases(self, classes6):
         rng = random.Random(41)
         out = []
-        for g in list(classes6) + [star(8), complete(7)]:
+        # no generators on 0, 1 and 2 points, then up to S_8
+        out = [([], n, bfs_closure([], n)) for n in range(3)]
+        for g in list(classes6) + [star(8), complete(7), complete(8)]:
             gens = list(automorphism_group(g).generators)
             rng.shuffle(gens)
             out.append((gens, g.n, bfs_closure(gens, g.n)))
         return out
 
     def test_matches_bfs_closure(self, cases):
-        assert max(len(expected) for _, _, expected in cases) == 5040
+        assert max(len(expected) for _, _, expected in cases) == 40320
         for gens, n, expected in cases:
             assert group_elements(gens, n) == expected
 
@@ -149,6 +152,18 @@ class TestGroupElementsOracle:
             assert group_elements(gens, n, cap=len(expected)) == expected
             if len(expected) > 1:
                 assert group_elements(gens, n, cap=len(expected) - 1) is None
+
+    def test_closure_cap_boundary(self, cases):
+        # the array pass itself: identity first, the whole group at cap
+        # |G|, and one below it the leading-generator subgroup (checked
+        # against breadth-first closures below), flagged as partial
+        for gens, n, expected in cases:
+            for cap in {len(expected), max(1, len(expected) - 1)}:
+                elems, whole = _closure(gens, n, cap)
+                assert whole == (cap == len(expected))
+                assert tuple(elems[0].tolist()) == identity_perm(n)
+                assert sorted(map(tuple, elems.tolist())) == \
+                    (expected if whole else subgroup_elements(gens, n, cap))
 
     def test_subgroup_is_leading_generator_closure(self, cases):
         for gens, n, expected in cases:

@@ -11,15 +11,17 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymindex.graph import Graph, disjoint_union, join
-from asymindex.automorphism import (are_isomorphic, automorphism_group,
-                                    canonical_form, group_elements,
-                                    is_asymmetric)
+from asymindex.automorphism import (_closure, are_isomorphic,
+                                    automorphism_group, canonical_form,
+                                    group_elements, is_asymmetric, MAX_CLOSURE)
 from asymindex.enumeration import all_pairs, graph_from_mask
 from asymindex.families import path, cycle, complete, star, torus, wheel
+import asymindex.search as search_mod
 from asymindex.search import (BudgetExceededError, FlipSet,
                               NoAsymmetrizationError, SearchStats, apply_flips,
                               asymmetric_index,
@@ -287,6 +289,68 @@ class TestLayers:
             nodes += len(cands)
             dedup += len(cands) - len(expected)
             prev = sorted(expected)
+        assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
+
+
+def unpruned_layers(g: Graph, max_k: int, mode: str, elems: np.ndarray):
+    """Layer representatives as sorted pair-index tuples, and the counts
+    (nodes, dedup_hits), with no stabilizer pruning: every base is extended
+    by every universe pair outside it, keyed by its least image over every
+    row of ``elems`` (the least OR of bits with at most 62 pairs, else the
+    least sorted index tuple)."""
+    pairs = all_pairs(g.n)
+    index = np.zeros((g.n, g.n), dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        index[u, v] = index[v, u] = i
+    images = np.empty((len(pairs), len(elems)), dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        images[i] = index[elems[:, u], elems[:, v]]
+    bitmask = len(pairs) <= 62
+    if bitmask:
+        np.left_shift(1, images, out=images)
+    universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
+                or g.has_edge(u, v) == (mode == "remove-only")]
+    layers, reps, nodes, dedup = [], [()], 0, 0
+    for k in range(1, max_k + 1):
+        keys = set()
+        for base in reps:
+            cands = [e for e in universe if e not in base]
+            nodes += len(cands)
+            dedup += len(cands)
+            if bitmask:
+                packed = np.bitwise_or.reduce(images[list(base)], axis=0)
+                for e in cands:
+                    key = int((images[e] | packed).min())
+                    keys.add(tuple(i for i in range(len(pairs)) if key >> i & 1))
+            else:
+                for e in cands:
+                    sorted_images = np.sort(images[list(base) + [e]], axis=0)
+                    keys.add(min(zip(*sorted_images.tolist())))
+        dedup -= len(keys)
+        reps = sorted(keys)
+        layers.append(reps)
+    return layers, nodes, dedup
+
+
+class TestPrunedExtension:
+    # big stabilizers (stars, K_9), the index encoding (the torus) and a
+    # subgroup below MAX_CLOSURE, whose finer orbits the pruning must keep
+    @pytest.mark.parametrize("g,max_k,mode,cap", [
+        pytest.param(star(9), 6, "mixed", MAX_CLOSURE, id="star9"),
+        pytest.param(complete(9), 5, "remove-only", MAX_CLOSURE, id="k9-remove-only"),
+        pytest.param(torus(5, 5), 3, "remove-only", MAX_CLOSURE,
+                     id="torus5x5-remove-only"),
+        pytest.param(star(8), 4, "mixed", 100, id="star8-subgroup")])
+    def test_matches_unpruned_min_images(self, monkeypatch, g, max_k, mode, cap):
+        monkeypatch.setattr(search_mod, "MAX_CLOSURE", cap)
+        elems, whole = _closure(automorphism_group(g).generators, g.n, cap)
+        assert whole == (cap == MAX_CLOSURE)
+        index = {p: i for i, p in enumerate(all_pairs(g.n))}
+        stats = SearchStats()
+        got = [[tuple(sorted(index[e] for e in fs.removed | fs.added)) for fs in sets]
+               for _, sets in flip_orbit_layers(g, max_k, mode, stats)]
+        expected, nodes, dedup = unpruned_layers(g, max_k, mode, elems)
+        assert got == expected
         assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
 
 
