@@ -4,15 +4,14 @@ search with automorphism-orbit pruning.
 The togglable universe is the set of all vertex pairs: a pair currently
 present is a removal candidate, an absent one an addition candidate, and
 the mode masks the universe down to removals or additions only.  Layer k
-enumerates one representative per orbit of k-subsets under Aut(G) by
-extending the layer-(k-1) representatives by one pair and keeping each
-extension's min-image over the group's elements (one array built by
+holds one representative per orbit of k-subsets under Aut(G), its least
+bitmask image.  Layer 1 comes from the generators' pair orbits; layer k
+extends each layer-(k-1) representative by the least pair of each orbit
+of its stabilizer, over the group's elements (one array built by
 Dimino's coset algorithm; a subgroup when the full group is too large to
-enumerate, and its finer orbits only cost time).  With at most 62 pairs a
-representative is extended only by the least pair of each orbit of its
-stabilizer, whose other pairs give the same min-image.  The same layers
-drive the index search and the count of asymmetric graphs reachable by
-exactly r removals and s additions.
+enumerate, and its finer orbits only cost time).  The same layers drive
+the index search and the count of asymmetric graphs reachable by exactly
+r removals and s additions.
 """
 
 from __future__ import annotations
@@ -22,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _iter_bits
-from .automorphism import (_closure, automorphism_group, canonical_form,
-                           is_asymmetric, transposable_clique_lower_bound,
-                           MAX_CLOSURE)
+from .automorphism import (_closure, _pair_orbits, automorphism_group,
+                           canonical_form, is_asymmetric,
+                           transposable_clique_lower_bound, MAX_CLOSURE)
+from .enumeration import all_pairs
 
 MODES = ("mixed", "add-only", "remove-only")
 DEFAULT_WITNESS_CAP = 4
@@ -147,59 +147,51 @@ def apply_flips(g: Graph, flips: FlipSet) -> Graph:
 class _FlipOrbits:
     """Canonicalizes pair-index subsets under a permutation group.
 
-    The group is one array from ``_closure`` (a subgroup when the full
-    group has more than ``MAX_CLOSURE`` elements, and its finer orbits
-    only cost time).  ``table[i, w]`` encodes the image of pair i under
-    group element w.  With at most 62 pairs it is the bit ``1 << image``,
-    so a subset's image is the OR of its rows; otherwise it is the image's
-    pair index.
+    The group is one array from ``_closure`` (a subgroup above
+    ``MAX_CLOSURE`` elements, whose finer orbits only cost time).
+    ``table[i, w]`` is the bit ``1 << j`` of pair i's image j under group
+    element w, so a subset's image is the OR of its rows and its min-image
+    the least such OR: int64 with at most 62 pairs, Python ints above.
     """
 
-    def __init__(self, g: Graph):
-        n = g.n
-        self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    def __init__(self, n: int, generators, pairs: list[tuple[int, int]]):
+        self.pairs = pairs
         # (n, W): row u holds u's image under every element
-        perms = np.ascontiguousarray(
-            _closure(automorphism_group(g).generators, n, MAX_CLOSURE)[0].T)
-        npairs = len(self.pairs)
-        self.bitmask = npairs <= 62
-        codes = (np.left_shift(np.ones(npairs, dtype=np.int64),
-                               np.arange(npairs, dtype=np.int64))
-                 if self.bitmask else np.arange(npairs, dtype=np.int32))
-        pair_id = np.zeros((n, n), dtype=np.int32)
-        for i, (u, v) in enumerate(self.pairs):
+        perms = np.ascontiguousarray(_closure(generators, n, MAX_CLOSURE)[0].T)
+        pair_id = np.zeros((n, n), dtype=np.intp)
+        for i, (u, v) in enumerate(pairs):
             pair_id[u, v] = pair_id[v, u] = i
-        code_uv = codes[pair_id].ravel()        # pair {u, v}'s code at u * n + v
-        self.table = np.empty((npairs, perms.shape[1]), dtype=codes.dtype)
-        for i, (u, v) in enumerate(self.pairs):
-            self.table[i] = code_uv[perms[u] * n + perms[v]]
+        bits = np.array([1 << i for i in range(len(pairs))],
+                        dtype=np.int64 if len(pairs) <= 62 else object)
+        bit_of = bits[pair_id]                  # pair {u, v}'s bit at [u, v]
+        self.table = np.empty((len(pairs), perms.shape[1]), dtype=bits.dtype)
+        for i, (u, v) in enumerate(pairs):
+            self.table[i] = bit_of[perms[u], perms[v]]
 
     def extend(self, reps: list[tuple[int, ...]],
                universe: list[int]) -> set[tuple[int, ...]]:
-        """Min-image forms of every ``base`` in ``reps`` (all of one size)
-        plus one universe pair not in it.
+        """Min-image forms of every ``base`` in ``reps`` (all of one size
+        and each a min-image) plus one universe pair not in it.
 
-        In the bitmask encoding a base R is a min-image, so the columns
-        where the OR of its rows equals its minimum are its stabilizer.
-        If e' = s(e) for s in that stabilizer, R + e' = s(R + e) has the
-        same min-image, so only the least pair of each stabilizer orbit is
-        extended, at one OR and one minimum over the group axis.  A pair
-        already in the base gives a key one bit short, which is dropped.
-        The index encoding canonicalizes explicit candidates.
+        The columns where the OR of a base R's rows equals its minimum
+        (R's own bitmask) are R's stabilizer.  If e' = s(e) for s in that
+        stabilizer, R + e' = s(R + e) has the same min-image, so only the
+        least pair of each stabilizer orbit is extended: a slice of such
+        pairs at a time, by one OR with R's rows and one minimum over the
+        group axis.  A pair already in the base gives a key one bit
+        short, which is dropped.
         """
-        if not self.bitmask:
-            return self.canonical_many([tuple(sorted(base + (e,)))
-                                        for base in reps for e in universe
-                                        if e not in base])
-        if not reps or not universe:
+        if not reps:
             return set()
         table = self.table
         nelems = table.shape[1]
         uni = np.array(universe, dtype=np.intp)
-        row = np.empty(nelems, dtype=np.int64)
+        # about 64K words of keys per slice, a key of p pairs taking p / 64
+        per_slice = max(1, 65536 // (1 + len(self.pairs) // 64) // nelems)
+        buf = np.empty((per_slice, nelems), dtype=table.dtype)
         keys: set[int] = set()
         for base in reps:
-            packed = np.zeros(nelems, dtype=np.int64)
+            packed = np.zeros(nelems, dtype=table.dtype)
             for i in base:
                 packed |= table[i]
             stab = np.flatnonzero(packed == packed.min())
@@ -207,47 +199,22 @@ class _FlipOrbits:
             for u0 in range(0, len(uni), step):
                 chunk = uni[u0:u0 + step]
                 # column 0 is the identity, so equality marks orbit minima
-                least = table[np.ix_(chunk, stab)].min(axis=1) == table[chunk, 0]
-                for e in chunk[least].tolist():
-                    keys.add(int(np.bitwise_or(table[e], packed, out=row).min()))
+                least = chunk[table[np.ix_(chunk, stab)].min(axis=1)
+                              == table[chunk, 0]]
+                for l0 in range(0, len(least), per_slice):
+                    part = least[l0:l0 + per_slice]
+                    # "clip" lets take write straight into the buffer
+                    rows = table.take(part, axis=0, out=buf[:len(part)], mode="clip")
+                    rows |= packed
+                    keys.update(rows.min(axis=1).tolist())
         k = len(reps[0]) + 1
         return {tuple(_iter_bits(key)) for key in keys if key.bit_count() == k}
 
-    def canonical_many(self, cands: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-        """Min-image forms of equal-size subsets in the index encoding,
-        chunked for memory.
 
-        Each sorted image is packed into bit fields of one integer, so the
-        lexicographically least sorted image is a plain numeric minimum
-        over the group axis; when the fields need more than 62 bits the
-        keys are Python ints.
-        """
-        if not cands:
-            return set()
-        k = len(cands[0])
-        npairs, nelems = self.table.shape
-        width = max(1, (npairs - 1).bit_length())
-        arr = np.array(sorted(set(cands)), dtype=np.intp)         # (C, k)
-        chunk = max(1, 1_000_000 // (nelems * k))
-        shifts = np.arange(k - 1, -1, -1, dtype=np.int64) * width
-        mask = (1 << width) - 1
-        out: set[tuple[int, ...]] = set()
-        for start in range(0, len(arr), chunk):
-            imgs = np.sort(self.table[arr[start:start + chunk]], axis=1)  # (c, k, W)
-            packed = imgs[:, 0].astype(np.int64 if k * width <= 62 else object)
-            for i in range(1, k):
-                packed = (packed << width) | imgs[:, i]
-            for key in packed.min(axis=1):
-                key = int(key)
-                out.add(tuple(int((key >> int(sh)) & mask) for sh in shifts))
-        return out
-
-
-def _universe(g: Graph, mode: str) -> list[int]:
-    """Indices, in lexicographic pair order, of the pairs ``mode`` may flip."""
+def _universe(g: Graph, mode: str, pairs: list[tuple[int, int]]) -> list[int]:
+    """Indices into ``pairs`` of the pairs ``mode`` may flip."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
     return [i for i, (u, v) in enumerate(pairs)
             if mode == "mixed" or g.has_edge(u, v) == (mode == "remove-only")]
 
@@ -257,7 +224,7 @@ def _flipset_from_indices(g: Graph, subset, pairs) -> FlipSet:
     for i in subset:
         u, v = pairs[i]
         (removed if (g.rows[u] >> v) & 1 else added).append((u, v))
-    # the pairs come normalized from _FlipOrbits.pairs, so skip __post_init__
+    # the pairs come normalized from all_pairs, so skip __post_init__
     return object.__new__(FlipSet)._set(frozenset(removed), frozenset(added))
 
 
@@ -267,21 +234,30 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
 
     One FlipSet per orbit of k-subsets of the mode's universe under
     Aut(g), ordered by the orbit's canonical min-image subset, so
-    iteration order is deterministic.  Candidates generated and orbit
-    duplicates skipped are added to ``stats`` when given.
+    iteration order is deterministic.  Layer 1 is the least pair of each
+    orbit of the generators on the universe; the group table is built
+    only for k >= 2.  Candidates generated and orbit duplicates skipped
+    are added to ``stats`` when given.
     """
     stats = SearchStats() if stats is None else stats
-    orbits = _FlipOrbits(g)
-    universe = _universe(g, mode)
+    pairs = all_pairs(g.n)
+    universe = _universe(g, mode, pairs)
+    generators = automorphism_group(g).generators
     reps: list[tuple[int, ...]] = [()]
     for k in range(1, max_k + 1):
-        seen = orbits.extend(reps, universe)
+        if k == 1:
+            index = {p: i for i, p in enumerate(pairs)}
+            seen = {(index[min(orbit)],) for orbit in
+                    _pair_orbits([pairs[i] for i in universe], generators)}
+        else:
+            orbits = _FlipOrbits(g.n, generators, pairs) if k == 2 else orbits
+            seen = orbits.extend(reps, universe)
         # every base is a (k-1)-subset of the universe
         nodes = len(reps) * (len(universe) - (k - 1))
         stats.nodes += nodes
         stats.dedup_hits += nodes - len(seen)
         reps = sorted(seen)
-        yield k, [_flipset_from_indices(g, r, orbits.pairs) for r in reps]
+        yield k, [_flipset_from_indices(g, r, pairs) for r in reps]
 
 
 def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
@@ -296,7 +272,7 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     ``max_k`` or a ``witness_cap`` below 1.
     """
     n = g.n
-    universe = len(_universe(g, mode))
+    universe = len(_universe(g, mode, all_pairs(n)))
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     if witness_cap < 1:

@@ -159,7 +159,7 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "6ce262937fec87754155205cbca0a802e043c18243303f6572cab974d1f7b08c")
+            "323be775e466ea443c656a9901c72f12683af92cfc6e7926f51ad24a2e53b622")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path

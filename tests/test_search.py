@@ -246,8 +246,17 @@ class TestLayers:
         # 15 + 1*14 + 2*13 candidates; 1 + 2 + 5 of them are kept
         assert (stats.nodes, stats.dedup_hits) == (55, 47)
 
-    # every graph in every mode, plus C_12 remove-only to full depth: from
-    # k = 9 its 7-bit index fields need more than 62 bits per key
+    def test_layer_one_needs_no_group_table(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("layer 1 must not build the group table")
+
+        monkeypatch.setattr(search_mod, "_closure", forbidden)
+        # S_9 fixes the centre: one orbit of edges, one of non-edges
+        layers = flip_orbit_layers(star(10), 1)
+        assert [(k, len(sets)) for k, sets in layers] == [(1, 2)]
+
+    # every graph in every mode, plus C_12 remove-only to full depth: its
+    # 66 pairs take keys of more than 62 bits, held as Python ints
     @pytest.mark.parametrize("g,max_k,mode", [
         pytest.param(g, max_k, mode, id=f"{mode}-{name}")
         for mode in ("mixed", "add-only", "remove-only")
@@ -264,9 +273,8 @@ class TestLayers:
         elems = group_elements(automorphism_group(g).generators, g.n)
         universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
                     or g.has_edge(u, v) == (mode == "remove-only")]
-        # with at most 62 pairs the least image is the least bitmask,
-        # otherwise the lexicographically least sorted index tuple
-        key = (lambda t: sum(1 << i for i in t)) if len(pairs) <= 62 else None
+        # the representative is the image with the least bitmask
+        key = lambda t: sum(1 << i for i in t)
         stats = SearchStats()
         layers = dict(flip_orbit_layers(g, max_k, mode, stats))
         nodes = dedup = 0
@@ -292,40 +300,40 @@ class TestLayers:
         assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
 
 
+def pair_images(g: Graph, elems: np.ndarray) -> np.ndarray:
+    """(pairs, elements) array: the index of pair i's image under each row
+    of ``elems``."""
+    index = np.zeros((g.n, g.n), dtype=np.int64)
+    for i, (u, v) in enumerate(all_pairs(g.n)):
+        index[u, v] = index[v, u] = i
+    return np.array([index[elems[:, u], elems[:, v]] for u, v in all_pairs(g.n)])
+
+
 def unpruned_layers(g: Graph, max_k: int, mode: str, elems: np.ndarray):
     """Layer representatives as sorted pair-index tuples, and the counts
-    (nodes, dedup_hits), with no stabilizer pruning: every base is extended
-    by every universe pair outside it, keyed by its least image over every
-    row of ``elems`` (the least OR of bits with at most 62 pairs, else the
-    least sorted index tuple)."""
-    pairs = all_pairs(g.n)
-    index = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, (u, v) in enumerate(pairs):
-        index[u, v] = index[v, u] = i
-    images = np.empty((len(pairs), len(elems)), dtype=np.int64)
-    for i, (u, v) in enumerate(pairs):
-        images[i] = index[elems[:, u], elems[:, v]]
-    bitmask = len(pairs) <= 62
-    if bitmask:
-        np.left_shift(1, images, out=images)
-    universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
+    (nodes, dedup_hits), with no stabilizer pruning.  Layer 1 is the least
+    pair of each orbit of the whole group; every later base is extended by
+    every universe pair outside it, keyed by its least bitmask image over
+    every row of ``elems``."""
+    npairs = g.n * (g.n - 1) // 2
+    universe = [i for i, (u, v) in enumerate(all_pairs(g.n)) if mode == "mixed"
                 or g.has_edge(u, v) == (mode == "remove-only")]
-    layers, reps, nodes, dedup = [], [()], 0, 0
-    for k in range(1, max_k + 1):
+    whole = _closure(automorphism_group(g).generators, g.n, 10**7)[0]
+    reps = sorted({(int(i),) for i in pair_images(g, whole)[universe].min(axis=1)})
+    bits = np.array([1 << i for i in range(npairs)],
+                    dtype=np.int64 if npairs <= 62 else object)
+    images = bits[pair_images(g, elems)]
+    layers, nodes, dedup = [reps], len(universe), len(universe) - len(reps)
+    for k in range(2, max_k + 1):
         keys = set()
         for base in reps:
             cands = [e for e in universe if e not in base]
             nodes += len(cands)
             dedup += len(cands)
-            if bitmask:
-                packed = np.bitwise_or.reduce(images[list(base)], axis=0)
-                for e in cands:
-                    key = int((images[e] | packed).min())
-                    keys.add(tuple(i for i in range(len(pairs)) if key >> i & 1))
-            else:
-                for e in cands:
-                    sorted_images = np.sort(images[list(base) + [e]], axis=0)
-                    keys.add(min(zip(*sorted_images.tolist())))
+            packed = np.bitwise_or.reduce(images[list(base)], axis=0)
+            for e in cands:
+                key = int((images[e] | packed).min())
+                keys.add(tuple(i for i in range(npairs) if key >> i & 1))
         dedup -= len(keys)
         reps = sorted(keys)
         layers.append(reps)
@@ -333,13 +341,15 @@ def unpruned_layers(g: Graph, max_k: int, mode: str, elems: np.ndarray):
 
 
 class TestPrunedExtension:
-    # big stabilizers (stars, K_9), the index encoding (the torus) and a
-    # subgroup below MAX_CLOSURE, whose finer orbits the pruning must keep
+    # big stabilizers (stars, K_9), keys held as Python ints (more than 62
+    # pairs: the torus, and C_12, whose small stabilizers still skip pairs)
+    # and a subgroup below MAX_CLOSURE, whose finer orbits the pruning must keep
     @pytest.mark.parametrize("g,max_k,mode,cap", [
         pytest.param(star(9), 6, "mixed", MAX_CLOSURE, id="star9"),
         pytest.param(complete(9), 5, "remove-only", MAX_CLOSURE, id="k9-remove-only"),
         pytest.param(torus(5, 5), 3, "remove-only", MAX_CLOSURE,
                      id="torus5x5-remove-only"),
+        pytest.param(cycle(12), 3, "mixed", MAX_CLOSURE, id="c12-mixed"),
         pytest.param(star(8), 4, "mixed", 100, id="star8-subgroup")])
     def test_matches_unpruned_min_images(self, monkeypatch, g, max_k, mode, cap):
         monkeypatch.setattr(search_mod, "MAX_CLOSURE", cap)
