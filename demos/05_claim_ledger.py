@@ -16,12 +16,12 @@ print(f"  computed {row.computed} -> {row.status} "
       f"(allowlisted as {row.allowlist_key})")
 
 print()
-print("the torus claim: exploratory sub-range data and an in-range check")
+print("the torus claim: no single flip works, a two-removal witness does")
 for row in verify("Thm2.10"):
     print(f"  r={row.params['r']} s={row.params['s']}: computed {row.computed} "
           f"-> {row.status}")
-    if row.status == "refuted":
-        print("    evidence:", row.evidence["cross_direction_two_removal"])
+    print("    one-flip hits:", row.evidence["one_flip_hits"],
+          " witness:", row.evidence["cross_direction_two_removal"])
 
 print()
 print("whole-suite status counts (takes a little while):")

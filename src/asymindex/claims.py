@@ -27,7 +27,7 @@ from .families import (FamilySpec, cycle, cycle_with_pendant_paths, generate,
                        path, pendant_extension, star, torus, wheel, witness)
 from .search import (AiResult, BudgetExceededError, FlipSet,
                      NoAsymmetrizationError, apply_flips, asymmetric_index,
-                     count_nonisomorphic_asymmetrizations, flip_orbit_layers)
+                     count_nonisomorphic_asymmetrizations)
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -155,8 +155,12 @@ def _norm_range(value) -> list[int]:
     if isinstance(value, int):
         return [value]
     if isinstance(value, tuple) and len(value) == 2:
-        return list(range(value[0], value[1] + 1))
-    return list(value)
+        values = list(range(value[0], value[1] + 1))
+    else:
+        values = list(value)
+    if not values:  # an empty check must not read as a pass
+        raise ValueError(f"empty instance range {value!r}")
+    return values
 
 
 # -- claim handlers --------------------------------------------------------
@@ -401,67 +405,37 @@ def _thm_2_6(budget) -> Iterator[ClaimReport]:
         {"edits": len(edges)})
 
 
-def _torus_scan(r: int, s: int, full: bool) -> ClaimReport:
-    """Torus instance check.
+def _torus_scan(r: int, s: int) -> ClaimReport:
+    """Thm2.10 row for C_r x C_s from two proofs.
 
-    Full mode runs the 1-flip scan, the orbit-deduped 2-flip scan, and a
-    3-removal witness search, which pins the exact value whenever the
-    first non-empty layer is at most 3.  The 1-flip scan covers every
-    pair but tests one per orbit of Aut(g) on pairs: flips in one orbit
-    give isomorphic graphs, so a hit counts its whole orbit.  The cheap
-    mode only tests the shared-vertex cross-direction 2-removal witness,
-    enough to beat the claimed value on non-square tori.
+    The 1-flip scan covers every pair but tests one per orbit of Aut(g)
+    on pairs: flips in one orbit give isomorphic graphs, so a hit counts
+    its whole orbit.  No hit proves ai > 1, and the shared-vertex
+    cross-direction 2-removal witness proves ai <= 2, so the row reads 2;
+    a failed witness leaves only ">= 2" (budget-exceeded in range).
     """
     g = torus(r, s)
-    evidence: dict = {}
-    if full:
-        one_hits = 0
-        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-        for orbit in _pair_orbits(pairs, automorphism_group(g).generators):
-            u, v = min(orbit)
-            edited = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
-            if is_asymmetric(edited):
-                one_hits += len(orbit)
-        evidence["one_flip_candidates"] = len(pairs)
-        evidence["one_flip_hits"] = one_hits
-        *_, (_, two_sets) = flip_orbit_layers(g, 2, "mixed")
-        two_hits = [fs for fs in two_sets if is_asymmetric(apply_flips(g, fs))]
-        evidence["two_flip_orbit_reps"] = len(two_sets)
-        evidence["two_flip_hits"] = len(two_hits)
-        if two_hits:
-            evidence["two_flip_witness"] = two_hits[0].as_dict()
-            removals = [fs for fs in two_hits if not fs.added]
-            if removals:
-                evidence["two_removal_witness"] = removals[0].as_dict()
-        *_, (_, three_sets) = flip_orbit_layers(g, 3, "remove-only")
-        three_witness = next((fs for fs in three_sets
-                              if is_asymmetric(apply_flips(g, fs))), None)
-        evidence["three_removal_witness"] = (three_witness.as_dict()
-                                             if three_witness else None)
-        exact = 1 if one_hits else 2 if two_hits else \
-            3 if three_witness is not None else None
-        computed = exact if exact is not None else ">= 3"
-    else:
-        fs = FlipSet(removed=frozenset([(0, 1), (0, s)]))
-        edited = apply_flips(g, fs)
-        ok = is_asymmetric(edited)
-        evidence["cross_direction_two_removal"] = fs.as_dict()
-        evidence["asymmetric"] = ok
-        exact = 2 if ok else None  # upper bound only, but already below the claim
-        computed = "<= 2" if ok else "witness failed"
-    in_range = r >= 10 and s >= 10
-    if not in_range:
+    one_hits = 0
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    for orbit in _pair_orbits(pairs, automorphism_group(g).generators):
+        u, v = min(orbit)
+        edited = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+        if is_asymmetric(edited):
+            one_hits += len(orbit)
+    fs = FlipSet(removed=frozenset([(0, 1), (0, s)]))
+    ok = is_asymmetric(apply_flips(g, fs))
+    evidence: dict = {"one_flip_candidates": len(pairs), "one_flip_hits": one_hits,
+                      "cross_direction_two_removal": fs.as_dict(), "asymmetric": ok}
+    computed = 1 if one_hits else 2 if ok else ">= 2"
+    key = None
+    if r < 10 or s < 10:
         status = NOT_APPLICABLE
         evidence["note"] = "exploratory: below the claimed range r, s >= 10"
-        key = None
-    elif exact is not None and exact < 3:
-        status = REFUTED
-        evidence["note"] = "explicit witness beats the claimed value 3"
-        key = "Thm2.10-nonsquare"
-    elif exact == 3:
-        status, key = CONFIRMED, None
+    elif computed == ">= 2":
+        status = BUDGET_EXCEEDED
     else:
-        status, key = BUDGET_EXCEEDED, None
+        status, key = REFUTED, "Thm2.10-nonsquare"
+        evidence["note"] = "explicit witness beats the claimed value 3"
     return ClaimReport("Thm2.10", {"r": r, "s": s}, "ai(C_r x C_s) = 3",
                        computed, status, evidence, allowlist_key=key)
 
@@ -646,8 +620,7 @@ _CATALOG: dict[str, _Entry] = {
                "removing two edges at the corner vertex asymmetrizes P_r x C_s",
                ((2, 3), (2, 4), (3, 5)), witness="pxc-two-removals",
                keys={(2, 4): "Thm2.9-witness-cube"})),
-    "Thm2.10": _Entry(lambda budget: (_torus_scan(6, 7, full=True),
-                                      _torus_scan(10, 11, full=False))),
+    "Thm2.10": _Entry(lambda budget: (_torus_scan(6, 7), _torus_scan(10, 11))),
     "Thm3.1": _Entry(_thm_3_1),
     "Ex3.1": _Entry(_ex_3_1, "l", 3, _EX_3_1),
     "Thm3.2": _Entry(_thm_3_2),

@@ -137,6 +137,16 @@ def _cmd_ai(args, config) -> int:
         else:
             print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        # too deep for the tree search (see main); nothing is proven before
+        # the first asymmetry test finishes, so the bound is 0
+        if not args.json:
+            raise
+        print(_envelope("ai", to_graph6(g).decode(),
+                        {"status": "budget-exceeded", "proven_lower_bound": 0,
+                         "universe_exhausted": False, "mode": args.mode,
+                         "label_base": base, "transposable_bound": bound}, {}))
+        return EXIT_BUDGET
     if args.json:
         payload = {"status": "ok", "value": res.value, "mode": res.mode,
                    "witnesses": [_flips_dict(w, base) for w in res.witnesses],

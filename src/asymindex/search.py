@@ -322,6 +322,8 @@ def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
     """
     n_edges = g.edge_count
     n_non_edges = g.n * (g.n - 1) // 2 - n_edges
+    if r < 0 or s < 0:
+        raise ValueError(f"edit counts must be non-negative; got r={r}, s={s}")
     if r > n_edges:
         raise ValueError(f"cannot remove {r} of {n_edges} edges")
     if s > n_non_edges:

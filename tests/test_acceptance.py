@@ -206,27 +206,26 @@ def test_criterion_12_products_and_torus():
     ok = True
     for s in (3, 4):
         ok &= _ai(path_cycle(2, s)) == 2
-    rows = verify("Thm2.10")
-    sub = [r for r in rows if r.params == {"r": 6, "s": 7}][0]
+    rows = {(r.params["r"], r.params["s"]): r for r in verify("Thm2.10")}
+    sub, big = rows[(6, 7)], rows[(10, 11)]
     ev = sub.evidence
     ok &= ev["one_flip_candidates"] == 861 and ev["one_flip_hits"] == 0
-    ok &= ev["two_flip_orbit_reps"] > 0 and ev["two_flip_hits"] > 0
-    ok &= ev["three_removal_witness"] is not None
     ok &= sub.status == NOT_APPLICABLE  # recorded as exploratory, sub-range
-    # evidence witnesses re-validated against the engine
-    g67 = generate(FamilySpec("torus", (6, 7)))
-    two = ev["two_flip_witness"]
-    fs2 = FlipSet(removed=frozenset(map(tuple, two["removed"])),
-                  added=frozenset(map(tuple, two["added"])))
-    ok &= is_asymmetric(apply_flips(g67, fs2))
-    three = ev["three_removal_witness"]
-    fs3 = FlipSet(removed=frozenset(map(tuple, three["removed"])))
-    ok &= is_asymmetric(apply_flips(g67, fs3))
-    ok &= sub.computed == 2  # scans pin the sub-range value exactly
-    _AI_VALUES.append((42, 2))
+    ok &= sub.computed == 2  # no 1-flip hit plus a 2-removal witness pin it
+    ev = big.evidence
+    ok &= ev["one_flip_candidates"] == 5995 and ev["one_flip_hits"] == 0
+    ok &= big.computed == 2 and big.status == REFUTED
+    ok &= big.allowlist_key == "Thm2.10-nonsquare"
+    # cross-direction witnesses re-validated against the engine
+    for (r, s), row in rows.items():
+        two = row.evidence["cross_direction_two_removal"]
+        fs2 = FlipSet(removed=frozenset(map(tuple, two["removed"])))
+        ok &= not two["added"] and len(fs2.removed) == 2
+        ok &= is_asymmetric(apply_flips(generate(FamilySpec("torus", (r, s))), fs2))
+        _AI_VALUES.append((r * s, 2))
     _criterion(12, 1800, t0, ok,
-               "ai(P_2xC_3) = ai(P_2xC_4) = 2; torus scans complete, "
-               "C_6xC_7 pinned to 2 (exploratory; 3-removal witness found)")
+               "ai(P_2xC_3) = ai(P_2xC_4) = 2; torus 1-flip scans complete, "
+               "C_6xC_7 and C_10xC_11 pinned to 2 by a 2-removal witness")
 
 
 def test_criterion_13_bounds_ledger():

@@ -97,6 +97,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="unknown claim"):
             verify("Thm9.9")
 
+    def test_empty_range_rejected(self):
+        # an empty instance range would otherwise read as a passing check
+        with pytest.raises(ValueError, match="empty instance range"):
+            verify("Lem2.1", i=[])
+        with pytest.raises(ValueError, match="empty instance range"):
+            verify("Thm2.2", n=(8, 6))
+
     def test_alias(self):
         assert {r.claim_id for r in verify("Thm2.7")} == {"Thm1.2"}
 
@@ -159,7 +166,7 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "323be775e466ea443c656a9901c72f12683af92cfc6e7926f51ad24a2e53b622")
+            "4598cb37d64ac671debc34d03c068a3f2e578cf5d30dea27fd39c5c009293357")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path

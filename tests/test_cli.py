@@ -172,6 +172,19 @@ class TestAut:
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_too_deep_ai_json_envelope(self, capsys, tmp_path):
+        # ai --json reports the same input in the budget envelope; nothing
+        # is proven before the first asymmetry test finishes
+        f = tmp_path / "empty1100.txt"
+        f.write_text("1100\n")
+        code, out, _ = run(capsys, "ai", f"@{f}", "--json")
+        payload = json.loads(out)
+        assert code == 4 and payload["stats"] == {}
+        result = payload["result"]
+        assert result["status"] == "budget-exceeded"
+        assert result["proven_lower_bound"] == 0
+        assert result["universe_exhausted"] is False
+
 
 class TestCountCycleAug:
     def test_n6(self, capsys):
@@ -232,6 +245,10 @@ class TestVerify:
         rows = json.loads(out)["result"]["rows"]
         assert sorted(r["params"]["n"] for r in rows if r["claim"] == "Thm2.4") \
             == [4, 4, 5, 5]
+
+    def test_empty_range_exit2(self, capsys):
+        code, out, err = run(capsys, "verify", "Thm2.2", "--n", "8..6")
+        assert code == 2 and out == "" and "empty instance range" in err
 
     def test_undeclared_parameter_exit2(self, capsys):
         code, _, err = run(capsys, "verify", "Thm2.6", "--n", "8")

@@ -2,7 +2,7 @@
 an independent algorithm family, so agreement here is real evidence."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
@@ -13,7 +13,8 @@ from asymindex.automorphism import (_closure, are_isomorphic,
                                     identity_perm,
                                     is_asymmetric, subgroup_elements)
 from asymindex.enumeration import all_pairs, graph_from_mask
-from asymindex.families import complete, cycle, star, wheel
+from asymindex.claims import verify
+from asymindex.families import complete, cycle, star, torus, wheel
 from asymindex.search import FlipSet, apply_flips, asymmetric_index
 
 from test_search import reference_index
@@ -64,6 +65,20 @@ class TestIsomorphismAgainstVf2:
             count = sum(1 for _ in matcher.isomorphisms_iter())
             assert is_asymmetric(g) == (count == 1)
             assert automorphism_group(g).order == count
+
+    def test_torus_witness_self_maps(self):
+        # each Thm2.10 row's upper bound rests on its two-removal witness:
+        # the torus has a non-trivial self-map and the edited graph has none
+        rows = verify("Thm2.10")
+        assert [(r.params["r"], r.params["s"]) for r in rows] == [(6, 7), (10, 11)]
+        for row in rows:
+            g = torus(row.params["r"], row.params["s"])
+            removed = row.evidence["cross_direction_two_removal"]["removed"]
+            h = to_nx(apply_flips(g, FlipSet(removed=frozenset(map(tuple, removed)))))
+            base = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+            assert len(list(islice(base.isomorphisms_iter(), 2))) == 2
+            edited = nx.algorithms.isomorphism.GraphMatcher(h, h)
+            assert sum(1 for _ in edited.isomorphisms_iter()) == 1
 
 
 class TestSearchSpotAudit:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asymindex.graph import Graph, disjoint_union, join
+from asymindex.graph import Graph, disjoint_union, from_graph6, join
 from asymindex.automorphism import (_closure, are_isomorphic,
                                     automorphism_group, canonical_form,
                                     group_elements, is_asymmetric, MAX_CLOSURE)
@@ -415,6 +415,10 @@ class TestCounting:
             count_nonisomorphic_asymmetrizations(path(4), 9, 0)
         with pytest.raises(ValueError):
             count_nonisomorphic_asymmetrizations(complete(4), 0, 1)
+        g = from_graph6("ECug")
+        for r, s in ((-1, 1), (1, -1), (-2, 3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                count_nonisomorphic_asymmetrizations(g, r, s)
 
     def test_dedup_is_by_result_not_flipset(self):
         # C_7 has 3 asymmetrizing chord-pair classes but many labeled pairs.
