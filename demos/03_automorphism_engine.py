@@ -5,7 +5,7 @@ import random
 
 from asymindex import (are_isomorphic, automorphism_group, canonical_form,
                        cycles_str, find_nontrivial_automorphism,
-                       transposable_clique_lower_bound, transposable_pairs)
+                       transposable_pairs)
 from asymindex.families import complete, cycle, path, star, wheel
 
 print("group orders (exact, arbitrary precision):")
@@ -35,10 +35,10 @@ rng.shuffle(perm)
 print("canonical form survives relabeling:",
       canonical_form(path(10)) == canonical_form(path(10).relabel(tuple(perm))))
 
-# Transposable pairs power the clique lower bound on the index.
+# Transposable pairs: the vertex pairs some automorphism swaps.  The
+# paper's bound from a pairwise-transposable set fails on C_8; the claim
+# ledger records that refutation (asymindex verify Lem1.4).
 print()
 print("transposable pairs of P_4:", sorted(transposable_pairs(path(4))))
-print("star K_1,5 transposable-clique bound:",
-      transposable_clique_lower_bound(star(6)))
-print("C_8 bound (a documented overreach of the stated inequality):",
-      transposable_clique_lower_bound(cycle(8)))
+print("C_8 pairs that some automorphism swaps:",
+      len(transposable_pairs(cycle(8))), "of 28")

@@ -15,8 +15,7 @@ from .graph import (Graph, Graph6Error, cartesian_product, disjoint_union,
 from .automorphism import (AutReport, are_isomorphic, automorphism_group,
                            canonical_form, can_transpose, cycles_str,
                            find_nontrivial_automorphism, is_asymmetric,
-                           is_automorphism, transposable_clique_lower_bound,
-                           transposable_pairs)
+                           is_automorphism, transposable_pairs)
 from .enumeration import (asymmetric_graphs, asymmetric_trees,
                           nonisomorphic_graphs, nonisomorphic_trees)
 from .families import (FamilySpec, circulant, complete, cycle,
@@ -25,7 +24,7 @@ from .families import (FamilySpec, circulant, complete, cycle,
                        wheel, witness)
 from .search import (AiResult, BudgetExceededError, FlipSet,
                      NoAsymmetrizationError, apply_flips, asymmetric_index,
-                     count_nonisomorphic_asymmetrizations, lower_bound)
+                     count_nonisomorphic_asymmetrizations)
 from .claims import (ClaimReport, cycle_augmentation_formula,
                      kn_bound_formulas, partition_count, verify, verify_suite,
                      DEFAULT_ALLOWLIST)

@@ -434,59 +434,3 @@ def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
         if can_transpose(g, *min(orbit)):
             out |= orbit
     return out
-
-
-def _max_clique(adj: list[int], n: int) -> int:
-    """Exact maximum clique size by branch and bound with greedy coloring."""
-    if n == 0:
-        return 0
-    best = 0
-
-    def color_bound(pmask: int) -> list[tuple[int, int]]:
-        # (vertex, color) in increasing color order; the color number is an
-        # upper bound on the clique size inside the candidate set.
-        out = []
-        color = 0
-        remaining = pmask
-        while remaining:
-            color += 1
-            avail = remaining
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                out.append((v, color))
-                remaining ^= b
-                avail &= ~adj[v]
-                avail &= ~b
-        return out
-
-    def expand(size: int, pmask: int):
-        nonlocal best
-        if not pmask:
-            best = max(best, size)
-            return
-        colored = color_bound(pmask)
-        for v, color in reversed(colored):
-            if size + color <= best:
-                return
-            expand(size + 1, pmask & adj[v])
-            pmask &= ~(1 << v)
-
-    expand(0, (1 << n) - 1)
-    return best
-
-
-def transposable_clique_lower_bound(g: Graph) -> int:
-    """floor((t-1)/2) where t is the largest pairwise-transposable vertex set.
-
-    t is the maximum clique of the transposability graph, found exactly.
-    The bound is reported as stated; whether it actually bounds the index
-    for a given graph is the harness's business to record.
-    """
-    pairs = transposable_pairs(g)
-    adj = [0] * g.n
-    for u, v in pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    t = max(_max_clique(adj, g.n), 1) if g.n else 0
-    return max(t - 1, 0) // 2

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
 from .automorphism import (_pair_orbits, automorphism_group, cycles_str,
                            find_nontrivial_automorphism, is_asymmetric,
-                           is_automorphism, transposable_clique_lower_bound)
+                           is_automorphism, transposable_pairs)
 from .enumeration import (asymmetric_forest_edges, asymmetric_graphs,
                           asymmetric_trees, nonisomorphic_graphs)
 from .families import (FamilySpec, cycle, cycle_with_pendant_paths, generate,
@@ -140,15 +141,38 @@ def _asym_row(claim_id: str, params: dict, text: str, g: Graph,
         allowlist_key=None if ok else key)
 
 
+def _search_row(claim_id: str, params: dict, text: str, g: Graph,
+                budget: int | None, judge: Callable, key: str | None = None
+                ) -> ClaimReport:
+    """Row for a claim about ai(``g``), the graph the row names.
+
+    ``judge(res)`` maps the search of ``g`` to (computed, holds,
+    evidence); a refutation carries ``key``.  A search that stops at the
+    layer budget gives a budget-exceeded row.  Only ``g``'s own stop is
+    a proven lower bound of ``g``; a stop in one of ``judge``'s further
+    searches bounds another graph, so that row carries none.
+    """
+    try:
+        res = asymmetric_index(g, max_k=budget)
+    except BudgetExceededError as exc:
+        return ClaimReport(claim_id, params, text, f"> {exc.lower_bound - 1}",
+                           BUDGET_EXCEEDED, {"proven_lower_bound": exc.lower_bound})
+    try:
+        computed, ok, evidence = judge(res)
+    except BudgetExceededError:
+        return ClaimReport(claim_id, params, text, {"ai": res.value}, BUDGET_EXCEEDED,
+                           {"note": "a further search stopped at the layer budget"})
+    return ClaimReport(claim_id, params, text, computed, CONFIRMED if ok else REFUTED,
+                       evidence, allowlist_key=None if ok else key,
+                       ai=res.value, vertices=g.n)
+
+
 def _bounds_row(claim_id: str, params: dict, text: str, g: Graph,
                 lower: int, upper: int, budget: int | None) -> ClaimReport:
     """Row for "lower <= ai(``g``) <= upper", with the search's evidence."""
-    res = asymmetric_index(g, max_k=budget)
-    ok = lower <= res.value <= upper
-    return ClaimReport(
-        claim_id, params, text, {"lower": lower, "ai": res.value, "upper": upper},
-        CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1),
-        ai=res.value, vertices=g.n)
+    return _search_row(claim_id, params, text, g, budget, lambda res: (
+        {"lower": lower, "ai": res.value, "upper": upper},
+        lower <= res.value <= upper, _ai_evidence(res, cap=1)))
 
 
 def _norm_range(value) -> list[int]:
@@ -195,20 +219,19 @@ def _prop_1_1(budget, orders=(6,)) -> Iterator[ClaimReport]:
 
 def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
     """ai(G) = ai(complement(G)); witnesses map by swapping removed/added."""
-    for g in (g for n in orders for g in nonisomorphic_graphs(n)):
+    def judge(g: Graph, res: AiResult):
         gc = g.complement()
-        res = asymmetric_index(g, max_k=budget)
         resc = asymmetric_index(gc, max_k=budget)
         mapped_ok = all(is_asymmetric(apply_flips(gc, w.inverse()))
                         for w in res.witnesses)
         ok = res.value == resc.value and mapped_ok
-        yield ClaimReport(
-            "Prop1.2", {"graph6": to_graph6(g).decode()}, _PROP_1_2,
-            {"ai": res.value, "complement_ai": resc.value,
-             "witness_map_ok": mapped_ok},
-            CONFIRMED if ok else REFUTED,
-            {} if ok else {"witness": _ai_evidence(res)},
-            ai=res.value, vertices=g.n)
+        return ({"ai": res.value, "complement_ai": resc.value,
+                 "witness_map_ok": mapped_ok},
+                ok, {} if ok else {"witness": _ai_evidence(res)})
+
+    for g in (g for n in orders for g in nonisomorphic_graphs(n)):
+        yield _search_row("Prop1.2", {"graph6": to_graph6(g).decode()}, _PROP_1_2,
+                          g, budget, partial(judge, g))
 
 
 def _pair_preservation(claim_id: str, combine, text: str, budget,
@@ -233,22 +256,32 @@ def _lem_1_1(budget, orders=(6, 7)) -> Iterator[ClaimReport]:
                             _LEM_1_1, pendant_extension(g))
 
 
+def _transposable_bound(g: Graph) -> int:
+    """Lem1.4's floor((t-1)/2), t the largest pairwise-transposable vertex
+    set, found by checking vertex subsets from the largest down; the
+    Lem1.4 graphs have at most 8 vertices."""
+    pairs = transposable_pairs(g)
+    t = next((size for size in range(g.n, 1, -1)
+              if any(pairs.issuperset(combinations(subset, 2))
+                     for subset in combinations(range(g.n), size))), 1)
+    return (t - 1) // 2
+
+
 def _lem_1_4(budget) -> Iterator[ClaimReport]:
     """floor((t-1)/2) lower bound from a pairwise-transposable t-set."""
+    def judge(bound: int, res: AiResult):
+        ok = bound <= res.value
+        return ({"bound": bound, "ai": res.value}, ok,
+                {} if ok else {"witness": _ai_evidence(res),
+                               "note": "bound exceeds the exact index"})
+
     instances = [("K_1,5", star(6), None), ("K_6", Graph.complete(6), None),
                  ("C_8", cycle(8), "Lem1.4-overreach")]
     for label, g, key in instances:
-        bound = transposable_clique_lower_bound(g)
-        res = asymmetric_index(g, max_k=budget)
-        ok = bound <= res.value
-        yield ClaimReport(
+        yield _search_row(
             "Lem1.4", {"graph": label},
             "ai(G) >= floor((t-1)/2) for a pairwise-transposable t-set",
-            {"bound": bound, "ai": res.value},
-            CONFIRMED if ok else REFUTED,
-            {} if ok else {"witness": _ai_evidence(res),
-                           "note": "bound exceeds the exact index"},
-            allowlist_key=None if ok else key, ai=res.value, vertices=g.n)
+            g, budget, partial(judge, _transposable_bound(g)), key)
 
 
 def _lem_2_1(budget, values=range(6, 61)) -> Iterator[ClaimReport]:
@@ -269,17 +302,15 @@ def _thm_1_2(budget) -> Iterator[ClaimReport]:
     instances = [("P_8", path(8)), ("C_9", cycle(9)), ("W_8", wheel(8)),
                  ("K_6", Graph.complete(6)), ("K_1,6", star(7)),
                  ("empty_6", Graph.empty(6))]
-    for label, g in instances:
-        res = asymmetric_index(g, max_k=budget)
-        cap = general_upper_bound(g.n)
+    def judge(cap: int, res: AiResult):
         ok = 0 <= res.value <= cap
-        yield ClaimReport(
-            "Thm1.2", {"graph": label},
-            "0 <= ai(G) <= n(n-1)/2 - (n-2)",
-            {"ai": res.value, "upper": cap},
-            CONFIRMED if ok else REFUTED,
-            {} if ok else {"witness": _ai_evidence(res)},
-            ai=res.value, vertices=g.n)
+        return ({"ai": res.value, "upper": cap}, ok,
+                {} if ok else {"witness": _ai_evidence(res)})
+
+    for label, g in instances:
+        yield _search_row("Thm1.2", {"graph": label},
+                          "0 <= ai(G) <= n(n-1)/2 - (n-2)", g, budget,
+                          partial(judge, general_upper_bound(g.n)))
 
 
 def _witness_row(claim_id: str, name: str, args: tuple, expected: str,
@@ -294,20 +325,13 @@ def _value_row(claim_id: str, params: dict, g: Graph, expected_value: int,
                expected_text: str, budget: int | None = None,
                boundary_key: str | None = None) -> ClaimReport:
     try:
-        res = asymmetric_index(g, max_k=budget)
+        return _search_row(claim_id, params, expected_text, g, budget, lambda res: (
+            res.value, res.value == expected_value, _ai_evidence(res)))
     except NoAsymmetrizationError:
         return ClaimReport(claim_id, params, expected_text, "no-asymmetrization",
                            REFUTED, {"note": "graphs on 2..5 vertices cannot be "
                                              "made asymmetric"},
                            allowlist_key=boundary_key)
-    except BudgetExceededError as exc:
-        return ClaimReport(claim_id, params, expected_text,
-                           f"> {exc.lower_bound - 1}", BUDGET_EXCEEDED,
-                           {"proven_lower_bound": exc.lower_bound})
-    ok = res.value == expected_value
-    return ClaimReport(claim_id, params, expected_text, res.value,
-                       CONFIRMED if ok else REFUTED, _ai_evidence(res),
-                       ai=res.value, vertices=g.n)
 
 
 def _removal_free_row(claim_id: str, params: dict, g: Graph,
@@ -437,25 +461,25 @@ def _torus_scan(r: int, s: int) -> ClaimReport:
         status, key = REFUTED, "Thm2.10-nonsquare"
         evidence["note"] = "explicit witness beats the claimed value 3"
     return ClaimReport("Thm2.10", {"r": r, "s": s}, "ai(C_r x C_s) = 3",
-                       computed, status, evidence, allowlist_key=key)
+                       computed, status, evidence, allowlist_key=key,
+                       ai=computed if isinstance(computed, int) else None,
+                       vertices=g.n)
 
 
 def _thm_3_1(budget) -> Iterator[ClaimReport]:
     instances = [("P6+C6", [path(6), cycle(6)]), ("P6+P7", [path(6), path(7)])]
+    def judge(comps: list[Graph], res: AiResult):
+        parts = [asymmetric_index(c, max_k=budget).value for c in comps]
+        return ({"component_ai": parts, "ai": res.value},
+                min(parts) <= res.value <= sum(parts), _ai_evidence(res, cap=1))
+
     for label, comps in instances:
         g = comps[0]
         for c in comps[1:]:
             g = disjoint_union(g, c)
-        parts = [asymmetric_index(c, max_k=budget).value for c in comps]
-        res = asymmetric_index(g, max_k=budget)
-        lower, upper = min(parts), sum(parts)
-        ok = lower <= res.value <= upper
-        yield ClaimReport(
-            "Thm3.1", {"components": label},
-            "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)",
-            {"component_ai": parts, "ai": res.value},
-            CONFIRMED if ok else REFUTED, _ai_evidence(res, cap=1),
-            ai=res.value, vertices=g.n)
+        yield _search_row("Thm3.1", {"components": label},
+                          "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)", g, budget,
+                          partial(judge, comps))
     yield ClaimReport(
         "Thm3.1", {"components": "P6+P6"},
         "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)", None, NOT_APPLICABLE,

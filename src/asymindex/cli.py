@@ -17,8 +17,7 @@ from .graph import Graph, Graph6Error, from_edge_list, from_graph6, to_graph6
 from .automorphism import automorphism_group, cycles_str
 from .families import FamilySpec, generate, cycle
 from .search import (BudgetExceededError, NoAsymmetrizationError,
-                     asymmetric_index, count_nonisomorphic_asymmetrizations,
-                     lower_bound)
+                     asymmetric_index, count_nonisomorphic_asymmetrizations)
 from . import claims as claims_mod
 
 EXIT_OK = 0
@@ -26,9 +25,6 @@ EXIT_USAGE = 2
 EXIT_NO_ASYMMETRIZATION = 3
 EXIT_BUDGET = 4
 EXIT_REFUTED = 5
-
-# Transposable-pair bound is only reported at desk scale.
-_BOUND_MAX_N = 40
 
 
 class _CliError(Exception):
@@ -109,12 +105,20 @@ def _cmd_gen(args, config) -> int:
     return EXIT_OK
 
 
+def _ai_budget_envelope(g: Graph, args, base: int, lower: int,
+                        exhausted: bool, stats: dict) -> int:
+    print(_envelope("ai", to_graph6(g).decode(),
+                    {"status": "budget-exceeded", "proven_lower_bound": lower,
+                     "universe_exhausted": exhausted, "mode": args.mode,
+                     "label_base": base}, stats))
+    return EXIT_BUDGET
+
+
 def _cmd_ai(args, config) -> int:
     g = _read_graph(args.graph)
     base = 1 if args.one_based else 0
     max_k = args.max_k if args.max_k is not None else config.get("max_k")
     cap = args.witnesses if args.witnesses is not None else config.get("witness_cap", 4)
-    bound = lower_bound(g) if g.n <= _BOUND_MAX_N else None
     try:
         res = asymmetric_index(g, mode=args.mode, max_k=max_k, witness_cap=cap)
     except NoAsymmetrizationError as exc:
@@ -126,36 +130,24 @@ def _cmd_ai(args, config) -> int:
             print(f"no asymmetrization: {exc}", file=sys.stderr)
         return EXIT_NO_ASYMMETRIZATION
     except BudgetExceededError as exc:
-        payload = {"status": "budget-exceeded",
-                   "proven_lower_bound": exc.lower_bound,
-                   "universe_exhausted": exc.universe_exhausted,
-                   "mode": args.mode, "label_base": base,
-                   "transposable_bound": bound}
         if args.json:
-            print(_envelope("ai", to_graph6(g).decode(), payload,
-                            exc.stats.as_dict()))
-        else:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return _ai_budget_envelope(g, args, base, exc.lower_bound,
+                                       exc.universe_exhausted, exc.stats.as_dict())
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
         # too deep for the tree search (see main); nothing is proven before
         # the first asymmetry test finishes, so the bound is 0
         if not args.json:
             raise
-        print(_envelope("ai", to_graph6(g).decode(),
-                        {"status": "budget-exceeded", "proven_lower_bound": 0,
-                         "universe_exhausted": False, "mode": args.mode,
-                         "label_base": base, "transposable_bound": bound}, {}))
-        return EXIT_BUDGET
+        return _ai_budget_envelope(g, args, base, 0, False, {})
     if args.json:
         payload = {"status": "ok", "value": res.value, "mode": res.mode,
                    "witnesses": [_flips_dict(w, base) for w in res.witnesses],
-                   "transposable_bound": bound, "label_base": base}
+                   "label_base": base}
         print(_envelope("ai", to_graph6(g).decode(), payload, res.stats.as_dict()))
     else:
         print(f"ai = {res.value}  (mode {res.mode})")
-        if bound is not None:
-            print(f"transposable-pair lower bound: {bound}")
         for w in res.witnesses:
             rem = " ".join(f"{u + base}-{v + base}" for u, v in sorted(w.removed))
             add = " ".join(f"{u + base}-{v + base}" for u, v in sorted(w.added))

@@ -22,8 +22,7 @@ import numpy as np
 
 from .graph import Graph, _iter_bits
 from .automorphism import (_closure, _pair_orbits, automorphism_group,
-                           canonical_form, is_asymmetric,
-                           transposable_clique_lower_bound, MAX_CLOSURE)
+                           canonical_form, is_asymmetric, MAX_CLOSURE)
 from .enumeration import all_pairs
 
 MODES = ("mixed", "add-only", "remove-only")
@@ -302,11 +301,6 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
                                   universe_exhausted=last_k >= universe)
     witnesses = sorted(hits, key=FlipSet.sort_key)[:witness_cap]
     return AiResult(witnesses[0].size, witnesses, mode, stats)
-
-
-def lower_bound(g: Graph) -> int:
-    """Transposable-clique bound floor((t-1)/2); informational."""
-    return transposable_clique_lower_bound(g)
 
 
 def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:

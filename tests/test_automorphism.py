@@ -21,8 +21,8 @@ from asymindex.automorphism import (_child, _first_target, _individualize,
                                     group_elements, invert,
                                     is_asymmetric, is_automorphism, compose,
                                     identity_perm, is_identity,
-                                    transposable_clique_lower_bound,
                                     transposable_pairs)
+from asymindex.claims import _transposable_bound
 from asymindex.families import (path, cycle, complete, star, wheel, circulant,
                                 torus)
 from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
@@ -484,19 +484,20 @@ class TestPairOrbits:
 
 
 class TestCliqueBound:
+    # Lem1.4's floor((t-1)/2), as the claim ledger computes it
     def test_star_bound(self):
-        assert transposable_clique_lower_bound(star(6)) == 2
+        assert _transposable_bound(star(6)) == 2
 
     def test_asymmetric_bound_zero(self):
-        assert transposable_clique_lower_bound(figure_two_graph()) == 0
+        assert _transposable_bound(figure_two_graph()) == 0
 
     def test_c8_overreach_documented(self):
         # all 8 cycle vertices are pairwise transposable, so the stated
         # bound is 3 even though two flips suffice; recorded, not hidden.
-        assert transposable_clique_lower_bound(cycle(8)) == 3
+        assert _transposable_bound(cycle(8)) == 3
 
     def test_k6(self):
-        assert transposable_clique_lower_bound(complete(6)) == 2
+        assert _transposable_bound(complete(6)) == 2
 
 
 class TestPreservationProperties:

@@ -11,9 +11,10 @@ from asymindex.claims import (cycle_augmentation_formula,
                               kn_bound_formulas, partition_count, verify,
                               verify_suite, DEFAULT_ALLOWLIST, CONFIRMED,
                               REFUTED, NOT_APPLICABLE)
-from asymindex.families import cycle
+from asymindex.families import cycle, path
 from asymindex.graph import from_graph6
-from asymindex.search import count_nonisomorphic_asymmetrizations
+from asymindex.search import (asymmetric_index,
+                              count_nonisomorphic_asymmetrizations)
 
 
 class TestPartitionCount:
@@ -120,6 +121,29 @@ class TestVerify:
         assert by_graph["C_8"].status == REFUTED
         assert by_graph["C_8"].computed == {"bound": 3, "ai": 2}
 
+    @pytest.mark.parametrize("claim_id", ["Lem1.4", "Thm1.2", "Thm2.5",
+                                          "Thm2.6", "Thm3.1", "Prop1.2"])
+    def test_budget_stop_gives_rows(self, claim_id):
+        # a search that stops at the layer budget yields a budget-exceeded
+        # row carrying the bound proven for the row's own graph
+        stopped = [r for r in verify(claim_id, budget=1)
+                   if r.status == claims.BUDGET_EXCEEDED]
+        assert stopped
+        for r in stopped:
+            assert r.computed == "> 1"
+            assert r.evidence == {"proven_lower_bound": 2} and r.ai is None
+            if "graph6" in r.params:
+                assert asymmetric_index(from_graph6(r.params["graph6"])).value >= 2
+
+    def test_further_search_stop_carries_no_bound(self):
+        # the row names P_6 (ai = 1); the stop of a further search bounds
+        # C_8, not P_6, so the row keeps P_6's exact index and no bound
+        row = claims._search_row("X", {}, "text", path(6), 1,
+                                 lambda res: asymmetric_index(cycle(8), max_k=1))
+        assert row.status == claims.BUDGET_EXCEEDED
+        assert row.computed == {"ai": 1}
+        assert "proven_lower_bound" not in row.evidence and row.ai is None
+
     def test_refutations_carry_evidence_or_key(self):
         for cid in ("Rem2.1", "Sec2.2-cycle-aut", "Thm2.9"):
             for row in verify(cid):
@@ -166,7 +190,7 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "4598cb37d64ac671debc34d03c068a3f2e578cf5d30dea27fd39c5c009293357")
+            "6bcad871d4e0c1fb975c39267593526d4504a2a3a26d78402090ace4d5ac2e0b")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path
@@ -202,13 +226,14 @@ class TestSuite:
     def test_sweep_rows_carry_vertex_counts(self, suite_rows):
         fed = [r for r in suite_rows if r.ai is not None]
         sweep = next(r for r in suite_rows if r.claim_id == "Thm1.2-sweep")
-        assert len(fed) == sweep.params["values_checked"] == 206
+        assert len(fed) == sweep.params["values_checked"] == 208
         by_claim = {}
         for r in fed:
             by_claim.setdefault(r.claim_id, []).append(r.vertices)
         assert sorted(by_claim["Thm2.4"]) == [15, 17]
         assert sorted(by_claim["Thm2.3-alt"]) == [7, 8, 9, 10]
         assert sorted(by_claim["Thm3.1"]) == [12, 13]
+        assert sorted(by_claim["Thm2.10"]) == [42, 110]
         for r in fed:
             if "graph6" in r.params:
                 assert r.vertices == from_graph6(r.params["graph6"]).n

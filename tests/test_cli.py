@@ -108,21 +108,39 @@ class TestAi:
         _, out2, _ = run(capsys, "ai", g6, "--json")
         assert out1 == out2
 
-    # sha256 of the whole --json output, computed before the flip-orbit
-    # group became one array and extensions were pruned by stabilizer:
+    # sha256 of the whole --json output; each equals the output computed
+    # before the flip-orbit group became one array and extensions were
+    # pruned by stabilizer, less its dropped transposable_bound key:
     # K_9 remove-only is exact (ai = 7) over |S_9| = 362880 elements, and
     # the star on 10 vertices stops at its budget with bound 2
     @pytest.mark.parametrize("g,argv,exit_code,digest", [
         pytest.param(complete(9), ["--mode", "remove-only", "--max-k", "7"], 0,
-                     "de00ecaeecd0a81927a5cf576050c7249303e384eab0f3831eca7ff17a2aab4e",
+                     "30733017bca3e167de67c510376562b2e6b074c5883fea6df154d754a6b62724",
                      id="k9-remove-only"),
         pytest.param(star(10), ["--max-k", "1"], 4,
-                     "14410ec9e775ba3cf8a4f29b3e7377ff6e95bd02c0dc742da33d85db8f512b0a",
+                     "0a464426b7bf738751d168d39901d7880e664a17f1611bdccb8380e94bfdabc5",
                      id="star10-budget")])
     def test_heavy_inputs_pinned(self, capsys, g, argv, exit_code, digest):
         code, out, _ = run(capsys, "ai", to_graph6(g).decode(), *argv, "--json")
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("g,argv,keys", [
+        (path(6), [], {"label_base", "mode", "status", "value", "witnesses"}),
+        (cycle(8), ["--max-k", "1"], {"label_base", "mode", "proven_lower_bound",
+                                      "status", "universe_exhausted"}),
+        (cycle(4), [], {"label_base", "mode", "n", "status"})],
+        ids=["ok", "budget-exceeded", "no-asymmetrization"])
+    def test_json_result_keys(self, capsys, g, argv, keys):
+        # only proven figures: no transposable-set bound in any envelope
+        _, out, _ = run(capsys, "ai", to_graph6(g).decode(), *argv, "--json")
+        assert set(json.loads(out)["result"]) == keys
+
+    def test_text_has_no_bound_line(self, capsys):
+        code, out, _ = run(capsys, "ai", to_graph6(cycle(8)).decode())
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "ai = 2  (mode mixed)"
+        assert all(line.startswith(("witness: ", "stats: ")) for line in lines[1:])
 
     def test_parse_error_exit2(self, capsys):
         code, _, err = run(capsys, "ai", "~z")
@@ -221,6 +239,13 @@ class TestVerify:
     def test_printed_lower_allowlisted_exit0(self, capsys):
         code, out, _ = run(capsys, "verify", "Thm2.6-printed-lower")
         assert code == 0 and "allowlisted" in out
+
+    def test_suite_budget_stops_exit0(self, capsys):
+        # every search-backed row turns a budget stop into a row
+        code, out, err = run(capsys, "verify", "suite", "--budget", "1")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith(
+            "126 budget-exceeded, 2 not-applicable")
 
     def test_unknown_claim_exit2(self, capsys):
         code, _, err = run(capsys, "verify", "Thm7.7")

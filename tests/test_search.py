@@ -26,8 +26,7 @@ from asymindex.search import (BudgetExceededError, FlipSet,
                               NoAsymmetrizationError, SearchStats, apply_flips,
                               asymmetric_index,
                               count_nonisomorphic_asymmetrizations,
-                              _flipset_from_indices, flip_orbit_layers,
-                              lower_bound)
+                              _flipset_from_indices, flip_orbit_layers)
 
 from conftest import brute_is_asymmetric
 from test_automorphism import petersen
@@ -423,13 +422,6 @@ class TestCounting:
     def test_dedup_is_by_result_not_flipset(self):
         # C_7 has 3 asymmetrizing chord-pair classes but many labeled pairs.
         assert count_nonisomorphic_asymmetrizations(cycle(7), 0, 2) == 3
-
-
-class TestLowerBound:
-    def test_examples(self):
-        assert lower_bound(star(6)) == 2
-        assert lower_bound(complete(6)) == 2
-        assert lower_bound(cycle(6).add_edge(2, 4).add_edge(2, 5)) == 0
 
 
 def to_debug(g: Graph) -> str:
