@@ -22,10 +22,11 @@ from .graph import Graph, disjoint_union, join, to_graph6
 from .automorphism import (_pair_orbits, automorphism_group, cycles_str,
                            find_nontrivial_automorphism, is_asymmetric,
                            is_automorphism, transposable_pairs)
-from .enumeration import (asymmetric_forest_edges, asymmetric_graphs,
+from .enumeration import (all_pairs, asymmetric_forest_edges, asymmetric_graphs,
                           asymmetric_trees, nonisomorphic_graphs)
-from .families import (FamilySpec, cycle, cycle_with_pendant_paths, generate,
-                       path, pendant_extension, star, torus, wheel, witness)
+from .families import (circulant, cycle, cycle_with_pendant_paths, generate,
+                       grid, path, path_cycle, pendant_extension, star, torus,
+                       wheel, witness)
 from .search import (AiResult, BudgetExceededError, FlipSet,
                      NoAsymmetrizationError, apply_flips, asymmetric_index,
                      count_nonisomorphic_asymmetrizations)
@@ -168,11 +169,20 @@ def _search_row(claim_id: str, params: dict, text: str, g: Graph,
 
 
 def _bounds_row(claim_id: str, params: dict, text: str, g: Graph,
-                lower: int, upper: int, budget: int | None) -> ClaimReport:
-    """Row for "lower <= ai(``g``) <= upper", with the search's evidence."""
-    return _search_row(claim_id, params, text, g, budget, lambda res: (
-        {"lower": lower, "ai": res.value, "upper": upper},
-        lower <= res.value <= upper, _ai_evidence(res, cap=1)))
+                bounds: Callable[[], tuple], budget: int | None,
+                key: str | None = None) -> ClaimReport:
+    """Row for "lower <= ai(``g``) <= upper", with the search's evidence.
+
+    ``bounds()`` gives (lower, upper), with None for an open upper side;
+    it runs after ``g``'s own search, so a stop in a search it makes
+    carries no bound.
+    """
+    def judge(res: AiResult):
+        lower, upper = bounds()
+        ok = lower <= res.value and (upper is None or res.value <= upper)
+        return ({"lower": lower, "ai": res.value, "upper": upper}, ok,
+                _ai_evidence(res, cap=1))
+    return _search_row(claim_id, params, text, g, budget, judge, key)
 
 
 def _norm_range(value) -> list[int]:
@@ -195,8 +205,6 @@ def _norm_range(value) -> list[int]:
 _PROP_1_2 = "ai(G) = ai(complement(G))"
 _LEM_1_1 = "pendant extension of an asymmetric graph is asymmetric"
 _LEM_2_1 = "floor((i-5)/2) distinct partitions"
-_THM_2_4 = "ai(C_{n^2 +/- 1}(1, n)) = 2"
-_THM_2_5 = "floor((n-1)/2) <= ai(K_{1,n-1}) <= n-1"
 _EX_3_1 = ("joining each pendant path to its own cycle vertex gives an "
            "asymmetric graph (ai <= l)")
 
@@ -267,23 +275,6 @@ def _transposable_bound(g: Graph) -> int:
     return (t - 1) // 2
 
 
-def _lem_1_4(budget) -> Iterator[ClaimReport]:
-    """floor((t-1)/2) lower bound from a pairwise-transposable t-set."""
-    def judge(bound: int, res: AiResult):
-        ok = bound <= res.value
-        return ({"bound": bound, "ai": res.value}, ok,
-                {} if ok else {"witness": _ai_evidence(res),
-                               "note": "bound exceeds the exact index"})
-
-    instances = [("K_1,5", star(6), None), ("K_6", Graph.complete(6), None),
-                 ("C_8", cycle(8), "Lem1.4-overreach")]
-    for label, g, key in instances:
-        yield _search_row(
-            "Lem1.4", {"graph": label},
-            "ai(G) >= floor((t-1)/2) for a pairwise-transposable t-set",
-            g, budget, partial(judge, _transposable_bound(g)), key)
-
-
 def _lem_2_1(budget, values=range(6, 61)) -> Iterator[ClaimReport]:
     """Closed form for two-part partitions with distinct parts >= 3."""
     for value in values:
@@ -295,22 +286,6 @@ def _lem_2_1(budget, values=range(6, 61)) -> Iterator[ClaimReport]:
             "Lem2.1", {"i": value}, _LEM_2_1,
             {"formula": formula, "enumeration": oracle},
             CONFIRMED if ok else REFUTED)
-
-
-def _thm_1_2(budget) -> Iterator[ClaimReport]:
-    """0 <= ai(G) <= n(n-1)/2 - (n-2) on a spread of named graphs."""
-    instances = [("P_8", path(8)), ("C_9", cycle(9)), ("W_8", wheel(8)),
-                 ("K_6", Graph.complete(6)), ("K_1,6", star(7)),
-                 ("empty_6", Graph.empty(6))]
-    def judge(cap: int, res: AiResult):
-        ok = 0 <= res.value <= cap
-        return ({"ai": res.value, "upper": cap}, ok,
-                {} if ok else {"witness": _ai_evidence(res)})
-
-    for label, g in instances:
-        yield _search_row("Thm1.2", {"graph": label},
-                          "0 <= ai(G) <= n(n-1)/2 - (n-2)", g, budget,
-                          partial(judge, general_upper_bound(g.n)))
 
 
 def _witness_row(claim_id: str, name: str, args: tuple, expected: str,
@@ -334,11 +309,12 @@ def _value_row(claim_id: str, params: dict, g: Graph, expected_value: int,
                            allowlist_key=boundary_key)
 
 
-def _removal_free_row(claim_id: str, params: dict, g: Graph,
-                      expected_text: str) -> ClaimReport:
+def _removal_free_row(claim_id: str, params: dict, g: Graph, expected_text: str,
+                      budget: int | None) -> ClaimReport:
     """Searching every set of edge removals must find no asymmetrization."""
+    max_k = g.edge_count if budget is None else min(budget, g.edge_count)
     try:
-        asymmetric_index(g, mode="remove-only", max_k=g.edge_count)
+        asymmetric_index(g, mode="remove-only", max_k=max_k)
         status, computed = REFUTED, "found pure-removal asymmetrization"
     except BudgetExceededError as exc:
         status = CONFIRMED if exc.universe_exhausted else BUDGET_EXCEEDED
@@ -376,28 +352,12 @@ def _chord_count_rows(claim_id: str, variant: str, key: str, budget,
             allowlist_key=None if ok else key)
 
 
-def _thm_2_4(budget, orders=(4,)) -> Iterator[ClaimReport]:
-    for n in orders:
-        for sign in ("+", "-"):
-            m = n * n + 1 if sign == "+" else n * n - 1
-            spec = FamilySpec("circulant", (m, (1, n)))
-            yield _value_row("Thm2.4", {"n": n, "sign": sign}, generate(spec), 2,
-                             _THM_2_4, budget)
-            for name in ("circulant-remove2", "circulant-add2", "circulant-mixed"):
-                yield _witness_row("Thm2.4-witness", name, (n, sign),
-                                   f"{name} asymmetrizes the circulant")
-
-
-def _thm_2_5(budget, orders=range(6, 10)) -> Iterator[ClaimReport]:
-    for order in orders:
-        yield _bounds_row("Thm2.5", {"n": order}, _THM_2_5, star(order),
-                          (order - 1) // 2, order - 1, budget)
-
-
 def _thm_2_6(budget) -> Iterator[ClaimReport]:
-    for order in (6, 7):
-        yield _value_row("Thm2.6-exact", {"n": order},
-                         Graph.complete(order), 6, "ai(K_n) = 6", budget)
+    yield from _family_rows((
+        _Check("Thm2.6-exact", "ai(K_n) = 6", (6, 7), Graph.complete, 6),
+        _Check("Thm2.6-asymptotic", "6*floor(n/7) <= ai(K_n) <= n - 2", (8,),
+               Graph.complete, bounds=lambda g: (6 * (g.n // 7), g.n - 2))),
+        ("n",), budget)
     formulas = kn_bound_formulas(8)
     consistent = formulas["lower_printed"] <= formulas["upper"]
     yield ClaimReport(
@@ -406,9 +366,6 @@ def _thm_2_6(budget) -> Iterator[ClaimReport]:
         formulas, CONFIRMED if consistent else REFUTED,
         {"note": "printed lower bound exceeds the upper bound"},
         allowlist_key=None if consistent else "Thm2.6-printed-lower")
-    yield _bounds_row("Thm2.6-asymptotic", {"n": 8},
-                      "6*floor(n/7) <= ai(K_n) <= n - 2", Graph.complete(8),
-                      formulas["lower_asymptotic"], formulas["upper"], budget)
     for order in (8, 9, 10):
         removed = asymmetric_forest_edges(order)
         yield _asym_row(
@@ -440,7 +397,7 @@ def _torus_scan(r: int, s: int) -> ClaimReport:
     """
     g = torus(r, s)
     one_hits = 0
-    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    pairs = all_pairs(g.n)
     for orbit in _pair_orbits(pairs, automorphism_group(g).generators):
         u, v = min(orbit)
         edited = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
@@ -466,23 +423,20 @@ def _torus_scan(r: int, s: int) -> ClaimReport:
                        vertices=g.n)
 
 
-def _thm_3_1(budget) -> Iterator[ClaimReport]:
-    instances = [("P6+C6", [path(6), cycle(6)]), ("P6+P7", [path(6), path(7)])]
-    def judge(comps: list[Graph], res: AiResult):
-        parts = [asymmetric_index(c, max_k=budget).value for c in comps]
-        return ({"component_ai": parts, "ai": res.value},
-                min(parts) <= res.value <= sum(parts), _ai_evidence(res, cap=1))
+def _component_bounds(parts: tuple[Graph, ...], budget) -> tuple[int, int]:
+    ai = [asymmetric_index(c, max_k=budget).value for c in parts]
+    return min(ai), sum(ai)
 
-    for label, comps in instances:
-        g = comps[0]
-        for c in comps[1:]:
-            g = disjoint_union(g, c)
-        yield _search_row("Thm3.1", {"components": label},
-                          "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)", g, budget,
-                          partial(judge, comps))
+
+def _thm_3_1(budget) -> Iterator[ClaimReport]:
+    text = "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)"
+    for label, parts in (("P6+C6", (path(6), cycle(6))),
+                         ("P6+P7", (path(6), path(7)))):
+        yield _bounds_row("Thm3.1", {"components": label}, text,
+                          disjoint_union(*parts),
+                          partial(_component_bounds, parts, budget), budget)
     yield ClaimReport(
-        "Thm3.1", {"components": "P6+P6"},
-        "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)", None, NOT_APPLICABLE,
+        "Thm3.1", {"components": "P6+P6"}, text, None, NOT_APPLICABLE,
         {"note": "isomorphic components; the one-line proof does not cover them"})
 
 
@@ -507,23 +461,26 @@ def _thm_3_2(budget) -> Iterator[ClaimReport]:
              **({} if ok else _aut_evidence(edited))})
 
 
-# -- family claims as data ------------------------------------------------
+# -- claims as data -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Check:
-    """One row per instance x (a tuple) of a family claim: the catalog
-    ``witness(*x)`` asymmetrizes its graph, or else ai(``spec(*x)``) is
-    ``value``, or with no value, no edge removals asymmetrize it.
-    ``keys`` maps an instance to the allowlist key of its refutation (for
-    a value row: of a graph that cannot be asymmetrized at all).
+    """One row per instance x of a claim, in one of four shapes: the
+    catalog ``witness(*x)`` asymmetrizes its graph; ai(``graph(*x)``) is
+    ``value``; ``bounds(graph(*x))`` = (lower, upper) holds around it; or,
+    with neither, no edge removals asymmetrize the graph.  An instance is
+    a tuple of coordinates, or a bare first coordinate.  ``keys`` maps an
+    instance tuple to the allowlist key of its refutation (for a value row: of
+    a graph that cannot be asymmetrized at all).
     """
 
     row_id: str
     text: str
-    instances: tuple
-    spec: Callable[..., FamilySpec] | None = None
+    instances: Iterable
+    graph: Callable[..., Graph] | None = None
     value: int | None = None
+    bounds: Callable[[Graph], tuple] | None = None
     witness: str | None = None
     params: dict = field(default_factory=dict)
     keys: dict = field(default_factory=dict)
@@ -531,31 +488,36 @@ class _Check:
 
 def _family_rows(checks: tuple[_Check, ...], coords: tuple[str, ...],
                  budget, values=None) -> Iterator[ClaimReport]:
-    """Rows of every check, on its default instances or on ``values``."""
+    """Rows of every check, on its default instances or, with ``values``,
+    on each value crossed with the default instances' other coordinates."""
     for check in checks:
-        for x in check.instances if values is None else [(v,) for v in values]:
+        xs = [x if isinstance(x, tuple) else (x,) for x in check.instances]
+        if values is not None:
+            xs = [(v, *rest) for v in values
+                  for rest in dict.fromkeys(x[1:] for x in xs)]
+        for x in xs:
             key = check.keys.get(x)
             if check.witness:
                 yield _witness_row(check.row_id, check.witness, x, check.text, key)
                 continue
             params = {**dict(zip(coords, x)), **check.params}
-            g = generate(check.spec(*x))
-            if check.value is None:
-                yield _removal_free_row(check.row_id, params, g, check.text)
+            g = check.graph(*x)
+            if check.bounds:
+                yield _bounds_row(check.row_id, params, check.text, g,
+                                  partial(check.bounds, g), budget, key)
+            elif check.value is None:
+                yield _removal_free_row(check.row_id, params, g, check.text, budget)
             else:
                 yield _value_row(check.row_id, params, g, check.value,
                                  check.text, budget, key)
 
 
-def _ns(lo: int, hi: int) -> tuple:
-    return tuple((n,) for n in range(lo, hi + 1))
-
-
-def _kind(kind: str) -> Callable[..., FamilySpec]:
-    return lambda *args: FamilySpec(kind, args)
-
-
+#: The fixed named instances of the bounds claims, by label.
+_NAMED = {"P_8": path(8), "C_8": cycle(8), "C_9": cycle(9), "W_8": wheel(8),
+          "K_6": Graph.complete(6), "K_1,5": star(6), "K_1,6": star(7),
+          "empty_6": Graph.empty(6)}
 _GRIDS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
+_CIRCULANTS = ((4, "+"), (4, "-"))
 
 
 # -- catalog ----------------------------------------------------------------
@@ -577,9 +539,9 @@ class _Entry:
 
 
 def _family(param, minimum, coords, *checks: _Check) -> _Entry:
-    """Entry of a family claim; ``coords`` name an instance's parts."""
+    """Entry of a claim made of checks; ``coords`` name an instance's parts."""
     return _Entry(partial(_family_rows, checks, coords), param, minimum,
-                  checks[0].text, tuple(c.row_id for c in checks))
+                  checks[0].text, tuple(dict.fromkeys(c.row_id for c in checks)))
 
 
 _CATALOG: dict[str, _Entry] = {
@@ -592,21 +554,30 @@ _CATALOG: dict[str, _Entry] = {
         _pair_preservation, "Prop1.4", disjoint_union,
         "union of non-isomorphic asymmetric graphs is asymmetric"), "n"),
     "Lem1.1": _Entry(_lem_1_1, "n", 6, _LEM_1_1),
-    "Lem1.4": _Entry(_lem_1_4),
+    "Lem1.4": _family(
+        None, None, ("graph",),
+        _Check("Lem1.4", "ai(G) >= floor((t-1)/2) for a pairwise-transposable t-set",
+               ("K_1,5", "K_6", "C_8"), _NAMED.__getitem__,
+               bounds=lambda g: (_transposable_bound(g), None),
+               keys={("C_8",): "Lem1.4-overreach"})),
     "Lem2.1": _Entry(_lem_2_1, "i", 6, _LEM_2_1),
-    "Thm1.2": _Entry(_thm_1_2),
+    "Thm1.2": _family(
+        None, None, ("graph",),
+        _Check("Thm1.2", "0 <= ai(G) <= n(n-1)/2 - (n-2)",
+               ("P_8", "C_9", "W_8", "K_6", "K_1,6", "empty_6"), _NAMED.__getitem__,
+               bounds=lambda g: (0, general_upper_bound(g.n)))),
     "Thm2.1": _family(
         "n", 6, ("n",),
-        _Check("Thm2.1", "ai(P_n) = 1", _ns(6, 12), _kind("path"), 1),
+        _Check("Thm2.1", "ai(P_n) = 1", range(6, 13), path, 1),
         _Check("Thm2.1-witness", "adding the chord (1,3) asymmetrizes P_n",
-               _ns(6, 12), witness="path-add-chord")),
+               range(6, 13), witness="path-add-chord")),
     "Thm2.2": _family(
         "n", 6, ("n",),
-        _Check("Thm2.2", "ai(C_n) = 2", _ns(6, 12), _kind("cycle"), 2),
+        _Check("Thm2.2", "ai(C_n) = 2", range(6, 13), cycle, 2),
         _Check("Thm2.2-witness", "remove one cycle edge, add the path chord",
-               _ns(6, 12), witness="cycle-remove-add"),
+               range(6, 13), witness="cycle-remove-add"),
         _Check("Thm2.2-remove-only", "no pure edge removal asymmetrizes a cycle",
-               _ns(6, 12), _kind("cycle"))),
+               range(6, 13), cycle)),
     "Sec2.2-cycle-aut": _Entry(_sec_2_2_cycle_aut, "n"),
     "Rem2.1": _Entry(partial(_chord_count_rows, "Rem2.1", "remark",
                              "Rem2.1-remark-variant"), "n", 6,
@@ -616,21 +587,30 @@ _CATALOG: dict[str, _Entry] = {
                            "text chord-count formula matches enumeration"),
     "Thm2.3": _family(
         "n", 6, ("n",),
-        _Check("Thm2.3", "ai(W_n) = 2", _ns(6, 10), _kind("wheel"), 2,
+        _Check("Thm2.3", "ai(W_n) = 2", range(6, 11), wheel, 2,
                params={"convention": "hub degree n-1"}),
         _Check("Thm2.3-witness", "removing a rim edge then an adjacent spoke",
-               _ns(6, 10), witness="wheel-two-removals"),
-        _Check("Thm2.3-alt", "ai = 2 under the (n+1)-vertex reading", _ns(6, 9),
-               lambda n: FamilySpec("wheel", (n + 1,)), 2,
-               params={"convention": "hub degree n"})),
-    "Thm2.4": _Entry(_thm_2_4, "n", 4, _THM_2_4, ("Thm2.4", "Thm2.4-witness")),
-    "Thm2.5": _Entry(_thm_2_5, "n", 6, _THM_2_5),
+               range(6, 11), witness="wheel-two-removals"),
+        _Check("Thm2.3-alt", "ai = 2 under the (n+1)-vertex reading", range(6, 10),
+               lambda n: wheel(n + 1), 2, params={"convention": "hub degree n"})),
+    "Thm2.4": _family(
+        "n", 4, ("n", "sign"),
+        _Check("Thm2.4", "ai(C_{n^2 +/- 1}(1, n)) = 2", _CIRCULANTS,
+               lambda n, sign: circulant(n * n + (1 if sign == "+" else -1), (1, n)),
+               2),
+        *(_Check("Thm2.4-witness", f"{name} asymmetrizes the circulant",
+                 _CIRCULANTS, witness=name)
+          for name in ("circulant-remove2", "circulant-add2", "circulant-mixed"))),
+    "Thm2.5": _family(
+        "n", 6, ("n",),
+        _Check("Thm2.5", "floor((n-1)/2) <= ai(K_{1,n-1}) <= n-1", range(6, 10),
+               star, bounds=lambda g: ((g.n - 1) // 2, g.n - 1))),
     "Thm2.6": _Entry(_thm_2_6, parts=("Thm2.6-exact", "Thm2.6-printed-lower",
                                       "Thm2.6-asymptotic", "Thm2.6-upper",
                                       "Sec2.5-k28")),
     "Thm2.8": _family(
         None, None, ("r", "s"),
-        _Check("Thm2.8", "ai(P_r x P_s) = 1", _GRIDS, _kind("grid"), 1,
+        _Check("Thm2.8", "ai(P_r x P_s) = 1", _GRIDS, grid, 1,
                keys={(2, 2): "Thm2.8-boundary"}),
         _Check("Thm2.8-witness",
                "removing the corner edge (0,0)-(1,0) asymmetrizes the grid",
@@ -639,7 +619,7 @@ _CATALOG: dict[str, _Entry] = {
                      (2, 4): "Thm2.8-corner-witness-r2"})),
     "Thm2.9": _family(
         None, None, ("r", "s"),
-        _Check("Thm2.9", "ai(P_r x C_s) = 2", ((2, 3), (2, 4)), _kind("pxc"), 2),
+        _Check("Thm2.9", "ai(P_r x C_s) = 2", ((2, 3), (2, 4)), path_cycle, 2),
         _Check("Thm2.9-witness",
                "removing two edges at the corner vertex asymmetrizes P_r x C_s",
                ((2, 3), (2, 4), (3, 5)), witness="pxc-two-removals",

@@ -16,8 +16,9 @@ from . import __version__
 from .graph import Graph, Graph6Error, from_edge_list, from_graph6, to_graph6
 from .automorphism import automorphism_group, cycles_str
 from .families import FamilySpec, generate, cycle
-from .search import (BudgetExceededError, NoAsymmetrizationError,
-                     asymmetric_index, count_nonisomorphic_asymmetrizations)
+from .search import (DEFAULT_WITNESS_CAP, MODES, BudgetExceededError,
+                     NoAsymmetrizationError, asymmetric_index,
+                     count_nonisomorphic_asymmetrizations)
 from . import claims as claims_mod
 
 EXIT_OK = 0
@@ -118,7 +119,8 @@ def _cmd_ai(args, config) -> int:
     g = _read_graph(args.graph)
     base = 1 if args.one_based else 0
     max_k = args.max_k if args.max_k is not None else config.get("max_k")
-    cap = args.witnesses if args.witnesses is not None else config.get("witness_cap", 4)
+    cap = (args.witnesses if args.witnesses is not None
+           else config.get("witness_cap", DEFAULT_WITNESS_CAP))
     try:
         res = asymmetric_index(g, mode=args.mode, max_k=max_k, witness_cap=cap)
     except NoAsymmetrizationError as exc:
@@ -274,8 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ai", parents=[common],
                        help="compute the asymmetric index of a graph")
     p.add_argument("graph", help="graph6 string, '-' for stdin, or @edge-list-file")
-    p.add_argument("--mode", choices=("mixed", "add-only", "remove-only"),
-                   default="mixed")
+    p.add_argument("--mode", choices=MODES, default="mixed")
     p.add_argument("--max-k", type=int, default=None, help="layer budget")
     p.add_argument("--witnesses", type=int, default=None,
                    help="cap on reported witnesses")

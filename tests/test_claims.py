@@ -119,7 +119,8 @@ class TestVerify:
         by_graph = {r.params["graph"]: r for r in rows}
         assert by_graph["K_1,5"].status == CONFIRMED
         assert by_graph["C_8"].status == REFUTED
-        assert by_graph["C_8"].computed == {"bound": 3, "ai": 2}
+        assert by_graph["C_8"].computed == {"lower": 3, "ai": 2, "upper": None}
+        assert by_graph["C_8"].allowlist_key == "Lem1.4-overreach"
 
     @pytest.mark.parametrize("claim_id", ["Lem1.4", "Thm1.2", "Thm2.5",
                                           "Thm2.6", "Thm3.1", "Prop1.2"])
@@ -134,6 +135,15 @@ class TestVerify:
             assert r.evidence == {"proven_lower_bound": 2} and r.ai is None
             if "graph6" in r.params:
                 assert asymmetric_index(from_graph6(r.params["graph6"])).value >= 2
+
+    def test_removal_free_row_honours_budget(self):
+        # C_8 has 8 edges: budget 2 stops the removal search early, while
+        # a budget that covers every edge still exhausts the universe
+        row = verify("Thm2.2-remove-only", n=8, budget=2)[0]
+        assert row.status == claims.BUDGET_EXCEEDED and row.computed == "> 2"
+        row = verify("Thm2.2-remove-only", n=8, budget=9)[0]
+        assert row.status == CONFIRMED
+        assert row.computed == "impossible (universe exhausted)"
 
     def test_further_search_stop_carries_no_bound(self):
         # the row names P_6 (ai = 1); the stop of a further search bounds
@@ -190,7 +200,7 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "6bcad871d4e0c1fb975c39267593526d4504a2a3a26d78402090ace4d5ac2e0b")
+            "384b8e2d1c663e343f46bd92da3e23ec3d651cbec7d75a51f9b52f61b3704a4d")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path
@@ -199,11 +209,17 @@ class TestSuite:
             ("Prop1.3", "n", [6]), ("Prop1.4", "n", [6]), ("Lem1.1", "n", [6, 7]),
             ("Rem2.1", "n", list(range(6, 13))),
             ("Sec2.2-count", "n", list(range(6, 13))),
-            ("Thm2.5", "n", list(range(6, 10))), ("Ex3.1", "l", [3, 4]))])
+            ("Thm2.4", "n", [4]), ("Thm2.5", "n", list(range(6, 10))),
+            ("Ex3.1", "l", [3, 4]))])
     def test_range_path_matches_suite(self, suite_rows, claim_id, param, values):
         rows = verify(claim_id, **{param: values})
+        parts = claims.ROW_IDS[claim_id]
         assert [r.to_dict() for r in rows] == \
-            [r.to_dict() for r in suite_rows if r.claim_id == claim_id]
+            [r.to_dict() for r in suite_rows if r.claim_id in parts]
+
+    def test_row_ids_match_catalog(self, suite_rows):
+        produced = {r.claim_id for r in suite_rows} - {"Thm1.2-sweep"}
+        assert produced == set().union(*claims.ROW_IDS.values())
 
     def test_no_empty_rows(self, suite_rows):
         for r in suite_rows:

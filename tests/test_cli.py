@@ -241,11 +241,12 @@ class TestVerify:
         assert code == 0 and "allowlisted" in out
 
     def test_suite_budget_stops_exit0(self, capsys):
-        # every search-backed row turns a budget stop into a row
+        # every search-backed row turns a budget stop into a row; the
+        # seven removal-free cycle rows stop at the budget too
         code, out, err = run(capsys, "verify", "suite", "--budget", "1")
         assert code == 0 and err == ""
         assert out.splitlines()[-1].endswith(
-            "126 budget-exceeded, 2 not-applicable")
+            "133 budget-exceeded, 2 not-applicable")
 
     def test_unknown_claim_exit2(self, capsys):
         code, _, err = run(capsys, "verify", "Thm7.7")
@@ -270,6 +271,12 @@ class TestVerify:
         rows = json.loads(out)["result"]["rows"]
         assert sorted(r["params"]["n"] for r in rows if r["claim"] == "Thm2.4") \
             == [4, 4, 5, 5]
+        # each witness runs on both signs of each n in the range
+        witness_args = [r["params"]["args"] for r in rows
+                        if r["claim"] == "Thm2.4-witness"]
+        assert len(witness_args) == 12
+        assert sorted(map(tuple, witness_args)) == sorted(
+            [(n, sign) for n in (4, 5) for sign in "+-"] * 3)
 
     def test_empty_range_exit2(self, capsys):
         code, out, err = run(capsys, "verify", "Thm2.2", "--n", "8..6")
