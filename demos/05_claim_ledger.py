@@ -12,8 +12,9 @@ for row in verify("Thm2.2", n=(6, 8)):
 print()
 print("the printed complete-graph lower bound is internally inconsistent:")
 row = verify("Thm2.6-printed-lower")[0]
-print(f"  computed {row.computed} -> {row.status} "
-      f"(allowlisted as {row.allowlist_key})")
+print(f"  printed lower bound {row.computed['claimed']} at n=8, but the upper "
+      f"bound n - 2 allows at most {row.computed['computed']}")
+print(f"  -> {row.status} (allowlisted as {row.allowlist_key})")
 
 print()
 print("the torus claim: no single flip works, a two-removal witness does")

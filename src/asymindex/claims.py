@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
@@ -25,8 +25,8 @@ from .automorphism import (_pair_orbits, automorphism_group, cycles_str,
 from .enumeration import (all_pairs, asymmetric_forest_edges, asymmetric_graphs,
                           asymmetric_trees, nonisomorphic_graphs)
 from .families import (circulant, cycle, cycle_with_pendant_paths, generate,
-                       grid, path, path_cycle, pendant_extension, star, torus,
-                       wheel, witness)
+                       grid, path, path_cycle, pendant_extension, split, star,
+                       torus, wheel, witness)
 from .search import (AiResult, BudgetExceededError, FlipSet,
                      NoAsymmetrizationError, apply_flips, asymmetric_index,
                      count_nonisomorphic_asymmetrizations)
@@ -124,22 +124,24 @@ def _ai_evidence(res: AiResult, cap: int = 2) -> dict:
             "stats": res.stats.as_dict()}
 
 
-def _aut_evidence(g: Graph) -> dict:
-    sigma = find_nontrivial_automorphism(g)
-    return {"automorphism": cycles_str(sigma) if sigma else None}
-
-
 def _asym_row(claim_id: str, params: dict, text: str, g: Graph,
-              computed: dict | None = None, evidence: dict | None = None,
+              flips: FlipSet | None = None, size: int | None = None,
               key: str | None = None) -> ClaimReport:
-    """Row for "``g`` is asymmetric": ``computed`` gains the verdict, and a
-    refutation adds an automorphism to ``evidence`` and carries ``key``."""
-    ok = is_asymmetric(g)
-    return ClaimReport(
-        claim_id, params, text, {**(computed or {}), "asymmetric": ok},
-        CONFIRMED if ok else REFUTED,
-        {**(evidence or {}), **({} if ok else _aut_evidence(g))},
-        allowlist_key=None if ok else key)
+    """Row for "``g``, edited by ``flips`` when given, is asymmetric"; with
+    ``size`` the edit set must also have that many pairs.  A symmetric
+    graph's row carries one of its automorphisms, and a refutation
+    carries ``key``."""
+    computed, evidence = {}, {}
+    if flips is not None:
+        g = apply_flips(g, flips)
+        computed, evidence = {"size": flips.size}, {"flips": flips.as_dict()}
+    asym = is_asymmetric(g)
+    if not asym:
+        evidence["automorphism"] = cycles_str(find_nontrivial_automorphism(g))
+    ok = asym and (size is None or flips.size == size)
+    return ClaimReport(claim_id, params, text, {**computed, "asymmetric": asym},
+                       CONFIRMED if ok else REFUTED, evidence,
+                       allowlist_key=None if ok else key)
 
 
 def _search_row(claim_id: str, params: dict, text: str, g: Graph,
@@ -148,16 +150,21 @@ def _search_row(claim_id: str, params: dict, text: str, g: Graph,
     """Row for a claim about ai(``g``), the graph the row names.
 
     ``judge(res)`` maps the search of ``g`` to (computed, holds,
-    evidence); a refutation carries ``key``.  A search that stops at the
-    layer budget gives a budget-exceeded row.  Only ``g``'s own stop is
-    a proven lower bound of ``g``; a stop in one of ``judge``'s further
-    searches bounds another graph, so that row carries none.
+    evidence); a refutation, or a ``g`` that no edits make asymmetric,
+    carries ``key``.  A search that stops at the layer budget gives a
+    budget-exceeded row.  Only ``g``'s own stop is a proven lower bound
+    of ``g``; a stop in one of ``judge``'s further searches bounds
+    another graph, so that row carries none.
     """
     try:
         res = asymmetric_index(g, max_k=budget)
     except BudgetExceededError as exc:
         return ClaimReport(claim_id, params, text, f"> {exc.lower_bound - 1}",
                            BUDGET_EXCEEDED, {"proven_lower_bound": exc.lower_bound})
+    except NoAsymmetrizationError:
+        return ClaimReport(claim_id, params, text, "no-asymmetrization", REFUTED,
+                           {"note": "graphs on 2..5 vertices cannot be made "
+                                    "asymmetric"}, allowlist_key=key)
     try:
         computed, ok, evidence = judge(res)
     except BudgetExceededError:
@@ -185,6 +192,20 @@ def _bounds_row(claim_id: str, params: dict, text: str, g: Graph,
     return _search_row(claim_id, params, text, g, budget, judge, key)
 
 
+def _removal_free_row(claim_id: str, params: dict, g: Graph, expected_text: str,
+                      budget: int | None) -> ClaimReport:
+    """Searching every set of edge removals must find no asymmetrization."""
+    max_k = g.edge_count if budget is None else min(budget, g.edge_count)
+    try:
+        asymmetric_index(g, mode="remove-only", max_k=max_k)
+        status, computed = REFUTED, "found pure-removal asymmetrization"
+    except BudgetExceededError as exc:
+        status = CONFIRMED if exc.universe_exhausted else BUDGET_EXCEEDED
+        computed = "impossible (universe exhausted)" if exc.universe_exhausted \
+            else f"> {exc.lower_bound - 1}"
+    return ClaimReport(claim_id, params, expected_text, computed, status)
+
+
 def _norm_range(value) -> list[int]:
     if isinstance(value, int):
         return [value]
@@ -197,32 +218,11 @@ def _norm_range(value) -> list[int]:
     return values
 
 
-# -- claim handlers --------------------------------------------------------
-# Each handler yields ClaimReport rows.  ``budget`` is the search layer
-# budget; in a ranged handler the argument after it holds the in-domain
-# values of its range parameter and defaults to desk scale.
+# -- claims that stay handlers ---------------------------------------------
+# Each yields ClaimReport rows.  ``budget`` is the search layer budget; a
+# ranged handler takes the in-domain values of its range parameter next.
 
 _PROP_1_2 = "ai(G) = ai(complement(G))"
-_LEM_1_1 = "pendant extension of an asymmetric graph is asymmetric"
-_LEM_2_1 = "floor((i-5)/2) distinct partitions"
-_EX_3_1 = ("joining each pendant path to its own cycle vertex gives an "
-           "asymmetric graph (ai <= l)")
-
-
-def _prop_1_1(budget, orders=(6,)) -> Iterator[ClaimReport]:
-    """Aut(G) equals Aut(complement(G)), checked on all classes of order n."""
-    for g in (g for n in orders for g in nonisomorphic_graphs(n)):
-        gc = g.complement()
-        rep, repc = automorphism_group(g), automorphism_group(gc)
-        cross_ok = all(is_automorphism(gc, p) for p in rep.generators) and \
-            all(is_automorphism(g, p) for p in repc.generators)
-        same = rep.order == repc.order and rep.orbits == repc.orbits and cross_ok
-        yield ClaimReport(
-            "Prop1.1", {"graph6": to_graph6(g).decode()},
-            "Aut(G) = Aut(complement(G))",
-            {"order": rep.order, "complement_order": repc.order},
-            CONFIRMED if same else REFUTED,
-            {} if same else {"generators_cross_check": cross_ok})
 
 
 def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
@@ -240,150 +240,6 @@ def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
     for g in (g for n in orders for g in nonisomorphic_graphs(n)):
         yield _search_row("Prop1.2", {"graph6": to_graph6(g).decode()}, _PROP_1_2,
                           g, budget, partial(judge, g))
-
-
-def _pair_preservation(claim_id: str, combine, text: str, budget,
-                       orders=(6,)) -> Iterator[ClaimReport]:
-    """``combine`` of two non-isomorphic asymmetric graphs is asymmetric."""
-    for n in orders:
-        asym = asymmetric_graphs(n)
-        for i, g in enumerate(asym):
-            for j, h in enumerate(asym):
-                if i != j:
-                    yield _asym_row(
-                        claim_id, {"g": to_graph6(g).decode(),
-                                   "h": to_graph6(h).decode()},
-                        text, combine(g, h))
-
-
-def _lem_1_1(budget, orders=(6, 7)) -> Iterator[ClaimReport]:
-    """Single-vertex pendant extension preserves asymmetry."""
-    for order in orders:
-        for g in asymmetric_graphs(order):
-            yield _asym_row("Lem1.1", {"n": order, "graph6": to_graph6(g).decode()},
-                            _LEM_1_1, pendant_extension(g))
-
-
-def _transposable_bound(g: Graph) -> int:
-    """Lem1.4's floor((t-1)/2), t the largest pairwise-transposable vertex
-    set, found by checking vertex subsets from the largest down; the
-    Lem1.4 graphs have at most 8 vertices."""
-    pairs = transposable_pairs(g)
-    t = next((size for size in range(g.n, 1, -1)
-              if any(pairs.issuperset(combinations(subset, 2))
-                     for subset in combinations(range(g.n), size))), 1)
-    return (t - 1) // 2
-
-
-def _lem_2_1(budget, values=range(6, 61)) -> Iterator[ClaimReport]:
-    """Closed form for two-part partitions with distinct parts >= 3."""
-    for value in values:
-        oracle = sum(1 for a in range(3, value)
-                     for b in range(a + 1, value) if a + b == value)
-        formula = partition_count(value)
-        ok = oracle == formula
-        yield ClaimReport(
-            "Lem2.1", {"i": value}, _LEM_2_1,
-            {"formula": formula, "enumeration": oracle},
-            CONFIRMED if ok else REFUTED)
-
-
-def _witness_row(claim_id: str, name: str, args: tuple, expected: str,
-                 allowlist_key: str | None = None) -> ClaimReport:
-    spec, flips = witness(name, *args)
-    return _asym_row(claim_id, {"witness": name, "args": list(args)}, expected,
-                     apply_flips(generate(spec), flips), {"size": flips.size},
-                     {"flips": flips.as_dict()}, allowlist_key)
-
-
-def _value_row(claim_id: str, params: dict, g: Graph, expected_value: int,
-               expected_text: str, budget: int | None = None,
-               boundary_key: str | None = None) -> ClaimReport:
-    try:
-        return _search_row(claim_id, params, expected_text, g, budget, lambda res: (
-            res.value, res.value == expected_value, _ai_evidence(res)))
-    except NoAsymmetrizationError:
-        return ClaimReport(claim_id, params, expected_text, "no-asymmetrization",
-                           REFUTED, {"note": "graphs on 2..5 vertices cannot be "
-                                             "made asymmetric"},
-                           allowlist_key=boundary_key)
-
-
-def _removal_free_row(claim_id: str, params: dict, g: Graph, expected_text: str,
-                      budget: int | None) -> ClaimReport:
-    """Searching every set of edge removals must find no asymmetrization."""
-    max_k = g.edge_count if budget is None else min(budget, g.edge_count)
-    try:
-        asymmetric_index(g, mode="remove-only", max_k=max_k)
-        status, computed = REFUTED, "found pure-removal asymmetrization"
-    except BudgetExceededError as exc:
-        status = CONFIRMED if exc.universe_exhausted else BUDGET_EXCEEDED
-        computed = "impossible (universe exhausted)" if exc.universe_exhausted \
-            else f"> {exc.lower_bound - 1}"
-    return ClaimReport(claim_id, params, expected_text, computed, status)
-
-
-def _sec_2_2_cycle_aut(budget, orders=range(6, 11)) -> Iterator[ClaimReport]:
-    for order in orders:
-        rep = automorphism_group(cycle(order))
-        claimed = factorial(order)
-        ok = rep.order == claimed
-        yield ClaimReport(
-            "Sec2.2-cycle-aut", {"n": order},
-            "Aut(C_n) is the full symmetric group S_n",
-            {"computed_order": rep.order, "claimed_order": claimed},
-            CONFIRMED if ok else REFUTED,
-            {"note": "computed group is dihedral of order 2n"},
-            allowlist_key=None if ok else "Sec2.2-cycle-aut")
-
-
-def _chord_count_rows(claim_id: str, variant: str, key: str, budget,
-                      orders=range(6, 13)) -> Iterator[ClaimReport]:
-    for order in orders:
-        oracle = count_nonisomorphic_asymmetrizations(cycle(order), 0, 2)
-        value = cycle_augmentation_formula(order, variant)
-        ok = oracle == value
-        yield ClaimReport(
-            claim_id, {"n": order},
-            f"{variant} chord-count formula matches enumeration",
-            {"formula": value, "enumeration": oracle},
-            CONFIRMED if ok else REFUTED,
-            {} if ok else {"note": "formula disagrees with brute-force count"},
-            allowlist_key=None if ok else key)
-
-
-def _thm_2_6(budget) -> Iterator[ClaimReport]:
-    yield from _family_rows((
-        _Check("Thm2.6-exact", "ai(K_n) = 6", (6, 7), Graph.complete, 6),
-        _Check("Thm2.6-asymptotic", "6*floor(n/7) <= ai(K_n) <= n - 2", (8,),
-               Graph.complete, bounds=lambda g: (6 * (g.n // 7), g.n - 2))),
-        ("n",), budget)
-    formulas = kn_bound_formulas(8)
-    consistent = formulas["lower_printed"] <= formulas["upper"]
-    yield ClaimReport(
-        "Thm2.6-printed-lower", {"n": 8},
-        "printed lower bound n - floor((n-1)/7) + 4 <= upper bound n - 2",
-        formulas, CONFIRMED if consistent else REFUTED,
-        {"note": "printed lower bound exceeds the upper bound"},
-        allowlist_key=None if consistent else "Thm2.6-printed-lower")
-    for order in (8, 9, 10):
-        removed = asymmetric_forest_edges(order)
-        yield _asym_row(
-            "Thm2.6-upper", {"n": order},
-            "removing an asymmetric forest leaves K_n asymmetric (ai <= n-2)",
-            apply_flips(Graph.complete(order), FlipSet(removed=frozenset(removed))),
-            {"edits": len(removed)})
-    trees = asymmetric_trees(9)
-    edges = []
-    base = 1
-    for t in trees:
-        edges += [(base + u, base + v) for (u, v) in t.edges()]
-        base += 9
-    yield _asym_row(
-        "Sec2.5-k28", {"n": 28},
-        "K_28 minus three distinct asymmetric 9-trees is asymmetric (ai <= 25)",
-        apply_flips(Graph.complete(28), FlipSet(removed=frozenset(edges))),
-        {"edits": len(edges)})
 
 
 def _torus_scan(r: int, s: int) -> ClaimReport:
@@ -440,76 +296,123 @@ def _thm_3_1(budget) -> Iterator[ClaimReport]:
         {"note": "isomorphic components; the one-line proof does not cover them"})
 
 
-def _ex_3_1(budget, values=(3, 4)) -> Iterator[ClaimReport]:
-    for value in values:
-        g = cycle_with_pendant_paths(value)
-        yield _asym_row("Ex3.1", {"l": value}, _EX_3_1, g,
-                        {"vertices": g.n, "edges": g.edge_count})
-
-
-def _thm_3_2(budget) -> Iterator[ClaimReport]:
-    for (s, t) in ((8, 1), (8, 2), (9, 3)):
-        spec, flips = witness("split-construction", s, t)
-        edited = apply_flips(generate(spec), flips)
-        ok = is_asymmetric(edited) and flips.size == s - 2 + t - 1
-        yield ClaimReport(
-            "Thm3.2", {"s": s, "t": t},
-            "ai(K_s + t*K_1) <= s - 2 + t - 1",
-            {"edits": flips.size, "asymmetric": is_asymmetric(edited)},
-            CONFIRMED if ok else REFUTED,
-            {"flips": flips.as_dict(),
-             **({} if ok else _aut_evidence(edited))})
-
-
 # -- claims as data -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Check:
-    """One row per instance x of a claim, in one of four shapes: the
-    catalog ``witness(*x)`` asymmetrizes its graph; ai(``graph(*x)``) is
-    ``value``; ``bounds(graph(*x))`` = (lower, upper) holds around it; or,
-    with neither, no edge removals asymmetrize the graph.  An instance is
-    a tuple of coordinates, or a bare first coordinate.  ``keys`` maps an
-    instance tuple to the allowlist key of its refutation (for a value row: of
-    a graph that cannot be asymmetrized at all).
+    """One row per instance x of a claim, in one of six shapes: the
+    catalog ``witness(*x)`` asymmetrizes its graph; ``claimed(*x)`` equals
+    ``oracle(*x)``; ai(``graph(*x)``) is ``value``; ``bounds(graph(*x))``
+    = (lower, upper) holds around it; with ``removal_free``, no edge
+    removals asymmetrize the graph; or else the graph, edited by
+    ``edits(*x)`` when given (of ``size(*x)`` pairs when given), is
+    asymmetric.
+
+    ``instances`` holds tuples of coordinates or bare first coordinates,
+    or is a callable mapping a range value to instance tuples, run on
+    ``values`` by default; a Graph coordinate is written as graph6 in the
+    row's params.  ``keys`` maps an instance tuple to the allowlist key
+    of its refutation (for a search row, also of a graph that cannot be
+    asymmetrized at all), or is one key for every instance; an equality
+    row's refutation also carries ``note``.
     """
 
     row_id: str
     text: str
-    instances: Iterable
+    instances: Iterable | Callable[[int], Iterable]
     graph: Callable[..., Graph] | None = None
     value: int | None = None
     bounds: Callable[[Graph], tuple] | None = None
     witness: str | None = None
+    claimed: Callable | None = None
+    oracle: Callable | None = None
+    edits: Callable[..., FlipSet] | None = None
+    size: Callable[..., int] | None = None
+    removal_free: bool = False
+    values: tuple = ()
+    note: str = ""
     params: dict = field(default_factory=dict)
-    keys: dict = field(default_factory=dict)
+    keys: dict | str = field(default_factory=dict)
 
 
 def _family_rows(checks: tuple[_Check, ...], coords: tuple[str, ...],
                  budget, values=None) -> Iterator[ClaimReport]:
     """Rows of every check, on its default instances or, with ``values``,
-    on each value crossed with the default instances' other coordinates."""
+    on each value: a callable's instances of it, or else the value
+    crossed with the default instances' other coordinates."""
     for check in checks:
-        xs = [x if isinstance(x, tuple) else (x,) for x in check.instances]
-        if values is not None:
-            xs = [(v, *rest) for v in values
-                  for rest in dict.fromkeys(x[1:] for x in xs)]
+        if callable(check.instances):
+            xs = [x for v in (check.values if values is None else values)
+                  for x in check.instances(v)]
+        else:
+            xs = [x if isinstance(x, tuple) else (x,) for x in check.instances]
+            if values is not None:
+                xs = [(v, *rest) for v in values
+                      for rest in dict.fromkeys(x[1:] for x in xs)]
         for x in xs:
-            key = check.keys.get(x)
+            key = check.keys if isinstance(check.keys, str) else check.keys.get(x)
             if check.witness:
-                yield _witness_row(check.row_id, check.witness, x, check.text, key)
+                spec, flips = witness(check.witness, *x)
+                yield _asym_row(check.row_id,
+                                {"witness": check.witness, "args": list(x)},
+                                check.text, generate(spec), flips, key=key)
                 continue
-            params = {**dict(zip(coords, x)), **check.params}
+            params = {**{c: to_graph6(v).decode() if isinstance(v, Graph) else v
+                         for c, v in zip(coords, x)}, **check.params}
+            if check.oracle:
+                claimed, computed = check.claimed(*x), check.oracle(*x)
+                ok = claimed == computed
+                yield ClaimReport(check.row_id, params, check.text,
+                                  {"claimed": claimed, "computed": computed},
+                                  CONFIRMED if ok else REFUTED,
+                                  {"note": check.note} if check.note and not ok else {},
+                                  allowlist_key=None if ok else key)
+                continue
             g = check.graph(*x)
             if check.bounds:
                 yield _bounds_row(check.row_id, params, check.text, g,
                                   partial(check.bounds, g), budget, key)
-            elif check.value is None:
+            elif check.value is not None:
+                yield _search_row(check.row_id, params, check.text, g, budget,
+                                  lambda res: (res.value, res.value == check.value,
+                                               _ai_evidence(res)), key)
+            elif check.removal_free:
                 yield _removal_free_row(check.row_id, params, g, check.text, budget)
             else:
-                yield _value_row(check.row_id, params, g, check.value,
-                                 check.text, budget, key)
+                yield _asym_row(check.row_id, params, check.text, g,
+                                check.edits and check.edits(*x),
+                                check.size and check.size(*x), key)
+
+
+def _transposable_bound(g: Graph) -> int:
+    """Lem1.4's floor((t-1)/2), t the largest pairwise-transposable vertex
+    set, found by checking vertex subsets from the largest down; the
+    Lem1.4 graphs have at most 8 vertices."""
+    pairs = transposable_pairs(g)
+    t = next((size for size in range(g.n, 1, -1)
+              if any(pairs.issuperset(combinations(subset, 2))
+                     for subset in combinations(range(g.n), size))), 1)
+    return (t - 1) // 2
+
+
+def _complement_aut_order(g: Graph) -> int | None:
+    """|Aut(complement(g))| if each group's generators are automorphisms
+    of the other graph and the orbits agree, else None; equal to
+    |Aut(g)|, it proves Aut(g) = Aut(complement(g))."""
+    gc = g.complement()
+    rep, repc = automorphism_group(g), automorphism_group(gc)
+    cross = all(is_automorphism(gc, p) for p in rep.generators) and \
+        all(is_automorphism(g, p) for p in repc.generators)
+    return repc.order if cross and rep.orbits == repc.orbits else None
+
+
+def _chord_count(claim_id: str, variant: str, key: str) -> _Check:
+    return _Check(
+        claim_id, f"{variant} chord-count formula matches enumeration", range(6, 13),
+        claimed=partial(cycle_augmentation_formula, variant=variant),
+        oracle=lambda n: count_nonisomorphic_asymmetrizations(cycle(n), 0, 2),
+        note="formula disagrees with brute-force count", keys=key)
 
 
 #: The fixed named instances of the bounds claims, by label.
@@ -527,40 +430,54 @@ _CIRCULANTS = ((4, "+"), (4, "-"))
 class _Entry:
     """One catalog entry: ``rows(budget)`` yields the default instances'
     rows.  With a range ``param`` it also takes ``rows(budget, values)``;
-    values below ``minimum`` give not-applicable rows expecting ``text``.
-    ``parts`` are the row ids it produces, when more than its own.
+    values below ``minimum`` give not-applicable rows.  ``texts`` maps
+    each row id it produces to its statement, when it has a range or more
+    row ids than its own.
     """
 
     rows: Callable[..., Iterable[ClaimReport]]
     param: str | None = None
     minimum: int | None = None
-    text: str = ""
-    parts: tuple[str, ...] = ()
+    texts: dict = field(default_factory=dict)
 
 
 def _family(param, minimum, coords, *checks: _Check) -> _Entry:
     """Entry of a claim made of checks; ``coords`` name an instance's parts."""
     return _Entry(partial(_family_rows, checks, coords), param, minimum,
-                  checks[0].text, tuple(dict.fromkeys(c.row_id for c in checks)))
+                  {c.row_id: c.text for c in checks})
 
 
 _CATALOG: dict[str, _Entry] = {
-    "Prop1.1": _Entry(_prop_1_1, "n"),
-    "Prop1.2": _Entry(_prop_1_2, "n", 6, _PROP_1_2),
-    "Prop1.3": _Entry(partial(
-        _pair_preservation, "Prop1.3", join,
-        "join of non-isomorphic asymmetric graphs is asymmetric"), "n"),
-    "Prop1.4": _Entry(partial(
-        _pair_preservation, "Prop1.4", disjoint_union,
-        "union of non-isomorphic asymmetric graphs is asymmetric"), "n"),
-    "Lem1.1": _Entry(_lem_1_1, "n", 6, _LEM_1_1),
+    "Prop1.1": _family(
+        "n", None, ("graph6",),
+        _Check("Prop1.1", "Aut(G) = Aut(complement(G))",
+               lambda n: ((g,) for g in nonisomorphic_graphs(n)), values=(6,),
+               claimed=lambda g: automorphism_group(g).order,
+               oracle=_complement_aut_order)),
+    "Prop1.2": _Entry(_prop_1_2, "n", 6, {"Prop1.2": _PROP_1_2}),
+    "Prop1.3": _family("n", 6, ("g", "h"), _Check(
+        "Prop1.3", "join of non-isomorphic asymmetric graphs is asymmetric",
+        lambda n: permutations(asymmetric_graphs(n), 2), join, values=(6,))),
+    "Prop1.4": _family("n", 6, ("g", "h"), _Check(
+        "Prop1.4", "union of non-isomorphic asymmetric graphs is asymmetric",
+        lambda n: permutations(asymmetric_graphs(n), 2), disjoint_union, values=(6,))),
+    "Lem1.1": _family(
+        "n", 6, ("n", "graph6"),
+        _Check("Lem1.1", "pendant extension of an asymmetric graph is asymmetric",
+               lambda n: ((n, g) for g in asymmetric_graphs(n)),
+               lambda n, g: pendant_extension(g), values=(6, 7))),
     "Lem1.4": _family(
         None, None, ("graph",),
         _Check("Lem1.4", "ai(G) >= floor((t-1)/2) for a pairwise-transposable t-set",
                ("K_1,5", "K_6", "C_8"), _NAMED.__getitem__,
                bounds=lambda g: (_transposable_bound(g), None),
                keys={("C_8",): "Lem1.4-overreach"})),
-    "Lem2.1": _Entry(_lem_2_1, "i", 6, _LEM_2_1),
+    "Lem2.1": _family(
+        "i", 6, ("i",),
+        _Check("Lem2.1", "floor((i-5)/2) distinct partitions", range(6, 61),
+               claimed=partition_count,
+               oracle=lambda i: sum(1 for a in range(3, i)
+                                    for b in range(a + 1, i) if a + b == i))),
     "Thm1.2": _family(
         None, None, ("graph",),
         _Check("Thm1.2", "0 <= ai(G) <= n(n-1)/2 - (n-2)",
@@ -577,14 +494,17 @@ _CATALOG: dict[str, _Entry] = {
         _Check("Thm2.2-witness", "remove one cycle edge, add the path chord",
                range(6, 13), witness="cycle-remove-add"),
         _Check("Thm2.2-remove-only", "no pure edge removal asymmetrizes a cycle",
-               range(6, 13), cycle)),
-    "Sec2.2-cycle-aut": _Entry(_sec_2_2_cycle_aut, "n"),
-    "Rem2.1": _Entry(partial(_chord_count_rows, "Rem2.1", "remark",
-                             "Rem2.1-remark-variant"), "n", 6,
-                     "remark chord-count formula matches enumeration"),
-    "Sec2.2-count": _Entry(partial(_chord_count_rows, "Sec2.2-count", "text",
-                                   "Sec2.2-count-text"), "n", 6,
-                           "text chord-count formula matches enumeration"),
+               range(6, 13), cycle, removal_free=True)),
+    "Sec2.2-cycle-aut": _family(
+        "n", 3, ("n",),
+        _Check("Sec2.2-cycle-aut", "Aut(C_n) is the full symmetric group S_n",
+               range(6, 11), claimed=factorial,
+               oracle=lambda n: automorphism_group(cycle(n)).order,
+               note="computed group is dihedral of order 2n", keys="Sec2.2-cycle-aut")),
+    "Rem2.1": _family("n", 6, ("n",),
+                      _chord_count("Rem2.1", "remark", "Rem2.1-remark-variant")),
+    "Sec2.2-count": _family("n", 6, ("n",),
+                            _chord_count("Sec2.2-count", "text", "Sec2.2-count-text")),
     "Thm2.3": _family(
         "n", 6, ("n",),
         _Check("Thm2.3", "ai(W_n) = 2", range(6, 11), wheel, 2,
@@ -605,9 +525,27 @@ _CATALOG: dict[str, _Entry] = {
         "n", 6, ("n",),
         _Check("Thm2.5", "floor((n-1)/2) <= ai(K_{1,n-1}) <= n-1", range(6, 10),
                star, bounds=lambda g: ((g.n - 1) // 2, g.n - 1))),
-    "Thm2.6": _Entry(_thm_2_6, parts=("Thm2.6-exact", "Thm2.6-printed-lower",
-                                      "Thm2.6-asymptotic", "Thm2.6-upper",
-                                      "Sec2.5-k28")),
+    "Thm2.6": _family(
+        None, None, ("n",),
+        _Check("Thm2.6-exact", "ai(K_n) = 6", (6, 7), Graph.complete, 6),
+        # lower <= upper exactly when min(lower, upper) is the lower bound
+        _Check("Thm2.6-printed-lower",
+               "printed lower bound n - floor((n-1)/7) + 4 <= upper bound n - 2", (8,),
+               claimed=lambda n: kn_bound_formulas(n)["lower_printed"],
+               oracle=lambda n: min(kn_bound_formulas(n)["lower_printed"], n - 2),
+               note="printed lower bound exceeds the upper bound",
+               keys="Thm2.6-printed-lower"),
+        _Check("Thm2.6-asymptotic", "6*floor(n/7) <= ai(K_n) <= n - 2", (8,),
+               Graph.complete, bounds=lambda g: (6 * (g.n // 7), g.n - 2)),
+        _Check("Thm2.6-upper",
+               "removing an asymmetric forest leaves K_n asymmetric (ai <= n-2)",
+               (8, 9, 10), Graph.complete,
+               edits=lambda n: FlipSet(removed=frozenset(asymmetric_forest_edges(n)))),
+        _Check("Sec2.5-k28",  # the trees side by side on vertices 1..27
+               "K_28 minus three distinct asymmetric 9-trees is asymmetric (ai <= 25)",
+               (28,), Graph.complete, edits=lambda n: FlipSet(removed=frozenset(
+                   (1 + 9 * i + u, 1 + 9 * i + v)
+                   for i, t in enumerate(asymmetric_trees(9)) for u, v in t.edges())))),
     "Thm2.8": _family(
         None, None, ("r", "s"),
         _Check("Thm2.8", "ai(P_r x P_s) = 1", _GRIDS, grid, 1,
@@ -626,8 +564,15 @@ _CATALOG: dict[str, _Entry] = {
                keys={(2, 4): "Thm2.9-witness-cube"})),
     "Thm2.10": _Entry(lambda budget: (_torus_scan(6, 7), _torus_scan(10, 11))),
     "Thm3.1": _Entry(_thm_3_1),
-    "Ex3.1": _Entry(_ex_3_1, "l", 3, _EX_3_1),
-    "Thm3.2": _Entry(_thm_3_2),
+    "Ex3.1": _family(
+        "l", 3, ("l",),
+        _Check("Ex3.1", "joining each pendant path to its own cycle vertex gives an "
+               "asymmetric graph (ai <= l)", (3, 4), cycle_with_pendant_paths)),
+    "Thm3.2": _family(
+        None, None, ("s", "t"),
+        _Check("Thm3.2", "ai(K_s + t*K_1) <= s - 2 + t - 1", ((8, 1), (8, 2), (9, 3)),
+               split, edits=lambda s, t: witness("split-construction", s, t)[1],
+               size=lambda s, t: s - 2 + t - 1)),
 }
 
 _ALIASES = {"Thm2.7": "Thm1.2"}
@@ -635,37 +580,17 @@ _ALIASES = {"Thm2.7": "Thm1.2"}
 CLAIM_IDS = tuple(_CATALOG)
 
 #: Row ids produced by each catalog entry (for id resolution).
-ROW_IDS = {cid: entry.parts or (cid,) for cid, entry in _CATALOG.items()}
+ROW_IDS = {cid: tuple(entry.texts) or (cid,) for cid, entry in _CATALOG.items()}
 
 
 def _resolve(claim_id: str) -> tuple[str, str | None]:
     """Return (entry id, row filter id or None)."""
-    if claim_id in _ALIASES:
-        return _ALIASES[claim_id], None
-    if claim_id in _CATALOG:
-        return claim_id, None
+    if claim_id in _ALIASES or claim_id in _CATALOG:
+        return _ALIASES.get(claim_id, claim_id), None
     for entry_id, parts in ROW_IDS.items():
         if claim_id in parts:
             return entry_id, claim_id
     raise ValueError(f"unknown claim {claim_id!r}")
-
-
-def _entry_rows(entry_id: str, budget: int | None, params: dict) -> list[ClaimReport]:
-    """Rows of one entry; out-of-domain values give not-applicable rows."""
-    entry = _CATALOG[entry_id]
-    unknown = ", ".join(map(repr, sorted(set(params) - {entry.param})))
-    if unknown:
-        takes = f"only {entry.param!r}" if entry.param else "no parameters"
-        raise ValueError(f"{entry_id} takes {takes}; got {unknown}")
-    if entry.param not in params:
-        return list(entry.rows(budget))
-    values = _norm_range(params[entry.param])
-    low = [v for v in values if entry.minimum is not None and v < entry.minimum]
-    na = [ClaimReport(entry_id, {entry.param: v}, entry.text, None, NOT_APPLICABLE,
-                      {"note": f"instance below the claim's domain "
-                               f"(needs at least {entry.minimum})"})
-          for v in low]
-    return na + list(entry.rows(budget, [v for v in values if v not in low]))
 
 
 def verify(claim_id: str, budget: int | None = None, **params) -> list[ClaimReport]:
@@ -674,11 +599,26 @@ def verify(claim_id: str, budget: int | None = None, **params) -> list[ClaimRepo
     ``claim_id`` may be a catalog entry (``Thm2.2``) or a granular row id
     (``Thm2.6-printed-lower``); an entry's range parameter (``n``, ``i``
     or ``l``) narrows its instances, and any other parameter raises
-    ValueError.  A parameter set to None is left out.
+    ValueError.  A parameter set to None is left out.  Values below the
+    claim's domain give not-applicable rows, under the id asked for.
     """
     entry_id, row_filter = _resolve(claim_id)
+    entry = _CATALOG[entry_id]
     params = {k: v for k, v in params.items() if v is not None}
-    rows = _entry_rows(entry_id, budget, params)
+    unknown = ", ".join(map(repr, sorted(set(params) - {entry.param})))
+    if unknown:
+        takes = f"only {entry.param!r}" if entry.param else "no parameters"
+        raise ValueError(f"{entry_id} takes {takes}; got {unknown}")
+    if entry.param not in params:
+        rows = list(entry.rows(budget))
+    else:
+        values = _norm_range(params[entry.param])
+        low = [v for v in values if entry.minimum is not None and v < entry.minimum]
+        row_id = row_filter or entry_id
+        note = f"instance below the claim's domain (needs at least {entry.minimum})"
+        rows = [ClaimReport(row_id, {entry.param: v}, entry.texts[row_id], None,
+                            NOT_APPLICABLE, {"note": note}) for v in low]
+        rows += entry.rows(budget, [v for v in values if v not in low])
     if row_filter is not None:
         rows = [r for r in rows if r.claim_id == row_filter]
     return _sorted_rows(rows)

@@ -179,6 +179,27 @@ class TestVerify:
         assert data["claim"] == "Lem2.1" and data["status"] == CONFIRMED
         assert isinstance(data["params"], dict)
 
+    def test_prop11_proves_group_equality(self, monkeypatch):
+        # equal orders alone do not prove Aut(G) = Aut(complement(G)): a
+        # generator that fails the cross-check refutes every row it meets
+        rows = verify("Prop1.1", n=4)
+        assert all(r.computed["claimed"] == r.computed["computed"] for r in rows)
+        monkeypatch.setattr(claims, "is_automorphism", lambda g, p: False)
+        rows = verify("Prop1.1", n=4)
+        assert {r.status for r in rows if r.computed["claimed"] > 1} == {REFUTED}
+        assert all(r.computed["computed"] is None
+                   for r in rows if r.status == REFUTED)
+
+    def test_asymmetric_row_checks_size(self):
+        # an asymmetrizing edit set of the wrong size refutes the row
+        check = claims._Check("X", "text", ((8, 1),), claims.split,
+                              edits=lambda s, t: claims.witness(
+                                  "split-construction", s, t)[1],
+                              size=lambda s, t: s - 3 + t - 1)
+        row, = claims._family_rows((check,), ("s", "t"), None)
+        assert row.status == REFUTED
+        assert row.computed == {"size": 6, "asymmetric": True}
+
     def test_determinism(self):
         first = [r.to_dict() for r in verify("Thm2.3")]
         second = [r.to_dict() for r in verify("Thm2.3")]
@@ -200,13 +221,15 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "384b8e2d1c663e343f46bd92da3e23ec3d651cbec7d75a51f9b52f61b3704a4d")
+            "1f5c78c7984990fd60a4ae9287d8485e0bbf96f7e616dbcc5113d48cc7bba6d2")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path
     @pytest.mark.parametrize("claim_id,param,values", [
         pytest.param(cid, param, values, id=cid) for cid, param, values in (
-            ("Prop1.3", "n", [6]), ("Prop1.4", "n", [6]), ("Lem1.1", "n", [6, 7]),
+            ("Prop1.1", "n", [6]), ("Prop1.3", "n", [6]), ("Prop1.4", "n", [6]),
+            ("Lem1.1", "n", [6, 7]), ("Lem2.1", "i", list(range(6, 61))),
+            ("Sec2.2-cycle-aut", "n", list(range(6, 11))),
             ("Rem2.1", "n", list(range(6, 13))),
             ("Sec2.2-count", "n", list(range(6, 13))),
             ("Thm2.4", "n", [4]), ("Thm2.5", "n", list(range(6, 10))),
@@ -216,6 +239,24 @@ class TestSuite:
         parts = claims.ROW_IDS[claim_id]
         assert [r.to_dict() for r in rows] == \
             [r.to_dict() for r in suite_rows if r.claim_id in parts]
+
+    def test_ranged_entries_have_domains(self):
+        # Prop1.1 holds on every order; every other ranged entry has a
+        # domain minimum, which the next test exercises
+        assert [cid for cid, entry in claims._CATALOG.items()
+                if entry.param and entry.minimum is None] == ["Prop1.1"]
+
+    @pytest.mark.parametrize("claim_id,param,minimum", [
+        pytest.param(rid, entry.param, entry.minimum, id=rid)
+        for cid, entry in claims._CATALOG.items() if entry.minimum is not None
+        for rid in claims.ROW_IDS[cid]])
+    def test_below_domain_not_applicable(self, claim_id, param, minimum):
+        # a value below the domain gives rows under the id asked for, and
+        # runs no check
+        rows = verify(claim_id, **{param: minimum - 1})
+        assert rows
+        assert all(r.status == NOT_APPLICABLE and r.claim_id == claim_id
+                   for r in rows)
 
     def test_row_ids_match_catalog(self, suite_rows):
         produced = {r.claim_id for r in suite_rows} - {"Thm1.2-sweep"}
