@@ -7,11 +7,13 @@ split cells by neighbor-count signatures, which keeps partition traces
 label-invariant, so the least leaf over the tree is a canonical form of
 the graph with its ordered partition.  A leaf equal to the best one
 gives an automorphism; the automorphisms found prune the tree and
-generate the group that fixes the partition's cells.  Refinement is
-incremental: a tree node individualizes one vertex of an equitable
-partition, and only the remainder of its cell is queued as a splitter,
-which yields the same ordered partition as queueing every cell;
-refinement also stops once the partition is discrete.
+generate the group that fixes the partition's cells.  Cells are vertex
+bitmasks.  Refinement is incremental: a tree node individualizes one
+vertex of an equitable partition, and only the remainder of its cell is
+queued as a splitter; a splitter visits only the cells that meet its
+neighbourhood; refinement stops once the partition is discrete.  Each of
+these yields the same ordered partition as queueing and scanning every
+cell.  Open or closed twins answer the asymmetry test without a search.
 """
 
 from __future__ import annotations
@@ -90,64 +92,74 @@ def is_automorphism(g: Graph, p: Perm) -> bool:
 # -- equitable refinement ----------------------------------------------
 
 
-def _mask(cell: tuple[int, ...]) -> int:
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
+def _vertices(mask: int):
+    """The vertices of a bitmask cell, in ascending order."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
-def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]],
-            splitters: list[tuple[int, ...]] | None = None) -> list[tuple[int, ...]]:
+def _refine(rows: tuple[int, ...], cells: list[int],
+            splitters: list[int] | None = None) -> list[int]:
     """Coarsest equitable refinement of an ordered partition.
 
     Split groups are ordered by neighbor count, so the refined cell order
-    depends only on isomorphism-invariant data.  The LIFO queue starts with
-    ``splitters`` (default: every cell).  After ``_individualize(cells, i, v)``
-    of an equitable partition, ``[cells[i + 1]]`` gives the same result: an
-    old cell never splits a subset of an old cell, and ``(v,)`` splits
-    nothing once the remainder is drained.  A discrete partition ends it.
+    depends only on isomorphism-invariant data.  A splitter visits only
+    the cells that meet its neighbourhood ``hit``, whose count-0 part is
+    ``cell & ~hit``; every other cell counts 0 and stays whole, so the
+    order is that of a scan of every cell.  The LIFO queue starts with
+    ``splitters`` (default: every cell).  After ``_individualize(cells,
+    i, v)`` of an equitable partition, ``[cells[i + 1]]`` gives the same
+    result: an old cell never splits a subset of an old cell, and
+    ``1 << v`` splits nothing once the remainder is drained.  A discrete
+    partition ends it.
     """
     cells = list(cells)
-    queue = [_mask(c) for c in (cells if splitters is None else splitters)]
+    queue = list(cells if splitters is None else splitters)
     while queue and len(cells) < len(rows):
         splitter = queue.pop()
+        hit = 0
+        for v in _vertices(splitter):
+            hit |= rows[v]
         out = []
         for cell in cells:
-            if len(cell) == 1:
+            touched = cell & hit
+            if not touched or not cell & (cell - 1):
                 out.append(cell)
                 continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault((rows[v] & splitter).bit_count(), []).append(v)
+            groups: dict[int, int] = {0: cell & ~hit} if cell != touched else {}
+            while touched:
+                b = touched & -touched
+                touched ^= b
+                key = (rows[b.bit_length() - 1] & splitter).bit_count()
+                groups[key] = groups.get(key, 0) | b
             if len(groups) == 1:
                 out.append(cell)
             else:
                 for key in sorted(groups):
-                    part = tuple(groups[key])
-                    out.append(part)
-                    queue.append(_mask(part))
+                    out.append(groups[key])
+                    queue.append(groups[key])
         cells = out
     return cells
 
 
-def _first_target(cells: list[tuple[int, ...]]) -> int:
+def _first_target(cells: list[int]) -> int:
     """Index of the first smallest non-singleton cell, or -1 if discrete."""
     best = -1
     best_len = None
     for i, c in enumerate(cells):
-        if len(c) > 1 and (best_len is None or len(c) < best_len):
+        if c & (c - 1) and (best_len is None or c.bit_count() < best_len):
             best = i
-            best_len = len(c)
+            best_len = c.bit_count()
     return best
 
 
-def _individualize(cells: list[tuple[int, ...]], i: int, v: int) -> list[tuple[int, ...]]:
-    rest = tuple(x for x in cells[i] if x != v)
-    return cells[:i] + [(v,)] + [rest] + cells[i + 1:]
+def _individualize(cells: list[int], i: int, v: int) -> list[int]:
+    return cells[:i] + [1 << v, cells[i] & ~(1 << v)] + cells[i + 1:]
 
 
-def _child(rows, cells: list[tuple[int, ...]], i: int, v: int) -> list[tuple[int, ...]]:
+def _child(rows, cells: list[int], i: int, v: int) -> list[int]:
     """Equitable ``cells`` with ``v`` individualized, refined from the new
     remainder cell only."""
     cells = _individualize(cells, i, v)
@@ -157,25 +169,25 @@ def _child(rows, cells: list[tuple[int, ...]], i: int, v: int) -> list[tuple[int
 def _leaf_perm(cells1, cells2, n: int) -> Perm:
     p = [0] * n
     for c1, c2 in zip(cells1, cells2):
-        p[c1[0]] = c2[0]
+        p[c1.bit_length() - 1] = c2.bit_length() - 1
     return tuple(p)
 
 
 def _leaf_bits(rows, cells, n: int) -> int:
     """Upper-triangle bits, column by column, of the graph relabelled by a
-    discrete partition (``cells[j][0]`` gets label j).
+    discrete partition (the vertex of ``cells[j]`` gets label j).
 
     Vertex v holds bit ``n-1-label(v)``, so the relabelled row of label j
     keeps the bits of labels below j in its top j bits, in column order:
     O(n + m) work per leaf.
     """
     bit = [0] * n
-    for i, (v,) in enumerate(cells):
-        bit[v] = 1 << (n - 1 - i)
+    for i, c in enumerate(cells):
+        bit[c.bit_length() - 1] = 1 << (n - 1 - i)
     acc = 0
-    for j, (v,) in enumerate(cells):
+    for j, c in enumerate(cells):
         row = 0
-        r = rows[v]
+        r = rows[c.bit_length() - 1]
         while r:
             b = r & -r
             row |= bit[b.bit_length() - 1]
@@ -234,7 +246,7 @@ def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
                     return d
             return n
         explored: list[int] = []
-        for w in cells[i]:
+        for w in _vertices(cells[i]):
             if explored and w in _orbit(
                     explored, [s for s in auts if all(s[v] == v for v in path)]):
                 continue
@@ -255,12 +267,18 @@ def find_nontrivial_automorphism(g: Graph) -> Perm | None:
     """Some non-identity automorphism of ``g``, or None when asymmetric."""
     if g.n <= 1:
         return None
-    auts = _search(g.rows, g.n, [tuple(range(g.n))], first=True)[1]
+    auts = _search(g.rows, g.n, [(1 << g.n) - 1], first=True)[1]
     return auts[0] if auts else None
 
 
 def is_asymmetric(g: Graph) -> bool:
-    """True iff the automorphism group is trivial."""
+    """True iff the automorphism group is trivial.  Swapping two open
+    twins (equal rows) or closed twins (equal rows plus their own bits) is
+    an automorphism, so twins answer False without a tree search."""
+    rows = g.rows
+    if (len(set(rows)) < g.n
+            or len({r | 1 << v for v, r in enumerate(rows)}) < g.n):
+        return False
     return find_nontrivial_automorphism(g) is None
 
 
@@ -290,13 +308,13 @@ def automorphism_group(g: Graph) -> AutReport:
     rows = g.rows
     if n == 0:
         return AutReport(True, 1, (), ())
-    cells = _refine(rows, [tuple(range(n))])
+    cells = _refine(rows, [(1 << n) - 1])
     generators = _search(rows, n, cells)[1]
     auts = generators
     order = 1
     while auts:     # they move a vertex, so some cell is not a singleton
         i = _first_target(cells)
-        b = cells[i][0]
+        b = next(_vertices(cells[i]))
         order *= len(_orbit([b], auts))
         auts = [s for s in auts if s[b] == b]
         cells = _child(rows, cells, i, b)
@@ -372,7 +390,7 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n <= 1:
         return pack_triangle_bits(n, 0)
-    return pack_triangle_bits(n, _search(g.rows, n, [tuple(range(n))])[0])
+    return pack_triangle_bits(n, _search(g.rows, n, [(1 << n) - 1])[0])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -398,10 +416,10 @@ def can_transpose(g: Graph, u: int, v: int) -> bool:
     g._check_vertex(v)
     if u == v:
         raise ValueError("transposition needs two distinct vertices")
-    rest = tuple(x for x in range(g.n) if x != u and x != v)
+    rest = ((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)
     tail = [rest] if rest else []
-    return (_search(g.rows, g.n, [(u,), (v,)] + tail)[0]
-            == _search(g.rows, g.n, [(v,), (u,)] + tail)[0])
+    return (_search(g.rows, g.n, [1 << u, 1 << v] + tail)[0]
+            == _search(g.rows, g.n, [1 << v, 1 << u] + tail)[0])
 
 
 def _pair_orbits(pairs, generators) -> list[set[tuple[int, int]]]:

@@ -62,7 +62,11 @@ def _distances(classes: dict, mode: str) -> dict:
     (6, "mixed", [8, 58, 54, 26, 6, 2, 2], 0),
     (6, "remove-only", [8, 35, 22, 9, 2, 1, 1], 78),
     (6, "add-only", [8, 35, 22, 9, 2, 1, 1], 78),
-    (7, "mixed", [152, 570, 244, 60, 12, 4, 2], 0)])
+    (7, "mixed", [152, 570, 244, 60, 12, 4, 2], 0),
+    (7, "remove-only", [152, 448, 208, 62, 13, 3, 2], 156),
+    (7, "add-only", [152, 448, 208, 62, 13, 3, 2], 156),
+    pytest.param(8, "mixed", [3696, 6642, 1674, 274, 44, 12, 4], 0,
+                 marks=pytest.mark.slow)])
 def test_bfs_census_matches_search(n, mode, counts, unreached):
     classes = _flip_classes(n)
     dist = _distances(classes, mode)
