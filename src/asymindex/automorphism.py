@@ -221,7 +221,8 @@ def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
     new automorphism maps onto the best leaf's branch is abandoned.  Both
     skip only subtrees that an automorphism maps onto explored ones, so
     the minimum is unchanged, and the automorphisms found generate the
-    group fixing every cell of ``cells`` (McKay & Piperno 2014).
+    group fixing every cell of ``cells`` (McKay & Piperno 2014).  A node
+    recomputes its skipped set only after a subtree found new automorphisms.
     """
     best = None                     # (bits, path, cells) of the best leaf
     auts: list[Perm] = []
@@ -246,10 +247,17 @@ def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
                     return d
             return n
         explored: list[int] = []
+        known = -1                  # len(auts) when `pruned` was taken
         for w in _vertices(cells[i]):
-            if explored and w in _orbit(
-                    explored, [s for s in auts if all(s[v] == v for v in path)]):
-                continue
+            if explored:            # bring the orbit of explored up to date
+                if len(auts) > known:
+                    known = len(auts)
+                    fixing = [s for s in auts if all(s[v] == v for v in path)]
+                    pruned = _orbit(explored, fixing)
+                elif explored[-1] not in pruned:
+                    pruned |= _orbit(explored[-1:], fixing)
+                if w in pruned:
+                    continue
             explored.append(w)
             back = rec(_child(rows, cells, i, w), path + (w,))
             if back < len(path):
@@ -284,37 +292,40 @@ def is_asymmetric(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class AutReport:
-    """Automorphism group summary: exact order, generators, vertex orbits."""
+    """Automorphism group summary: exact order, generators, orbits, base."""
 
     is_asymmetric: bool
     order: int
     generators: tuple[Perm, ...]
     orbits: tuple[tuple[int, ...], ...]
+    base: tuple[int, ...]
 
 
 def automorphism_group(g: Graph) -> AutReport:
-    """Generators, exact order and orbits from the canonical tree search.
+    """Generators, exact order, orbits and base from one tree search.
 
     The generators are the automorphisms found by one search of the
-    root partition.  The base is the search's first path: each step
-    individualizes the first vertex of the first smallest non-singleton
-    cell.  The search runs the subtree below the k-th base node first,
-    exactly as a search of that node's partition would, so the
-    generators fixing the first k base points generate their pointwise
-    stabilizer.  The order is the product of each base point's orbit
-    under the generators fixing the earlier ones, computed exactly.
+    root partition.  The base is the search's first path, until no
+    generator is left: each step individualizes the first vertex of the
+    first smallest non-singleton cell.  The search runs the subtree below
+    the k-th base node first, exactly as a search of that node's
+    partition would, so the generators fixing the first k base points
+    generate their pointwise stabilizer.  The order is the product of
+    each base point's orbit under the generators fixing the earlier ones.
     """
     n = g.n
     rows = g.rows
     if n == 0:
-        return AutReport(True, 1, (), ())
+        return AutReport(True, 1, (), (), ())
     cells = _refine(rows, [(1 << n) - 1])
     generators = _search(rows, n, cells)[1]
     auts = generators
     order = 1
+    base: tuple[int, ...] = ()
     while auts:     # they move a vertex, so some cell is not a singleton
         i = _first_target(cells)
         b = next(_vertices(cells[i]))
+        base += (b,)
         order *= len(_orbit([b], auts))
         auts = [s for s in auts if s[b] == b]
         cells = _child(rows, cells, i, b)
@@ -325,56 +336,45 @@ def automorphism_group(g: Graph) -> AutReport:
             orbit = _orbit([v], generators)
             seen |= orbit
             orbits.append(tuple(sorted(orbit)))
-    return AutReport(order == 1, order, tuple(generators), tuple(orbits))
+    return AutReport(order == 1, order, tuple(generators), tuple(orbits), base)
 
 
-def _closure(generators, n: int, cap: int) -> tuple[np.ndarray, bool]:
-    """Dimino's coset algorithm over numpy rows: the group generated by
-    the longest prefix of ``generators`` that fits under ``cap``, as a
-    ``(order, n)`` int32 array with the identity first, and whether every
-    generator fit.
+def _transversal(b: int, gens, n: int) -> np.ndarray:
+    """Rows of <gens>, one mapping ``b`` to each orbit point, identity first."""
+    reps = {b: tuple(range(n))}
+    frontier = [b]
+    for x in frontier:                  # frontier grows while it is read
+        for s in gens:
+            if s[x] not in reps:
+                reps[s[x]] = compose(s, reps[x])
+                frontier.append(s[x])
+    return np.array(list(reps.values()), dtype=np.int32)
 
-    The group H of the generators taken so far grows by whole right
-    cosets H x, the rows ``H[:, x]``: each new x is a coset representative
-    times a generator, and membership is by row bytes.
+
+def subgroup_elements(report: AutReport, cap: int = MAX_CLOSURE) -> np.ndarray:
+    """The group as ``(order, n)`` int32 rows, identity first; above ``cap``
+    elements, the pointwise stabilizer of the shortest base prefix whose
+    stabilizer fits.  The stabilizer of the first i base points is T times S:
+    T is the transversal of base point i + 1 under the generators fixing
+    the first i, S the stabilizer of the first i + 1.  So the rows grow
+    by ``T[:, elems]`` from the deepest base point up.
     """
+    n = sum(map(len, report.orbits))        # the orbits partition the vertices
     elems = np.arange(n, dtype=np.int32)[None]
-    seen = {elems[0].tobytes()}
-    gens: list[np.ndarray] = []
-    for s in generators:
-        s = np.array(s, dtype=np.int32)
-        if s.tobytes() in seen:
-            continue
-        gens.append(s)
-        cosets = [elems]
-        reps = [elems[0]]
-        for r in reps:                  # reps grows while it is read
-            for t in gens:
-                x = r[t]
-                if x.tobytes() not in seen:
-                    if len(elems) * (len(cosets) + 1) > cap:
-                        return elems, False
-                    cosets.append(np.take(elems, x, axis=1))
-                    seen.update(cosets[-1].view(f"V{4 * n}").ravel().tolist())
-                    reps.append(x)
-        elems = np.concatenate(cosets)
-    return elems, True
+    for i, b in reversed(list(enumerate(report.base))):
+        gens = [s for s in report.generators if all(s[c] == c for c in report.base[:i])]
+        t = _transversal(b, gens, n)
+        if len(t) * len(elems) > cap:
+            break
+        elems = t[:, elems].reshape(-1, n)
+    return elems
 
 
-def group_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm] | None:
-    """All elements generated by ``generators`` as sorted tuples, read off
-    the array that ``_closure`` builds (None if more than ``cap``)."""
-    elems, whole = _closure(generators, n, cap)
-    return sorted(map(tuple, elems.tolist())) if whole else None
-
-
-def subgroup_elements(generators, n: int, cap: int = MAX_CLOSURE) -> list[Perm]:
-    """Closure of as many leading generators as fit under ``cap``, sorted.
-
-    Always contains the identity and is closed under composition, so
-    min-image over it is a sound (possibly coarse) orbit canonicalizer.
-    """
-    return sorted(map(tuple, _closure(generators, n, cap)[0].tolist()))
+def group_elements(report: AutReport, cap: int = MAX_CLOSURE) -> list[Perm] | None:
+    """Every automorphism as sorted tuples (None if more than ``cap``)."""
+    if report.order > cap:
+        return None
+    return sorted(map(tuple, subgroup_elements(report, cap).tolist()))
 
 
 # -- canonical form -----------------------------------------------------

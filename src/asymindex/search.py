@@ -7,11 +7,11 @@ the mode masks the universe down to removals or additions only.  Layer k
 holds one representative per orbit of k-subsets under Aut(G), its least
 bitmask image.  Layer 1 comes from the generators' pair orbits; layer k
 extends each layer-(k-1) representative by the least pair of each orbit
-of its stabilizer, over the group's elements (one array built by
-Dimino's coset algorithm; a subgroup when the full group is too large to
-enumerate, and its finer orbits only cost time).  The same layers drive
-the index search and the count of asymmetric graphs reachable by exactly
-r removals and s additions.
+of its stabilizer, over the group's elements (one array from the base's
+transversals; above ``MAX_CLOSURE`` elements, a base prefix's stabilizer,
+whose finer orbits only cost time).  The same layers drive the index
+search and the count of asymmetric graphs reachable by exactly r
+removals and s additions.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _iter_bits
-from .automorphism import (_closure, _pair_orbits, automorphism_group,
-                           canonical_form, is_asymmetric, MAX_CLOSURE)
+from .automorphism import (_pair_orbits, automorphism_group, canonical_form,
+                           is_asymmetric, subgroup_elements, MAX_CLOSURE)
 from .enumeration import all_pairs
 
 MODES = ("mixed", "add-only", "remove-only")
@@ -146,18 +146,17 @@ def apply_flips(g: Graph, flips: FlipSet) -> Graph:
 class _FlipOrbits:
     """Canonicalizes pair-index subsets under a permutation group.
 
-    The group is one array from ``_closure`` (a subgroup above
-    ``MAX_CLOSURE`` elements, whose finer orbits only cost time).
+    The group is the array ``subgroup_elements`` builds from ``report``.
     ``table[i, w]`` is the bit ``1 << j`` of pair i's image j under group
     element w, so a subset's image is the OR of its rows and its min-image
     the least such OR: int64 with at most 62 pairs, Python ints above.
     """
 
-    def __init__(self, n: int, generators, pairs: list[tuple[int, int]]):
+    def __init__(self, report, pairs: list[tuple[int, int]]):
         self.pairs = pairs
         # (n, W): row u holds u's image under every element
-        perms = np.ascontiguousarray(_closure(generators, n, MAX_CLOSURE)[0].T)
-        pair_id = np.zeros((n, n), dtype=np.intp)
+        perms = np.ascontiguousarray(subgroup_elements(report, MAX_CLOSURE).T)
+        pair_id = np.zeros((len(perms), len(perms)), dtype=np.intp)
         for i, (u, v) in enumerate(pairs):
             pair_id[u, v] = pair_id[v, u] = i
         bits = np.array([1 << i for i in range(len(pairs))],
@@ -241,15 +240,15 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     stats = SearchStats() if stats is None else stats
     pairs = all_pairs(g.n)
     universe = _universe(g, mode, pairs)
-    generators = automorphism_group(g).generators
+    report = automorphism_group(g)
     reps: list[tuple[int, ...]] = [()]
     for k in range(1, max_k + 1):
         if k == 1:
             index = {p: i for i, p in enumerate(pairs)}
             seen = {(index[min(orbit)],) for orbit in
-                    _pair_orbits([pairs[i] for i in universe], generators)}
+                    _pair_orbits([pairs[i] for i in universe], report.generators)}
         else:
-            orbits = _FlipOrbits(g.n, generators, pairs) if k == 2 else orbits
+            orbits = _FlipOrbits(report, pairs) if k == 2 else orbits
             seen = orbits.extend(reps, universe)
         # every base is a (k-1)-subset of the universe
         nodes = len(reps) * (len(universe) - (k - 1))

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's refinement machinery:
 isomorphism classes come from marking permutation orbits over all labeled
-graphs, and automorphisms are counted by looping over every permutation.
+graphs, automorphisms are counted by looping over every permutation, and
+groups are closed by breadth-first search over products of generators.
 That keeps the expected values independent of the code paths they check.
 """
 
@@ -76,6 +77,24 @@ def brute_automorphism_count(g: Graph) -> int:
 
 def brute_is_asymmetric(g: Graph) -> bool:
     return brute_automorphism_count(g) == 1
+
+
+def bfs_closure(generators, n: int) -> list:
+    """Every product of generators, by breadth-first search from the
+    identity: each element is composed with every generator."""
+    ident = tuple(range(n))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in generators:
+                c = tuple(s[x] for x in a)
+                if c not in elems:
+                    elems.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(elems)
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,7 @@ from asymindex.automorphism import (_child, _first_target, _individualize,
                                     are_isomorphic,
                                     automorphism_group, canonical_form,
                                     can_transpose, cycles_str,
-                                    find_nontrivial_automorphism,
-                                    group_elements, invert,
+                                    find_nontrivial_automorphism, invert,
                                     is_asymmetric, is_automorphism, compose,
                                     identity_perm, is_identity,
                                     transposable_pairs)
@@ -27,8 +26,8 @@ from asymindex.families import (path, cycle, complete, star, wheel, circulant,
                                 torus)
 from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 
-from conftest import (brute_automorphism_count, brute_is_asymmetric,
-                      perm_edge_action)
+from conftest import (bfs_closure, brute_automorphism_count,
+                      brute_is_asymmetric, perm_edge_action)
 
 
 def figure_two_graph() -> Graph:
@@ -268,7 +267,7 @@ class TestGroup:
             rep = automorphism_group(g)
             for p in rep.generators:
                 assert is_automorphism(g, p) and not is_identity(p)
-            assert len(group_elements(rep.generators, 7)) == rep.order
+            assert len(bfs_closure(rep.generators, 7)) == rep.order
             witness = find_nontrivial_automorphism(g)
             assert is_asymmetric(g) == (rep.order == 1)
             if rep.order == 1:
@@ -444,6 +443,24 @@ class TestCanonicalForm:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_form(g.relabel(tuple(perm))) == canonical_form(g)
+
+    def test_orbit_work_is_linear_on_large_groups(self, monkeypatch):
+        # A node grows its siblings' orbit child by child and rebuilds it
+        # only after new automorphisms, instead of rebuilding it for every
+        # child: O(n) orbit closures on these groups, not O(n^2).
+        calls = 0
+        orbit = automorphism._orbit
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return orbit(*args)
+
+        monkeypatch.setattr(automorphism, "_orbit", counted)
+        for g in (Graph.empty(60), star(60), complete(40)):
+            calls = 0
+            canonical_form(g)
+            assert calls <= 4 * g.n
 
 
 class TestTransposablePairs:

@@ -1,22 +1,24 @@
 """Cross-validation against networkx's VF2 isomorphism machinery —
 an independent algorithm family, so agreement here is real evidence."""
 
+import dataclasses
 import random
-from itertools import combinations, islice
+from itertools import islice
 
 import networkx as nx
 import pytest
 
 from asymindex.graph import Graph
-from asymindex.automorphism import (_closure, are_isomorphic,
+from asymindex.automorphism import (AutReport, are_isomorphic,
                                     automorphism_group, group_elements,
                                     identity_perm,
                                     is_asymmetric, subgroup_elements)
-from asymindex.enumeration import all_pairs, graph_from_mask
+from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 from asymindex.claims import verify
 from asymindex.families import complete, cycle, star, torus, wheel
 from asymindex.search import FlipSet, apply_flips, asymmetric_index
 
+from conftest import bfs_closure
 from test_search import reference_index
 
 
@@ -100,14 +102,14 @@ class TestSearchSpotAudit:
 
 class TestClosureFallback:
     def test_group_elements_cap(self):
-        gens = automorphism_group(Graph.empty(5)).generators  # S_5, order 120
-        assert group_elements(gens, 5, cap=1000) is not None
-        assert group_elements(gens, 5, cap=100) is None
+        rep = automorphism_group(Graph.empty(5))  # S_5, order 120
+        assert group_elements(rep, cap=1000) is not None
+        assert group_elements(rep, cap=100) is None
 
     def test_subgroup_fallback_is_group_with_identity(self):
-        gens = automorphism_group(Graph.empty(5)).generators
-        elems = subgroup_elements(gens, 5, cap=30)
-        assert identity_perm(5) in elems
+        elems = [tuple(p) for p in
+                 subgroup_elements(automorphism_group(Graph.empty(5)), cap=30).tolist()]
+        assert elems[0] == identity_perm(5)
         assert 1 <= len(elems) <= 30
         elem_set = set(elems)
         for a in elems:
@@ -126,70 +128,49 @@ class TestClosureFallback:
         assert asymmetric_index(wheel(7)).value == 2
 
 
-def bfs_closure(generators, n: int) -> list:
-    """Every product of generators, by breadth-first search from the
-    identity: each element is composed with every generator."""
-    ident = tuple(range(n))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in generators:
-                c = tuple(s[x] for x in a)
-                if c not in elems:
-                    elems.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return sorted(elems)
-
-
 class TestGroupElementsOracle:
     @pytest.fixture(scope="class")
     def cases(self, classes6):
+        # (report with shuffled generators, n, breadth-first closure):
+        # trivial groups on 0, 1 and 2 points, every class on 6 and 7
+        # vertices, then up to S_8
         rng = random.Random(41)
         out = []
-        # no generators on 0, 1 and 2 points, then up to S_8
-        out = [([], n, bfs_closure([], n)) for n in range(3)]
-        for g in list(classes6) + [star(8), complete(7), complete(8)]:
-            gens = list(automorphism_group(g).generators)
+        for n in range(3):
+            rep = AutReport(True, 1, (), tuple((v,) for v in range(n)), ())
+            out.append((rep, n, bfs_closure([], n)))
+        for g in (list(classes6) + nonisomorphic_graphs(7)
+                  + [star(8), complete(7), complete(8)]):
+            rep = automorphism_group(g)
+            gens = list(rep.generators)
             rng.shuffle(gens)
-            out.append((gens, g.n, bfs_closure(gens, g.n)))
+            rep = dataclasses.replace(rep, generators=tuple(gens))
+            out.append((rep, g.n, bfs_closure(gens, g.n)))
         return out
 
     def test_matches_bfs_closure(self, cases):
         assert max(len(expected) for _, _, expected in cases) == 40320
-        for gens, n, expected in cases:
-            assert group_elements(gens, n) == expected
+        for rep, n, expected in cases:
+            assert rep.order == len(expected)
+            assert group_elements(rep) == expected
 
     def test_cap_boundary(self, cases):
-        for gens, n, expected in cases:
-            assert group_elements(gens, n, cap=len(expected)) == expected
+        for rep, n, expected in cases:
+            assert group_elements(rep, cap=len(expected)) == expected
             if len(expected) > 1:
-                assert group_elements(gens, n, cap=len(expected) - 1) is None
+                assert group_elements(rep, cap=len(expected) - 1) is None
 
-    def test_closure_cap_boundary(self, cases):
-        # the array pass itself: identity first, the whole group at cap
-        # |G|, and one below it the leading-generator subgroup (checked
-        # against breadth-first closures below), flagged as partial
-        for gens, n, expected in cases:
-            for cap in {len(expected), max(1, len(expected) - 1)}:
-                elems, whole = _closure(gens, n, cap)
-                assert whole == (cap == len(expected))
-                assert tuple(elems[0].tolist()) == identity_perm(n)
-                assert sorted(map(tuple, elems.tolist())) == \
-                    (expected if whole else subgroup_elements(gens, n, cap))
-
-    def test_subgroup_is_leading_generator_closure(self, cases):
-        for gens, n, expected in cases:
-            # closures of gens[:m] for m = 0, 1, ... until the whole group
-            prefixes = [bfs_closure([], n)]
-            while len(prefixes[-1]) < len(expected):
-                prefixes.append(bfs_closure(gens[:len(prefixes)], n))
-            for cap in {2, 6, 24, max(1, len(expected) - 1), len(expected)}:
-                kept = prefixes[0]
-                for elems in prefixes[1:]:
-                    if len(elems) > cap:
-                        break
-                    kept = elems
-                assert subgroup_elements(gens, n, cap) == kept
+    def test_capped_table_is_base_prefix_stabilizer(self, cases):
+        # Under a cap the table is the pointwise stabilizer of the least
+        # base prefix whose stabilizer fits, identity first.  The
+        # stabilizers come from the breadth-first closure, so equality
+        # also shows the table is closed under composition.
+        for rep, n, expected in cases:
+            stabs = [[p for p in expected if all(p[b] == b for b in rep.base[:j])]
+                     for j in range(len(rep.base) + 1)]
+            assert stabs[-1] == [identity_perm(n)]
+            for cap in {1, 2, 6, 24, max(1, len(expected) - 1), len(expected)}:
+                j = next(j for j, stab in enumerate(stabs) if len(stab) <= cap)
+                table = [tuple(p) for p in subgroup_elements(rep, cap).tolist()]
+                assert table[0] == identity_perm(n)
+                assert sorted(table) == stabs[j]

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymindex.graph import Graph, disjoint_union, from_graph6, join
-from asymindex.automorphism import (_closure, are_isomorphic,
-                                    automorphism_group, canonical_form,
-                                    group_elements, is_asymmetric, MAX_CLOSURE)
+from asymindex.automorphism import (are_isomorphic, automorphism_group,
+                                    canonical_form, group_elements,
+                                    is_asymmetric, subgroup_elements,
+                                    MAX_CLOSURE)
 from asymindex.enumeration import all_pairs, graph_from_mask
 from asymindex.families import path, cycle, complete, star, torus, wheel
 import asymindex.search as search_mod
@@ -249,7 +250,7 @@ class TestLayers:
         def forbidden(*args, **kwargs):
             raise AssertionError("layer 1 must not build the group table")
 
-        monkeypatch.setattr(search_mod, "_closure", forbidden)
+        monkeypatch.setattr(search_mod, "subgroup_elements", forbidden)
         # S_9 fixes the centre: one orbit of edges, one of non-edges
         layers = flip_orbit_layers(star(10), 1)
         assert [(k, len(sets)) for k, sets in layers] == [(1, 2)]
@@ -269,7 +270,7 @@ class TestLayers:
     def test_reps_are_brute_force_min_images(self, g, max_k, mode):
         pairs = all_pairs(g.n)
         index = {p: i for i, p in enumerate(pairs)}
-        elems = group_elements(automorphism_group(g).generators, g.n)
+        elems = group_elements(automorphism_group(g))
         universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
                     or g.has_edge(u, v) == (mode == "remove-only")]
         # the representative is the image with the least bitmask
@@ -317,7 +318,7 @@ def unpruned_layers(g: Graph, max_k: int, mode: str, elems: np.ndarray):
     npairs = g.n * (g.n - 1) // 2
     universe = [i for i, (u, v) in enumerate(all_pairs(g.n)) if mode == "mixed"
                 or g.has_edge(u, v) == (mode == "remove-only")]
-    whole = _closure(automorphism_group(g).generators, g.n, 10**7)[0]
+    whole = subgroup_elements(automorphism_group(g), 10**7)
     reps = sorted({(int(i),) for i in pair_images(g, whole)[universe].min(axis=1)})
     bits = np.array([1 << i for i in range(npairs)],
                     dtype=np.int64 if npairs <= 62 else object)
@@ -342,7 +343,8 @@ def unpruned_layers(g: Graph, max_k: int, mode: str, elems: np.ndarray):
 class TestPrunedExtension:
     # big stabilizers (stars, K_9), keys held as Python ints (more than 62
     # pairs: the torus, and C_12, whose small stabilizers still skip pairs)
-    # and a subgroup below MAX_CLOSURE, whose finer orbits the pruning must keep
+    # and a base-prefix stabilizer under a small cap, whose finer orbits the
+    # pruning must keep
     @pytest.mark.parametrize("g,max_k,mode,cap", [
         pytest.param(star(9), 6, "mixed", MAX_CLOSURE, id="star9"),
         pytest.param(complete(9), 5, "remove-only", MAX_CLOSURE, id="k9-remove-only"),
@@ -352,8 +354,9 @@ class TestPrunedExtension:
         pytest.param(star(8), 4, "mixed", 100, id="star8-subgroup")])
     def test_matches_unpruned_min_images(self, monkeypatch, g, max_k, mode, cap):
         monkeypatch.setattr(search_mod, "MAX_CLOSURE", cap)
-        elems, whole = _closure(automorphism_group(g).generators, g.n, cap)
-        assert whole == (cap == MAX_CLOSURE)
+        rep = automorphism_group(g)
+        elems = subgroup_elements(rep, cap)
+        assert (len(elems) == rep.order) == (cap == MAX_CLOSURE)
         index = {p: i for i, p in enumerate(all_pairs(g.n))}
         stats = SearchStats()
         got = [[tuple(sorted(index[e] for e in fs.removed | fs.added)) for fs in sets]

@@ -1,0 +1,30 @@
+"""The bench tracer's names resolve in the package.
+
+``bench/tracer.py`` wraps each ``(module, function)`` pair of its
+``TRACED`` tuple by looking the name up, so a renamed or deleted
+function stops a traced run (``bench/run.py --trace 1``) at the first
+missing name.  The tuple is read with ``ast``; the bench is not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def traced_names() -> tuple[tuple[str, str], ...]:
+    for node in ast.parse(TRACER.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED assignment in {TRACER}")
+
+
+def test_traced_names_resolve():
+    names = traced_names()
+    assert names
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not callable(getattr(importlib.import_module(f"asymindex.{mod}"),
+                                       name, None))]
+    assert not missing
