@@ -160,6 +160,20 @@ class TestGroupElementsOracle:
             if len(expected) > 1:
                 assert group_elements(rep, cap=len(expected) - 1) is None
 
+    def test_closure_cap_boundary(self, cases):
+        # the table build itself: identity first, the whole group at cap
+        # |G|, and one below it a proper subgroup (which one is checked
+        # in the next test), without repeated rows
+        for rep, n, expected in cases:
+            for cap in {len(expected), max(1, len(expected) - 1)}:
+                table = [tuple(p) for p in subgroup_elements(rep, cap).tolist()]
+                whole = len(table) == len(expected)
+                assert whole == (cap == len(expected))
+                assert table[0] == identity_perm(n)
+                assert len(set(table)) == len(table) <= cap
+                assert len(expected) % len(table) == 0
+                assert set(table) <= set(expected)
+
     def test_capped_table_is_base_prefix_stabilizer(self, cases):
         # Under a cap the table is the pointwise stabilizer of the least
         # base prefix whose stabilizer fits, identity first.  The
