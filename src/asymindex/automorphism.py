@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, pack_triangle_bits
+from .graph import Graph, _iter_bits, pack_triangle_bits, triangle_bits
 
 Perm = tuple[int, ...]
 
@@ -80,24 +80,12 @@ def cycles_str(p: Perm, base: int = 0) -> str:
 
 
 def is_automorphism(g: Graph, p: Perm) -> bool:
-    """True iff ``p`` maps edges to edges and non-edges to non-edges."""
-    n = g.n
-    if len(p) != n:
-        raise ValueError(f"permutation length {len(p)} != n={n}")
-    if set(p) != set(range(n)):
-        raise ValueError("not a permutation of 0..n-1")
+    """True iff ``p`` maps edges to edges and non-edges to non-edges;
+    ValueError (from ``Graph.relabel``) if ``p`` is not a permutation."""
     return g.relabel(p) == g
 
 
 # -- equitable refinement ----------------------------------------------
-
-
-def _vertices(mask: int):
-    """The vertices of a bitmask cell, in ascending order."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _refine(rows: tuple[int, ...], cells: list[int],
@@ -120,7 +108,7 @@ def _refine(rows: tuple[int, ...], cells: list[int],
     while queue and len(cells) < len(rows):
         splitter = queue.pop()
         hit = 0
-        for v in _vertices(splitter):
+        for v in _iter_bits(splitter):
             hit |= rows[v]
         out = []
         for cell in cells:
@@ -166,36 +154,6 @@ def _child(rows, cells: list[int], i: int, v: int) -> list[int]:
     return _refine(rows, cells, [cells[i + 1]])
 
 
-def _leaf_perm(cells1, cells2, n: int) -> Perm:
-    p = [0] * n
-    for c1, c2 in zip(cells1, cells2):
-        p[c1.bit_length() - 1] = c2.bit_length() - 1
-    return tuple(p)
-
-
-def _leaf_bits(rows, cells, n: int) -> int:
-    """Upper-triangle bits, column by column, of the graph relabelled by a
-    discrete partition (the vertex of ``cells[j]`` gets label j).
-
-    Vertex v holds bit ``n-1-label(v)``, so the relabelled row of label j
-    keeps the bits of labels below j in its top j bits, in column order:
-    O(n + m) work per leaf.
-    """
-    bit = [0] * n
-    for i, c in enumerate(cells):
-        bit[c.bit_length() - 1] = 1 << (n - 1 - i)
-    acc = 0
-    for j, c in enumerate(cells):
-        row = 0
-        r = rows[c.bit_length() - 1]
-        while r:
-            b = r & -r
-            row |= bit[b.bit_length() - 1]
-            r ^= b
-        acc = (acc << j) | (row >> (n - j))
-    return acc
-
-
 def _orbit(points, gens) -> set:
     """Closure of ``points`` under the maps ``gens`` (indexed by point)."""
     orbit = set(points)
@@ -210,9 +168,12 @@ def _orbit(points, gens) -> set:
     return orbit
 
 
-def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
+def _search(rows, n, cells, first: bool = False
+            ) -> tuple[int, list[Perm], tuple[int, ...]]:
     """Minimum leaf triangle-bit value over the individualization tree of
-    the ordered partition ``cells``, and the automorphisms found.
+    the ordered partition ``cells``, the automorphisms found, and the
+    path to the first leaf.  That path individualizes, at each level, the
+    least vertex of the first smallest non-singleton cell.
 
     A leaf whose bits equal the best leaf's gives an automorphism (leaf
     order to best-leaf order), which is kept; ``first`` stops the search
@@ -224,20 +185,27 @@ def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
     group fixing every cell of ``cells`` (McKay & Piperno 2014).  A node
     recomputes its skipped set only after a subtree found new automorphisms.
     """
-    best = None                     # (bits, path, cells) of the best leaf
+    best = None                     # (bits, path, order) of the best leaf
+    head = None                     # path of the first leaf
     auts: list[Perm] = []
 
     def rec(cells, path) -> int:
         # Takes an equitable partition; returns the depth to unwind to,
         # and len(path) or more carries on.
-        nonlocal best
+        nonlocal best, head
         i = _first_target(cells)
         if i < 0:
-            bits = _leaf_bits(rows, cells, n)
+            order = [c.bit_length() - 1 for c in cells]
+            bits = triangle_bits(rows, order)
+            if best is None:
+                head = path
             if best is None or bits < best[0]:
-                best = (bits, path, cells)
+                best = (bits, path, order)
             elif bits == best[0]:
-                sigma = _leaf_perm(cells, best[2], n)
+                p = [0] * n
+                for v, w in zip(order, best[2]):
+                    p[v] = w        # the leaf's label-j vertex to the best's
+                sigma = tuple(p)
                 auts.append(sigma)
                 if first:
                     return -1
@@ -248,7 +216,7 @@ def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
             return n
         explored: list[int] = []
         known = -1                  # len(auts) when `pruned` was taken
-        for w in _vertices(cells[i]):
+        for w in _iter_bits(cells[i]):
             if explored:            # bring the orbit of explored up to date
                 if len(auts) > known:
                     known = len(auts)
@@ -265,7 +233,7 @@ def _search(rows, n, cells, first: bool = False) -> tuple[int, list[Perm]]:
         return n
 
     rec(_refine(rows, cells), ())
-    return best[0], auts
+    return best[0], auts, head
 
 
 # -- public asymmetry / group API ---------------------------------------
@@ -305,30 +273,27 @@ def automorphism_group(g: Graph) -> AutReport:
     """Generators, exact order, orbits and base from one tree search.
 
     The generators are the automorphisms found by one search of the
-    root partition.  The base is the search's first path, until no
-    generator is left: each step individualizes the first vertex of the
-    first smallest non-singleton cell.  The search runs the subtree below
+    root partition.  The base is the prefix of the search's first path
+    along which some generator fixing the earlier base points is left:
+    each step individualizes the least vertex of the first smallest
+    non-singleton cell.  The search runs the subtree below
     the k-th base node first, exactly as a search of that node's
     partition would, so the generators fixing the first k base points
     generate their pointwise stabilizer.  The order is the product of
     each base point's orbit under the generators fixing the earlier ones.
     """
     n = g.n
-    rows = g.rows
     if n == 0:
         return AutReport(True, 1, (), (), ())
-    cells = _refine(rows, [(1 << n) - 1])
-    generators = _search(rows, n, cells)[1]
+    _, generators, path = _search(g.rows, n, [(1 << n) - 1])
     auts = generators
     order = 1
     base: tuple[int, ...] = ()
-    while auts:     # they move a vertex, so some cell is not a singleton
-        i = _first_target(cells)
-        b = next(_vertices(cells[i]))
+    while auts:     # they move a vertex, so the first path goes deeper
+        b = path[len(base)]
         base += (b,)
         order *= len(_orbit([b], auts))
         auts = [s for s in auts if s[b] == b]
-        cells = _child(rows, cells, i, b)
     orbits: list[tuple[int, ...]] = []
     seen: set[int] = set()
     for v in range(n):

@@ -135,9 +135,10 @@ def _asym_row(claim_id: str, params: dict, text: str, g: Graph,
     if flips is not None:
         g = apply_flips(g, flips)
         computed, evidence = {"size": flips.size}, {"flips": flips.as_dict()}
-    asym = is_asymmetric(g)
+    aut = find_nontrivial_automorphism(g)
+    asym = aut is None
     if not asym:
-        evidence["automorphism"] = cycles_str(find_nontrivial_automorphism(g))
+        evidence["automorphism"] = cycles_str(aut)
     ok = asym and (size is None or flips.size == size)
     return ClaimReport(claim_id, params, text, {**computed, "asymmetric": asym},
                        CONFIRMED if ok else REFUTED, evidence,

@@ -38,15 +38,6 @@ def _envelope(command: str, input_text: str, result: dict, stats: dict) -> str:
                        "version": __version__}, sort_keys=True)
 
 
-def _shift(pair, base):
-    return [pair[0] + base, pair[1] + base]
-
-
-def _flips_dict(fs, base: int) -> dict:
-    return {"removed": [_shift(e, base) for e in sorted(fs.removed)],
-            "added": [_shift(e, base) for e in sorted(fs.added)]}
-
-
 def _read_graph(text: str) -> Graph:
     """graph6 literal, '-' for graph6 on stdin, or @file with an edge list.
 
@@ -145,7 +136,7 @@ def _cmd_ai(args, config) -> int:
         return _ai_budget_envelope(g, args, base, 0, False, {})
     if args.json:
         payload = {"status": "ok", "value": res.value, "mode": res.mode,
-                   "witnesses": [_flips_dict(w, base) for w in res.witnesses],
+                   "witnesses": [w.as_dict(base) for w in res.witnesses],
                    "label_base": base}
         print(_envelope("ai", to_graph6(g).decode(), payload, res.stats.as_dict()))
     else:

@@ -242,25 +242,8 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
 
 def distance(g: Graph, u: int, v: int) -> float:
     """BFS distance between ``u`` and ``v``; ``math.inf`` when disconnected."""
-    g._check_vertex(u)
     g._check_vertex(v)
-    if u == v:
-        return 0
-    frontier = 1 << u
-    seen = frontier
-    d = 0
-    target = 1 << v
-    rows = g.rows
-    while frontier:
-        d += 1
-        nxt = 0
-        for w in _iter_bits(frontier):
-            nxt |= rows[w]
-        frontier = nxt & ~seen
-        if frontier & target:
-            return d
-        seen |= frontier
-    return math.inf
+    return bfs_distances(g, u)[v]
 
 
 def is_connected(g: Graph) -> bool:
@@ -272,17 +255,29 @@ def is_connected(g: Graph) -> bool:
 # -- graph6 -----------------------------------------------------------
 
 
-def triangle_bits(g: Graph) -> int:
-    """Upper-triangle adjacency bits x(0,1), x(0,2), x(1,2), ... as one int.
+def triangle_bits(rows, order) -> int:
+    """Upper-triangle adjacency bits x(0,1), x(0,2), x(1,2), ... as one int,
+    of the graph relabelled so that vertex ``order[j]`` gets label j.
 
     The first bit of the stream is the most significant bit of the result,
     with fixed width n(n-1)/2, so integer order equals bitstring order.
+    Vertex v holds bit ``n-1-label(v)``, so the relabelled row of label j
+    keeps the bits of labels below j in its top j bits, in column order:
+    O(n + m) work.
     """
+    n = len(order)
+    bit = [0] * n
+    for i, v in enumerate(order):
+        bit[v] = 1 << (n - 1 - i)
     acc = 0
-    rows = g.rows
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = (acc << 1) | ((rows[u] >> v) & 1)
+    for j, v in enumerate(order):
+        row = 0
+        r = rows[v]
+        while r:
+            b = r & -r
+            row |= bit[b.bit_length() - 1]
+            r ^= b
+        acc = (acc << j) | (row >> (n - j))
     return acc
 
 
@@ -303,7 +298,7 @@ def pack_triangle_bits(n: int, bits: int) -> bytes:
 
 
 def to_graph6(g: Graph) -> bytes:
-    return pack_triangle_bits(g.n, triangle_bits(g))
+    return pack_triangle_bits(g.n, triangle_bits(g.rows, range(g.n)))
 
 
 def from_graph6(data: bytes | str) -> Graph:

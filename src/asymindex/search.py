@@ -4,14 +4,15 @@ search with automorphism-orbit pruning.
 The togglable universe is the set of all vertex pairs: a pair currently
 present is a removal candidate, an absent one an addition candidate, and
 the mode masks the universe down to removals or additions only.  Layer k
-holds one representative per orbit of k-subsets under Aut(G), its least
-bitmask image.  Layer 1 comes from the generators' pair orbits; layer k
-extends each layer-(k-1) representative by the least pair of each orbit
-of its stabilizer, over the group's elements (one array from the base's
-transversals; above ``MAX_CLOSURE`` elements, a base prefix's stabilizer,
-whose finer orbits only cost time).  The same layers drive the index
-search and the count of asymmetric graphs reachable by exactly r
-removals and s additions.
+holds at least one representative per orbit of k-subsets under Aut(G),
+its least bitmask image.  Layer 1 comes from the generators' pair orbits;
+layer k extends each layer-(k-1) representative by the least pair of each
+orbit of its stabilizer, over the group's elements (one array from the
+base's transversals; above ``MAX_CLOSURE`` elements, a base prefix's
+stabilizer, whose finer orbits can split an Aut(G)-orbit into several
+representatives, which costs time but not exactness).  The same layers
+drive the index search and the count of asymmetric graphs reachable by
+exactly r removals and s additions.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class FlipSet:
     def sort_key(self):
         return (tuple(sorted(self.removed)), tuple(sorted(self.added)))
 
-    def as_dict(self) -> dict:
-        return {"removed": [list(e) for e in sorted(self.removed)],
-                "added": [list(e) for e in sorted(self.added)]}
+    def as_dict(self, base: int = 0) -> dict:
+        """Sorted pairs as lists, each label shifted by ``base``."""
+        return {"removed": [[u + base, v + base] for u, v in sorted(self.removed)],
+                "added": [[u + base, v + base] for u, v in sorted(self.added)]}
 
     def __repr__(self) -> str:
         rem = ",".join(f"{u}-{v}" for u, v in sorted(self.removed)) or "-"
@@ -230,12 +232,14 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                       stats: SearchStats | None = None):
     """Yield (k, flip_sets) for k = 1..max_k.
 
-    One FlipSet per orbit of k-subsets of the mode's universe under
-    Aut(g), ordered by the orbit's canonical min-image subset, so
-    iteration order is deterministic.  Layer 1 is the least pair of each
-    orbit of the generators on the universe; the group table is built
-    only for k >= 2.  Candidates generated and orbit duplicates skipped
-    are added to ``stats`` when given.
+    At least one FlipSet per orbit of k-subsets of the mode's universe
+    under Aut(g), ordered by min-image subset, so iteration order is
+    deterministic.  Up to ``MAX_CLOSURE`` group elements there is exactly
+    one per orbit; above it, layers k >= 2 dedupe under a base prefix's
+    stabilizer, so one orbit may appear several times.  Layer 1 is the
+    least pair of each orbit of the generators on the universe; the group
+    table is built only for k >= 2.  Candidates generated and orbit
+    duplicates skipped are added to ``stats`` when given.
     """
     stats = SearchStats() if stats is None else stats
     pairs = all_pairs(g.n)
@@ -262,12 +266,14 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
                      witness_cap: int = DEFAULT_WITNESS_CAP) -> AiResult:
     """Minimum number of edge flips making ``g`` asymmetric.
 
-    Iterative deepening over flip-set size; within a layer only one
-    representative per Aut(g)-orbit is tested (equivalent flip sets give
-    isomorphic results).  Raises NoAsymmetrizationError for 2 <= n <= 5
-    and BudgetExceededError (with the proven lower bound) when the layer
-    budget runs out.  Raises ValueError for an unknown mode, a negative
-    ``max_k`` or a ``witness_cap`` below 1.
+    Iterative deepening over flip-set size; within a layer at least one
+    representative per Aut(g)-orbit is tested, one each unless the group
+    exceeds ``MAX_CLOSURE`` (equivalent flip sets give isomorphic
+    results, so the value is exact either way).  Raises
+    NoAsymmetrizationError for 2 <= n <= 5 and BudgetExceededError (with
+    the proven lower bound) when the layer budget runs out.  Raises
+    ValueError for an unknown mode, a negative ``max_k`` or a
+    ``witness_cap`` below 1.
     """
     n = g.n
     universe = len(_universe(g, mode, all_pairs(n)))
@@ -306,8 +312,8 @@ def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
     """Isomorphism classes of asymmetric graphs reachable by removing
     exactly r edges and adding exactly s.
 
-    Flip sets in one Aut(g)-orbit give isomorphic graphs, so one
-    representative per orbit of (r + s)-subsets is tested (remove-only
+    Flip sets in one Aut(g)-orbit give isomorphic graphs, so only the
+    layer's representatives of the orbits of (r + s)-subsets are tested (remove-only
     when s = 0, add-only when r = 0, else the mixed layer's sets with r
     removals; an automorphism maps edges to edges, so no orbit mixes
     these).  Distinct orbits may still give isomorphic graphs, so the

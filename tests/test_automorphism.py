@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymindex import automorphism
-from asymindex.graph import Graph, disjoint_union, join, pack_triangle_bits
+from asymindex.graph import (Graph, disjoint_union, join, pack_triangle_bits,
+                            triangle_bits)
 from asymindex.automorphism import (_child, _first_target, _individualize,
-                                    _leaf_bits, _pair_orbits, _refine,
+                                    _pair_orbits, _refine,
                                     are_isomorphic,
                                     automorphism_group, canonical_form,
                                     can_transpose, cycles_str,
@@ -52,7 +53,7 @@ def unpruned_canonical_form(g: Graph) -> bytes:
         cells = _refine(g.rows, cells)
         i = _first_target(cells)
         if i < 0:
-            return _leaf_bits(g.rows, cells, g.n)
+            return triangle_bits(g.rows, [c.bit_length() - 1 for c in cells])
         return min(rec(_individualize(cells, i, w)) for w in members(cells[i]))
 
     if g.n <= 1:
@@ -69,6 +70,21 @@ def quadratic_leaf_bits(rows, cells, n: int) -> int:
         for i in range(j):
             acc = (acc << 1) | ((rows[old[i]] >> old[j]) & 1)
     return acc
+
+
+def walked_base(g: Graph, generators) -> tuple[int, ...]:
+    """The base by a walk of its own: from the refined root, individualize
+    the least vertex of the first smallest non-singleton cell while some
+    generator fixing the earlier base points moves a vertex."""
+    cells = _refine(g.rows, [(1 << g.n) - 1])
+    base: tuple[int, ...] = ()
+    while generators:
+        i = _first_target(cells)
+        b = members(cells[i])[0]
+        base += (b,)
+        generators = [s for s in generators if s[b] == b]
+        cells = _child(g.rows, cells, i, b)
+    return base
 
 
 def full_queue_refine(rows, cells):
@@ -278,6 +294,13 @@ class TestGroup:
         assert digest.hexdigest() == ("34aeb6def1e74c7dbe2573b587895240"
                                       "535e7d228b0e85f7a04e8eb3745ea163")
 
+    def test_base_is_the_walked_first_path(self):
+        graphs = [*nonisomorphic_graphs(7), star(9), complete(8), torus(6, 7),
+                  cycle(12), Graph.empty(60)]
+        for g in graphs:
+            rep = automorphism_group(g)
+            assert rep.base == walked_base(g, rep.generators)
+
     def test_large_group_order_exact(self):
         assert automorphism_group(Graph.empty(12)).order == 479001600  # 12!
         assert automorphism_group(complete(12)).order == 479001600
@@ -389,15 +412,16 @@ class TestCanonicalForm:
             assert are_isomorphic(Graph.empty(n).complement(), complete(n))
 
     def test_leaf_bits_match_pairwise_reference(self):
+        # A leaf's shuffled order, and the identity order to_graph6 uses.
         rng = random.Random(4501)
-        for n in range(2, 46):
+        for n in range(46):
             for _ in range(4):
                 g = random_graph(n, rng, rng.uniform(0.05, 0.95))
                 order = list(range(n))
                 rng.shuffle(order)
-                cells = [1 << v for v in order]
-                assert (_leaf_bits(g.rows, cells, n)
-                        == quadratic_leaf_bits(g.rows, cells, n))
+                for o in (order, range(n)):
+                    assert (triangle_bits(g.rows, o)
+                            == quadratic_leaf_bits(g.rows, [1 << v for v in o], n))
 
     def test_matches_unpruned_search_on_seven_vertex_classes(self):
         for g in nonisomorphic_graphs(7):
