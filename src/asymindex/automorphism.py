@@ -173,7 +173,8 @@ def _search(rows, n, cells, first: bool = False
     """Minimum leaf triangle-bit value over the individualization tree of
     the ordered partition ``cells``, the automorphisms found, and the
     path to the first leaf.  That path individualizes, at each level, the
-    least vertex of the first smallest non-singleton cell.
+    least vertex of the first smallest non-singleton cell.  Empty cells
+    are dropped first, so a partition of no vertices is one leaf.
 
     A leaf whose bits equal the best leaf's gives an automorphism (leaf
     order to best-leaf order), which is kept; ``first`` stops the search
@@ -232,7 +233,7 @@ def _search(rows, n, cells, first: bool = False
                 return back
         return n
 
-    rec(_refine(rows, cells), ())
+    rec(_refine(rows, [c for c in cells if c]), ())
     return best[0], auts, head
 
 
@@ -241,8 +242,6 @@ def _search(rows, n, cells, first: bool = False
 
 def find_nontrivial_automorphism(g: Graph) -> Perm | None:
     """Some non-identity automorphism of ``g``, or None when asymmetric."""
-    if g.n <= 1:
-        return None
     auts = _search(g.rows, g.n, [(1 << g.n) - 1], first=True)[1]
     return auts[0] if auts else None
 
@@ -283,8 +282,6 @@ def automorphism_group(g: Graph) -> AutReport:
     each base point's orbit under the generators fixing the earlier ones.
     """
     n = g.n
-    if n == 0:
-        return AutReport(True, 1, (), (), ())
     _, generators, path = _search(g.rows, n, [(1 << n) - 1])
     auts = generators
     order = 1
@@ -353,8 +350,6 @@ def canonical_form(g: Graph) -> bytes:
     refinement tree, returned as the graph6 bytes of that labeling.
     """
     n = g.n
-    if n <= 1:
-        return pack_triangle_bits(n, 0)
     return pack_triangle_bits(n, _search(g.rows, n, [(1 << n) - 1])[0])
 
 
@@ -382,9 +377,8 @@ def can_transpose(g: Graph, u: int, v: int) -> bool:
     if u == v:
         raise ValueError("transposition needs two distinct vertices")
     rest = ((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)
-    tail = [rest] if rest else []
-    return (_search(g.rows, g.n, [1 << u, 1 << v] + tail)[0]
-            == _search(g.rows, g.n, [1 << v, 1 << u] + tail)[0])
+    return (_search(g.rows, g.n, [1 << u, 1 << v, rest])[0]
+            == _search(g.rows, g.n, [1 << v, 1 << u, rest])[0])
 
 
 def _pair_orbits(pairs, generators) -> list[set[tuple[int, int]]]:

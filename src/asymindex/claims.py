@@ -19,10 +19,10 @@ from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
-from .automorphism import (_pair_orbits, automorphism_group, cycles_str,
+from .automorphism import (automorphism_group, cycles_str,
                            find_nontrivial_automorphism, is_asymmetric,
                            is_automorphism, transposable_pairs)
-from .enumeration import (all_pairs, asymmetric_forest_edges, asymmetric_graphs,
+from .enumeration import (asymmetric_forest_edges, asymmetric_graphs,
                           asymmetric_trees, nonisomorphic_graphs)
 from .families import (circulant, cycle, cycle_with_pendant_paths, generate,
                        grid, path, path_cycle, pendant_extension, split, star,
@@ -196,9 +196,9 @@ def _bounds_row(claim_id: str, params: dict, text: str, g: Graph,
 def _removal_free_row(claim_id: str, params: dict, g: Graph, expected_text: str,
                       budget: int | None) -> ClaimReport:
     """Searching every set of edge removals must find no asymmetrization."""
-    max_k = g.edge_count if budget is None else min(budget, g.edge_count)
     try:
-        asymmetric_index(g, mode="remove-only", max_k=max_k)
+        asymmetric_index(g, mode="remove-only",
+                         max_k=g.edge_count if budget is None else budget)
         status, computed = REFUTED, "found pure-removal asymmetrization"
     except BudgetExceededError as exc:
         status = CONFIRMED if exc.universe_exhausted else BUDGET_EXCEEDED
@@ -246,25 +246,23 @@ def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
 def _torus_scan(r: int, s: int) -> ClaimReport:
     """Thm2.10 row for C_r x C_s from two proofs.
 
-    The 1-flip scan covers every pair but tests one per orbit of Aut(g)
-    on pairs: flips in one orbit give isomorphic graphs, so a hit counts
-    its whole orbit.  No hit proves ai > 1, and the shared-vertex
-    cross-direction 2-removal witness proves ai <= 2, so the row reads 2;
-    a failed witness leaves only ">= 2" (budget-exceeded in range).
+    The search's first layer (``asymmetric_index`` at ``max_k`` 1) covers
+    every pair but tests one per orbit of Aut(g) on pairs.  Its budget
+    stop proves ai > 1, and the shared-vertex cross-direction 2-removal
+    witness proves ai <= 2, so the row reads 2; a failed witness leaves
+    only ">= 2" (budget-exceeded in range).  A search that returns reads
+    its value, with its witnesses.
     """
     g = torus(r, s)
-    one_hits = 0
-    pairs = all_pairs(g.n)
-    for orbit in _pair_orbits(pairs, automorphism_group(g).generators):
-        u, v = min(orbit)
-        edited = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
-        if is_asymmetric(edited):
-            one_hits += len(orbit)
-    fs = FlipSet(removed=frozenset([(0, 1), (0, s)]))
-    ok = is_asymmetric(apply_flips(g, fs))
-    evidence: dict = {"one_flip_candidates": len(pairs), "one_flip_hits": one_hits,
-                      "cross_direction_two_removal": fs.as_dict(), "asymmetric": ok}
-    computed = 1 if one_hits else 2 if ok else ">= 2"
+    try:
+        res = asymmetric_index(g, max_k=1)
+        computed, evidence = res.value, _ai_evidence(res)
+    except BudgetExceededError as exc:
+        fs = FlipSet(removed=frozenset([(0, 1), (0, s)]))
+        ok = is_asymmetric(apply_flips(g, fs))
+        evidence = {"one_flip_candidates": exc.stats.nodes, "one_flip_hits": 0,
+                    "cross_direction_two_removal": fs.as_dict(), "asymmetric": ok}
+        computed = 2 if ok else ">= 2"
     key = None
     if r < 10 or s < 10:
         status = NOT_APPLICABLE

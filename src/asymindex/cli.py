@@ -97,58 +97,48 @@ def _cmd_gen(args, config) -> int:
     return EXIT_OK
 
 
-def _ai_budget_envelope(g: Graph, args, base: int, lower: int,
-                        exhausted: bool, stats: dict) -> int:
-    print(_envelope("ai", to_graph6(g).decode(),
-                    {"status": "budget-exceeded", "proven_lower_bound": lower,
-                     "universe_exhausted": exhausted, "mode": args.mode,
-                     "label_base": base}, stats))
-    return EXIT_BUDGET
-
-
 def _cmd_ai(args, config) -> int:
     g = _read_graph(args.graph)
     base = 1 if args.one_based else 0
     max_k = args.max_k if args.max_k is not None else config.get("max_k")
     cap = (args.witnesses if args.witnesses is not None
            else config.get("witness_cap", DEFAULT_WITNESS_CAP))
+    code, stats = EXIT_OK, {}
     try:
         res = asymmetric_index(g, mode=args.mode, max_k=max_k, witness_cap=cap)
+        result = {"status": "ok", "value": res.value,
+                  "witnesses": [w.as_dict(base) for w in res.witnesses]}
+        stats = res.stats.as_dict()
     except NoAsymmetrizationError as exc:
-        if args.json:
-            print(_envelope("ai", to_graph6(g).decode(),
-                            {"status": "no-asymmetrization", "n": exc.n,
-                             "mode": args.mode, "label_base": base}, {}))
-        else:
-            print(f"no asymmetrization: {exc}", file=sys.stderr)
-        return EXIT_NO_ASYMMETRIZATION
+        code, message = EXIT_NO_ASYMMETRIZATION, f"no asymmetrization: {exc}"
+        result = {"status": "no-asymmetrization", "n": exc.n}
     except BudgetExceededError as exc:
-        if args.json:
-            return _ai_budget_envelope(g, args, base, exc.lower_bound,
-                                       exc.universe_exhausted, exc.stats.as_dict())
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, message = EXIT_BUDGET, f"budget exceeded: {exc}"
+        result = {"status": "budget-exceeded", "proven_lower_bound": exc.lower_bound,
+                  "universe_exhausted": exc.universe_exhausted}
+        stats = exc.stats.as_dict()
     except RecursionError:
         # too deep for the tree search (see main); nothing is proven before
         # the first asymmetry test finishes, so the bound is 0
         if not args.json:
             raise
-        return _ai_budget_envelope(g, args, base, 0, False, {})
+        code = EXIT_BUDGET
+        result = {"status": "budget-exceeded", "proven_lower_bound": 0,
+                  "universe_exhausted": False}
     if args.json:
-        payload = {"status": "ok", "value": res.value, "mode": res.mode,
-                   "witnesses": [w.as_dict(base) for w in res.witnesses],
-                   "label_base": base}
-        print(_envelope("ai", to_graph6(g).decode(), payload, res.stats.as_dict()))
+        result.update(mode=args.mode, label_base=base)
+        print(_envelope("ai", to_graph6(g).decode(), result, stats))
+    elif code != EXIT_OK:
+        print(message, file=sys.stderr)
     else:
-        print(f"ai = {res.value}  (mode {res.mode})")
-        for w in res.witnesses:
-            rem = " ".join(f"{u + base}-{v + base}" for u, v in sorted(w.removed))
-            add = " ".join(f"{u + base}-{v + base}" for u, v in sorted(w.added))
-            print(f"witness: remove [{rem or '-'}] add [{add or '-'}]")
-        st = res.stats
-        print(f"stats: {st.nodes} candidates, {st.tested} tested, "
-              f"{st.dedup_hits} orbit-deduped")
-    return EXIT_OK
+        print(f"ai = {result['value']}  (mode {args.mode})")
+        for w in result["witnesses"]:
+            rem, add = (" ".join(f"{u}-{v}" for u, v in w[side]) or "-"
+                        for side in ("removed", "added"))
+            print(f"witness: remove [{rem}] add [{add}]")
+        print(f"stats: {stats['nodes']} candidates, {stats['tested']} tested, "
+              f"{stats['dedup_hits']} orbit-deduped")
+    return code
 
 
 def _cmd_aut(args, config) -> int:

@@ -301,6 +301,18 @@ class TestGroup:
             rep = automorphism_group(g)
             assert rep.base == walked_base(g, rep.generators)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_and_one_vertex(self, n):
+        # the search's partition of no vertices is one leaf, and one
+        # vertex is one singleton cell: the trivial group, no special case
+        g = Graph.empty(n)
+        rep = automorphism_group(g)
+        assert (rep.is_asymmetric, rep.order, rep.generators, rep.base) == (
+            True, 1, (), ())
+        assert rep.orbits == tuple((v,) for v in range(n))
+        assert find_nontrivial_automorphism(g) is None
+        assert canonical_form(g) == pack_triangle_bits(n, 0)
+
     def test_large_group_order_exact(self):
         assert automorphism_group(Graph.empty(12)).order == 479001600  # 12!
         assert automorphism_group(complete(12)).order == 479001600
@@ -518,6 +530,11 @@ class TestTransposablePairs:
         assert brute_automorphism_count(g) == 3
         assert (0, 1, 2) in automorphism_group(g).orbits
         assert transposable_pairs(g) == set()
+
+    @pytest.mark.parametrize("g", [complete(2), Graph.empty(2)],
+                             ids=["k2", "empty2"])
+    def test_two_vertices_leave_an_empty_rest_cell(self, g):
+        assert can_transpose(g, 0, 1) and can_transpose(g, 1, 0)
 
     def test_can_transpose_validates(self):
         with pytest.raises(ValueError):

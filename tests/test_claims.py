@@ -200,6 +200,15 @@ class TestVerify:
         assert row.status == REFUTED
         assert row.computed == {"size": 6, "asymmetric": True}
 
+    def test_torus_row_reads_a_returned_search(self, monkeypatch):
+        # no catalog torus has ai <= 1; a graph that does makes the
+        # first-layer search return, and the row reads its value
+        monkeypatch.setattr(claims, "torus", lambda r, s: path(6))
+        row = claims._torus_scan(10, 11)
+        assert row.computed == row.ai == 1
+        assert row.status == REFUTED and row.allowlist_key == "Thm2.10-nonsquare"
+        assert row.evidence["value"] == 1 and row.evidence["witnesses"]
+
     def test_determinism(self):
         first = [r.to_dict() for r in verify("Thm2.3")]
         second = [r.to_dict() for r in verify("Thm2.3")]

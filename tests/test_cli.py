@@ -102,6 +102,27 @@ class TestAi:
         assert payload["label_base"] == 1
         assert [2, 4] in payload["witnesses"][0]["added"]
 
+    def test_text_witnesses_match_json(self, capsys):
+        # W_9's witnesses mix removals, additions and empty sides
+        g6 = to_graph6(wheel(9)).decode()
+        _, text, _ = run(capsys, "ai", g6, "--one-based")
+        _, out, _ = run(capsys, "ai", g6, "--json", "--one-based")
+
+        def pairs(field):
+            return [] if field == "-" else [
+                [int(x) for x in pair.split("-")] for pair in field.split()]
+
+        lines = [line for line in text.splitlines() if line.startswith("witness: ")]
+        got = []
+        for line in lines:
+            rem, add = line.removeprefix("witness: remove [").removesuffix("]").split(
+                "] add [")
+            got.append({"removed": pairs(rem), "added": pairs(add)})
+        witnesses = json.loads(out)["result"]["witnesses"]
+        assert len(witnesses) > 1
+        assert any(w["removed"] and w["added"] for w in witnesses)
+        assert got == witnesses
+
     def test_json_deterministic(self, capsys):
         g6 = to_graph6(wheel(8)).decode()
         _, out1, _ = run(capsys, "ai", g6, "--json")

@@ -6,6 +6,7 @@ with no orbit pruning at all; agreement with the pruned search on every
 """
 
 from itertools import combinations
+from math import comb
 import hashlib
 import json
 import random
@@ -21,7 +22,7 @@ from asymindex.automorphism import (are_isomorphic, automorphism_group,
                                     is_asymmetric, subgroup_elements,
                                     MAX_CLOSURE)
 from asymindex.enumeration import all_pairs, graph_from_mask
-from asymindex.families import path, cycle, complete, star, torus, wheel
+from asymindex.families import path, cycle, complete, grid, star, torus, wheel
 import asymindex.search as search_mod
 from asymindex.search import (BudgetExceededError, FlipSet,
                               NoAsymmetrizationError, SearchStats, apply_flips,
@@ -364,6 +365,59 @@ class TestPrunedExtension:
         expected, nodes, dedup = unpruned_layers(g, max_k, mode, elems)
         assert got == expected
         assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
+
+
+def orbit_sizes(g: Graph, reps: list[tuple[int, ...]]) -> list[int]:
+    """|Aut g| / |Stab(R)| for each pair-index tuple R of one size, with
+    Stab(R) counted as the group rows that map R's pairs onto R."""
+    elems = subgroup_elements(automorphism_group(g))
+    if not reps:
+        return []
+    sets = np.array(reps)                               # (reps, k)
+    images = np.sort(pair_images(g, elems)[sets], axis=1)   # (reps, k, W)
+    stab = (images == sets[:, :, None]).all(axis=1).sum(axis=1)
+    return [len(elems) // int(size) for size in stab]
+
+
+class TestOrbitCounting:
+    """The orbits of layer k partition the k-subsets of the universe U, so
+    the orbit sizes of its representatives sum to C(|U|, k): a dropped
+    orbit makes the sum too small and a duplicate too large.  The
+    stabilizers come from the group's rows, not from the min-image keys."""
+
+    @staticmethod
+    def layers(g: Graph, max_k: int, mode: str):
+        """(k, representatives as sorted pair-index tuples) per layer."""
+        index = {p: i for i, p in enumerate(all_pairs(g.n))}
+        return [(k, [tuple(sorted(index[e] for e in fs.removed | fs.added))
+                     for fs in sets])
+                for k, sets in flip_orbit_layers(g, max_k, mode)]
+
+    def check(self, g: Graph, max_k: int, mode: str):
+        npairs = g.n * (g.n - 1) // 2
+        size = {"mixed": npairs, "remove-only": g.edge_count,
+                "add-only": npairs - g.edge_count}[mode]
+        for k, reps in self.layers(g, max_k, mode):
+            assert sum(orbit_sizes(g, reps)) == comb(size, k), (k, mode)
+
+    @pytest.mark.parametrize("mode", ["mixed", "add-only", "remove-only"])
+    def test_six_vertex_classes(self, classes6, mode):
+        for g in classes6:
+            self.check(g, 3, mode)
+
+    @pytest.mark.parametrize("g,mode", [
+        pytest.param(cycle(12), "mixed", id="c12"),
+        pytest.param(grid(4, 4), "mixed", id="grid4x4"),
+        pytest.param(torus(5, 5), "remove-only", id="torus5x5-remove-only")])
+    def test_family_graphs(self, g, mode):
+        self.check(g, 3, mode)
+
+    def test_dropped_or_duplicated_orbit_shows(self):
+        g = cycle(12)
+        _, reps = self.layers(g, 2, "mixed")[-1]
+        assert sum(orbit_sizes(g, reps)) == comb(66, 2)
+        assert sum(orbit_sizes(g, reps[1:])) < comb(66, 2)
+        assert sum(orbit_sizes(g, reps + reps[:1])) > comb(66, 2)
 
 
 def brute_count(g: Graph, r: int, s: int) -> int:

@@ -4,11 +4,15 @@
 ``TRACED`` tuple by looking the name up, so a renamed or deleted
 function stops a traced run (``bench/run.py --trace 1``) at the first
 missing name.  The tuple is read with ``ast``; the bench is not imported.
+The same ``ast`` reading keeps the ledger and the CLI off the engine's
+private names.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -28,3 +32,19 @@ def test_traced_names_resolve():
                if not callable(getattr(importlib.import_module(f"asymindex.{mod}"),
                                        name, None))]
     assert not missing
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asymindex"
+
+
+@pytest.mark.parametrize("module", ["claims", "cli"])
+def test_ledger_and_cli_use_public_names(module):
+    # the ledger and the CLI stay on the engine's public surface: no
+    # `_`-prefixed name (dunders aside) from another asymindex module
+    private = [f"{node.module or '.'}.{alias.name}"
+               for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("asymindex"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert not private
