@@ -168,6 +168,29 @@ def _orbit(points, gens) -> set:
     return orbit
 
 
+def _orbit_partition(points, maps) -> list[tuple[int, ...]]:
+    """Orbits of ``points`` (ascending, closed under ``maps``) under the
+    maps, each sorted, in order of least point."""
+    orbits, seen = [], set()
+    for x in points:
+        if x not in seen:
+            orbit = _orbit([x], maps)
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def _pair_maps(perms, n: int) -> list[list[int]]:
+    """Each permutation of ``range(n)`` as a map on pair indices, the pairs
+    in ``combinations(range(n), 2)`` order: entry i is the index of pair
+    i's image."""
+    index = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        index[u][v] = index[v][u] = i
+    return [[index[p[u]][p[v]] for u, v in itertools.combinations(range(n), 2)]
+            for p in perms]
+
+
 def _search(rows, n, cells, first: bool = False
             ) -> tuple[int, list[Perm], tuple[int, ...]]:
     """Minimum leaf triangle-bit value over the individualization tree of
@@ -291,13 +314,7 @@ def automorphism_group(g: Graph) -> AutReport:
         base += (b,)
         order *= len(_orbit([b], auts))
         auts = [s for s in auts if s[b] == b]
-    orbits: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for v in range(n):
-        if v not in seen:
-            orbit = _orbit([v], generators)
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
+    orbits = _orbit_partition(range(n), generators)
     return AutReport(order == 1, order, tuple(generators), tuple(orbits), base)
 
 
@@ -381,22 +398,6 @@ def can_transpose(g: Graph, u: int, v: int) -> bool:
             == _search(g.rows, g.n, [1 << v, 1 << u, rest])[0])
 
 
-def _pair_orbits(pairs, generators) -> list[set[tuple[int, int]]]:
-    """Orbits of the group generated by ``generators`` on ``pairs``, a list
-    of unordered ``(u, v)``, ``u < v``, pairs closed under the group, in
-    the order of each orbit's first pair."""
-    pair_gens = [{(u, v): (min(p[u], p[v]), max(p[u], p[v])) for u, v in pairs}
-                 for p in generators]
-    orbits: list[set[tuple[int, int]]] = []
-    seen: set[tuple[int, int]] = set()
-    for pair in pairs:
-        if pair not in seen:
-            orbit = _orbit([pair], pair_gens)
-            seen |= orbit
-            orbits.append(orbit)
-    return orbits
-
-
 def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
     """All unordered pairs swapped by some automorphism.
 
@@ -404,10 +405,9 @@ def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
     pairs, so one pair per orbit is tested.
     """
     report = automorphism_group(g)
-    pairs = [pair for orbit in report.orbits
-             for pair in itertools.combinations(orbit, 2)]
-    out: set[tuple[int, int]] = set()
-    for orbit in _pair_orbits(pairs, report.generators):
-        if can_transpose(g, *min(orbit)):
-            out |= orbit
-    return out
+    pairs = list(itertools.combinations(range(g.n), 2))
+    orbit_of = {v: k for k, orbit in enumerate(report.orbits) for v in orbit}
+    inside = [i for i, (u, v) in enumerate(pairs) if orbit_of[u] == orbit_of[v]]
+    orbits = _orbit_partition(inside, _pair_maps(report.generators, g.n))
+    return {pairs[i] for orbit in orbits
+            if can_transpose(g, *pairs[orbit[0]]) for i in orbit}

@@ -5,14 +5,14 @@ The togglable universe is the set of all vertex pairs: a pair currently
 present is a removal candidate, an absent one an addition candidate, and
 the mode masks the universe down to removals or additions only.  Layer k
 holds at least one representative per orbit of k-subsets under Aut(G),
-its least bitmask image.  Layer 1 comes from the generators' pair orbits;
-layer k extends each layer-(k-1) representative by the least pair of each
-orbit of its stabilizer, over the group's elements (one array from the
-base's transversals; above ``MAX_CLOSURE`` elements, a base prefix's
-stabilizer, whose finer orbits can split an Aut(G)-orbit into several
-representatives, which costs time but not exactness).  The same layers
-drive the index search and the count of asymmetric graphs reachable by
-exactly r removals and s additions.
+its least bitmask image.  Layer 1 is the least pair index of each orbit
+of the generators on pair indices; layer k extends each layer-(k-1)
+representative by the least pair of each orbit of its stabilizer, over the
+group's elements (one array from the base's transversals; above
+``MAX_CLOSURE`` elements, a base prefix's stabilizer, whose finer orbits
+can split an Aut(G)-orbit into several representatives, which costs time
+but not exactness).  The same layers drive the index search and the count
+of asymmetric graphs reachable by exactly r removals and s additions.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _iter_bits
-from .automorphism import (_pair_orbits, automorphism_group, canonical_form,
-                           is_asymmetric, subgroup_elements, MAX_CLOSURE)
+from .automorphism import (_orbit_partition, _pair_maps, automorphism_group,
+                           canonical_form, is_asymmetric, subgroup_elements,
+                           MAX_CLOSURE)
 from .enumeration import all_pairs
 
 MODES = ("mixed", "add-only", "remove-only")
@@ -248,9 +249,8 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     reps: list[tuple[int, ...]] = [()]
     for k in range(1, max_k + 1):
         if k == 1:
-            index = {p: i for i, p in enumerate(pairs)}
-            seen = {(index[min(orbit)],) for orbit in
-                    _pair_orbits([pairs[i] for i in universe], report.generators)}
+            maps = _pair_maps(report.generators, g.n)
+            seen = {orbit[:1] for orbit in _orbit_partition(universe, maps)}
         else:
             orbits = _FlipOrbits(report, pairs) if k == 2 else orbits
             seen = orbits.extend(reps, universe)

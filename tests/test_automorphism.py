@@ -14,7 +14,7 @@ from asymindex import automorphism
 from asymindex.graph import (Graph, disjoint_union, join, pack_triangle_bits,
                             triangle_bits)
 from asymindex.automorphism import (_child, _first_target, _individualize,
-                                    _pair_orbits, _refine,
+                                    _orbit_partition, _pair_maps, _refine,
                                     are_isomorphic,
                                     automorphism_group, canonical_form,
                                     can_transpose, cycles_str,
@@ -555,15 +555,20 @@ class TestPairOrbits:
         pairs = all_pairs(6)
         for g in classes6:
             gens = automorphism_group(g).generators
-            orbits = _pair_orbits(pairs, gens)
-            assert sum(len(o) for o in orbits) == 15
-            assert set().union(*orbits) == set(pairs)
+            maps = _pair_maps(gens, 6)
+            for p, m in zip(gens, maps):
+                assert [pairs[j] for j in m] == \
+                    [tuple(sorted((p[u], p[v]))) for u, v in pairs]
+            orbits = _orbit_partition(range(15), maps)
+            assert sorted(i for o in orbits for i in o) == list(range(15))
+            assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
             for orbit in orbits:
-                for p in gens:
-                    assert {tuple(sorted((p[u], p[v]))) for u, v in orbit} == orbit
+                assert list(orbit) == sorted(orbit)
+                for m in maps:
+                    assert {m[i] for i in orbit} == set(orbit)
             hits = 0
             for orbit in orbits:
-                u, v = min(orbit)
+                u, v = pairs[orbit[0]]
                 h = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
                 if is_asymmetric(h):
                     hits += len(orbit)

@@ -267,6 +267,16 @@ class TestSuite:
         assert all(r.status == NOT_APPLICABLE and r.claim_id == claim_id
                    for r in rows)
 
+    def test_per_claim_rows_match_suite(self, suite_rows):
+        # one verify() per catalog entry gives the suite's rows less the
+        # sweep row, as bench/run.py --trace 1 checks on the ledger
+        def dicts(rows):
+            return sorted(json.dumps(r.to_dict(), sort_keys=True) for r in rows)
+
+        per_claim = [r for cid in claims.CLAIM_IDS for r in verify(cid)]
+        assert dicts(per_claim) == dicts(r for r in suite_rows
+                                         if r.claim_id != "Thm1.2-sweep")
+
     def test_row_ids_match_catalog(self, suite_rows):
         produced = {r.claim_id for r in suite_rows} - {"Thm1.2-sweep"}
         assert produced == set().union(*claims.ROW_IDS.values())

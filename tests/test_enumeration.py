@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from asymindex import enumeration
 from asymindex.enumeration import (all_pairs, asymmetric_forest_edges,
                                    asymmetric_graphs, asymmetric_trees,
                                    graph_from_mask, nonisomorphic_graphs,
@@ -28,6 +29,21 @@ class TestGraphCatalog:
         # |orbit| = 720 exactly when the stabilizer (= Aut) is trivial.
         asym_by_orbit = sum(1 for _, size in orbit_classes6 if size == 720)
         assert asym_by_orbit == len(asymmetric_graphs(6)) == 8
+
+    def test_extension_step_takes_one_canonical_form_per_candidate(self, monkeypatch):
+        # 34 five-vertex classes times 2^5 attachments; bench/run.py
+        # --trace 1 checks the same rule for n = 7 at 156 * 2^6 = 9984
+        bases = nonisomorphic_graphs(5)
+        calls = [0]
+
+        def counted(g):
+            calls[0] += 1
+            return canonical_form(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counted)
+        reps = enumeration._extensions(bases, range(32))
+        assert calls[0] == 34 * 2 ** 5 == 1088
+        assert len(reps) == 156
 
     def test_pairwise_nonisomorphic(self):
         reps = nonisomorphic_graphs(5)

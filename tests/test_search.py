@@ -238,6 +238,50 @@ class TestAsymmetricIndex:
             "e852b131a6a5fd7edb553b6cea3f35838d1d8d616abcdb6119238f91df84bd28"
 
 
+class TestTestedCount:
+    """``SearchStats.tested`` counts every asymmetry test the search makes:
+    the ``is_asymmetric`` calls of one ``asymmetric_index`` run, on each of
+    its ways out, the consistency that ``bench/run.py --trace 1`` checks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(h):
+            count[0] += 1
+            return is_asymmetric(h)
+
+        monkeypatch.setattr(search_mod, "is_asymmetric", counted)
+        return count
+
+    @pytest.mark.parametrize("g,mode,value", [
+        pytest.param(wheel(7), "mixed", 2, id="w7-mixed"),
+        pytest.param(wheel(7), "add-only", 2, id="w7-add-only"),
+        pytest.param(wheel(7), "remove-only", 2, id="w7-remove-only"),
+        pytest.param(cycle(6).add_edge(2, 4).add_edge(2, 5), "mixed", 0,
+                     id="asymmetric")])
+    def test_returned_search(self, calls, g, mode, value):
+        res = asymmetric_index(g, mode)
+        assert res.value == value
+        assert calls[0] == res.stats.tested
+
+    def test_witness_cap_stops_early(self, calls):
+        full = asymmetric_index(wheel(7)).stats.tested
+        calls[0] = 0
+        res = asymmetric_index(wheel(7), witness_cap=1)
+        assert len(res.witnesses) == 1
+        assert calls[0] == res.stats.tested < full
+
+    @pytest.mark.parametrize("g,mode,max_k", [
+        pytest.param(cycle(8), "mixed", 1, id="c8-max-k-1"),
+        pytest.param(cycle(8), "remove-only", None, id="c8-remove-only-exhausted"),
+        pytest.param(complete(6), "add-only", None, id="k6-add-only-empty")])
+    def test_budget_exceeded(self, calls, g, mode, max_k):
+        with pytest.raises(BudgetExceededError) as exc:
+            asymmetric_index(g, mode, max_k=max_k)
+        assert calls[0] == exc.value.stats.tested
+
+
 class TestLayers:
     def test_layer_reps_cover_k6_classes(self):
         # orbits of k-subsets of K_6 edges = k-edge graph classes on 6 vertices
@@ -365,6 +409,29 @@ class TestPrunedExtension:
         expected, nodes, dedup = unpruned_layers(g, max_k, mode, elems)
         assert got == expected
         assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
+
+
+class TestLayerOne:
+    """Layer 1 is the least pair index of each orbit of Aut(G) on the
+    universe; on the tori the pairs are held above 62 bits.  The orbits
+    are read off the group's rows."""
+
+    @pytest.mark.parametrize("r,s,mode,count", [
+        (10, 11, "mixed", 35), (10, 11, "remove-only", 2),
+        (10, 11, "add-only", 33), (6, 7, "mixed", 15),
+        (6, 7, "remove-only", 2), (6, 7, "add-only", 13)])
+    def test_least_pair_of_each_orbit(self, r, s, mode, count):
+        g = torus(r, s)
+        pairs = all_pairs(g.n)
+        universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
+                    or g.has_edge(u, v) == (mode == "remove-only")]
+        images = pair_images(g, subgroup_elements(automorphism_group(g)))
+        expected = sorted(set(images[universe].min(axis=1).tolist()))
+        assert len(expected) == count
+        (k, sets), = flip_orbit_layers(g, 1, mode)
+        index = {p: i for i, p in enumerate(pairs)}
+        assert k == 1
+        assert [index[e] for fs in sets for e in fs.removed | fs.added] == expected
 
 
 def orbit_sizes(g: Graph, reps: list[tuple[int, ...]]) -> list[int]:

@@ -5,11 +5,13 @@
 function stops a traced run (``bench/run.py --trace 1``) at the first
 missing name.  The tuple is read with ``ast``; the bench is not imported.
 The same ``ast`` reading keeps the ledger and the CLI off the engine's
-private names.
+private names, and checks that every name the test modules import from
+the package exists.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,32 @@ def test_ledger_and_cli_use_public_names(module):
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert not private
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def package_imports():
+    """(test file, module, name) for each ``from asymindex... import name``
+    and (test file, module, None) for each ``import asymindex...``."""
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from ((path.name, alias.name, None) for alias in node.names
+                            if alias.name.split(".")[0] == "asymindex")
+            elif (isinstance(node, ast.ImportFrom) and not node.level
+                  and (node.module or "").split(".")[0] == "asymindex"):
+                yield from ((path.name, node.module, alias.name)
+                            for alias in node.names)
+
+
+def test_test_imports_resolve():
+    # a stale name makes its test module a collection error, and with it
+    # every test module that imports from that one; this names the name
+    imports = list(package_imports())
+    assert imports
+    missing = [f"{file}: {mod}" + (f".{name}" if name else "")
+               for file, mod, name in imports
+               if importlib.util.find_spec(mod) is None
+               or name and not hasattr(importlib.import_module(mod), name)]
+    assert not missing
