@@ -1,5 +1,6 @@
-"""The exact asymmetric index: iterative deepening with orbit pruning,
-witnesses, modes, and the distinguished failure cases."""
+"""The exact asymmetric index: a breadth-first search over isomorphism
+classes with orbit pruning, witnesses, modes, and the distinguished
+failure cases."""
 
 from asymindex import (BudgetExceededError, NoAsymmetrizationError,
                        asymmetric_index, count_nonisomorphic_asymmetrizations)
@@ -10,7 +11,8 @@ for label, g in [("P_9", path(9)), ("C_9", cycle(9)), ("W_9", wheel(9)),
                  ("K_1,5", star(6)), ("K_6", complete(6)), ("K_7", complete(7))]:
     res = asymmetric_index(g)
     print(f"  ai({label}) = {res.value}   witness {res.witnesses[0]}   "
-          f"({res.stats.tested} graphs tested, {res.stats.dedup_hits} pruned)")
+          f"({res.stats.tested} graphs tested, "
+          f"{res.stats.dedup_hits} repeated classes)")
 
 # Graphs on 2..5 vertices cannot be asymmetrized at all.
 try:

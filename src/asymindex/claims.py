@@ -19,7 +19,7 @@ from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
-from .automorphism import (automorphism_group, cycles_str,
+from .automorphism import (automorphism_group, canonical_form, cycles_str,
                            find_nontrivial_automorphism, is_asymmetric,
                            is_automorphism, transposable_pairs)
 from .enumeration import (asymmetric_forest_edges, asymmetric_graphs,
@@ -146,8 +146,8 @@ def _asym_row(claim_id: str, params: dict, text: str, g: Graph,
 
 
 def _search_row(claim_id: str, params: dict, text: str, g: Graph,
-                budget: int | None, judge: Callable, key: str | None = None
-                ) -> ClaimReport:
+                budget: int | None, judge: Callable, key: str | None = None,
+                search: Callable | None = None) -> ClaimReport:
     """Row for a claim about ai(``g``), the graph the row names.
 
     ``judge(res)`` maps the search of ``g`` to (computed, holds,
@@ -155,10 +155,11 @@ def _search_row(claim_id: str, params: dict, text: str, g: Graph,
     carries ``key``.  A search that stops at the layer budget gives a
     budget-exceeded row.  Only ``g``'s own stop is a proven lower bound
     of ``g``; a stop in one of ``judge``'s further searches bounds
-    another graph, so that row carries none.
+    another graph, so that row carries none.  ``search(g)`` gives ``g``'s
+    search when given, else ``asymmetric_index`` at the budget runs it.
     """
     try:
-        res = asymmetric_index(g, max_k=budget)
+        res = search(g) if search else asymmetric_index(g, max_k=budget)
     except BudgetExceededError as exc:
         return ClaimReport(claim_id, params, text, f"> {exc.lower_bound - 1}",
                            BUDGET_EXCEEDED, {"proven_lower_bound": exc.lower_bound})
@@ -227,10 +228,29 @@ _PROP_1_2 = "ai(G) = ai(complement(G))"
 
 
 def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
-    """ai(G) = ai(complement(G)); witnesses map by swapping removed/added."""
+    """ai(G) = ai(complement(G)); witnesses map by swapping removed/added.
+
+    Each class is searched once, and ai(complement(G)) is read off the
+    search of the complement's class, found by canonical form; a stop
+    there is raised again, as a further search's stop for G's row.
+    """
+    graphs = [g for n in orders for g in nonisomorphic_graphs(n)]
+    outcomes: dict[bytes, AiResult | Exception] = {}
+    for g in graphs:
+        try:
+            outcomes[canonical_form(g)] = asymmetric_index(g, max_k=budget)
+        except (BudgetExceededError, NoAsymmetrizationError) as exc:
+            outcomes[canonical_form(g)] = exc
+
+    def search(g: Graph) -> AiResult:
+        out = outcomes[canonical_form(g)]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
     def judge(g: Graph, res: AiResult):
         gc = g.complement()
-        resc = asymmetric_index(gc, max_k=budget)
+        resc = search(gc)
         mapped_ok = all(is_asymmetric(apply_flips(gc, w.inverse()))
                         for w in res.witnesses)
         ok = res.value == resc.value and mapped_ok
@@ -238,9 +258,9 @@ def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
                  "witness_map_ok": mapped_ok},
                 ok, {} if ok else {"witness": _ai_evidence(res)})
 
-    for g in (g for n in orders for g in nonisomorphic_graphs(n)):
+    for g in graphs:
         yield _search_row("Prop1.2", {"graph6": to_graph6(g).decode()}, _PROP_1_2,
-                          g, budget, partial(judge, g))
+                          g, budget, partial(judge, g), search=search)
 
 
 def _torus_scan(r: int, s: int) -> ClaimReport:

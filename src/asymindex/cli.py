@@ -137,7 +137,7 @@ def _cmd_ai(args, config) -> int:
                         for side in ("removed", "added"))
             print(f"witness: remove [{rem}] add [{add}]")
         print(f"stats: {stats['nodes']} candidates, {stats['tested']} tested, "
-              f"{stats['dedup_hits']} orbit-deduped")
+              f"{stats['dedup_hits']} repeated classes")
     return code
 
 

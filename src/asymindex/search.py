@@ -1,30 +1,28 @@
-"""Exact asymmetric-index computation by iterative-deepening edge-flip
-search with automorphism-orbit pruning.
+"""Exact asymmetric-index computation by a breadth-first search over
+isomorphism classes of edited graphs, with automorphism-orbit pruning.
 
 The togglable universe is the set of all vertex pairs: a pair currently
 present is a removal candidate, an absent one an addition candidate, and
-the mode masks the universe down to removals or additions only.  Layer k
-holds at least one representative per orbit of k-subsets under Aut(G),
-its least bitmask image.  Layer 1 is the least pair index of each orbit
-of the generators on pair indices; layer k extends each layer-(k-1)
-representative by the least pair of each orbit of its stabilizer, over the
-group's elements (one array from the base's transversals; above
-``MAX_CLOSURE`` elements, a base prefix's stabilizer, whose finer orbits
-can split an Aut(G)-orbit into several representatives, which costs time
-but not exactness).  The same layers drive the index search and the count
-of asymmetric graphs reachable by exactly r removals and s additions.
+the mode masks the universe down to removals or additions only.  The
+search starts at G, and each step flips one pair of the mode.  Layer k
+holds flip sets S of k pairs, in G's labels, and the graphs G xor S
+cover every isomorphism class at distance exactly k from G at least
+once.  A class kept from layer k - 1 is expanded by the least pair of
+each orbit of its own automorphism group on its pairs of the mode;
+flipping two pairs of one orbit gives isomorphic graphs.  One canonical
+search of each child gives its leaf, which decides whether its class
+is new, and its group's generators, which prune its own expansion.
+The same layers drive the index search and the count of asymmetric
+graphs reachable by exactly r removals or exactly s additions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .graph import Graph, _iter_bits
-from .automorphism import (_orbit_partition, _pair_maps, automorphism_group,
-                           canonical_form, is_asymmetric, subgroup_elements,
-                           MAX_CLOSURE)
+from .graph import Graph
+from .automorphism import (_orbit_partition, _pair_maps, _search,
+                           canonical_form, is_asymmetric)
 from .enumeration import all_pairs
 
 MODES = ("mixed", "add-only", "remove-only")
@@ -101,9 +99,10 @@ class FlipSet:
 
 @dataclass
 class SearchStats:
-    nodes: int = 0        # candidate extensions (counted, not built)
-    tested: int = 0       # asymmetry oracle calls
-    dedup_hits: int = 0   # candidates skipped as orbit duplicates
+    nodes: int = 0        # candidate pairs: the mode's pairs outside S,
+                          # summed over the classes g xor S expanded
+    tested: int = 0       # asymmetry tests, one per flip set tested
+    dedup_hits: int = 0   # children that land on a class already seen
 
     def as_dict(self) -> dict:
         return {"nodes": self.nodes, "tested": self.tested,
@@ -143,140 +142,100 @@ def apply_flips(g: Graph, flips: FlipSet) -> Graph:
     return Graph(n, rows, _trusted=True)
 
 
-# -- orbit machinery ----------------------------------------------------
+# -- class search -------------------------------------------------------
 
 
-class _FlipOrbits:
-    """Canonicalizes pair-index subsets under a permutation group.
-
-    The group is the array ``subgroup_elements`` builds from ``report``.
-    ``table[i, w]`` is the bit ``1 << j`` of pair i's image j under group
-    element w, so a subset's image is the OR of its rows and its min-image
-    the least such OR: int64 with at most 62 pairs, Python ints above.
-    """
-
-    def __init__(self, report, pairs: list[tuple[int, int]]):
-        self.pairs = pairs
-        # (n, W): row u holds u's image under every element
-        perms = np.ascontiguousarray(subgroup_elements(report, MAX_CLOSURE).T)
-        pair_id = np.zeros((len(perms), len(perms)), dtype=np.intp)
-        for i, (u, v) in enumerate(pairs):
-            pair_id[u, v] = pair_id[v, u] = i
-        bits = np.array([1 << i for i in range(len(pairs))],
-                        dtype=np.int64 if len(pairs) <= 62 else object)
-        bit_of = bits[pair_id]                  # pair {u, v}'s bit at [u, v]
-        self.table = np.empty((len(pairs), perms.shape[1]), dtype=bits.dtype)
-        for i, (u, v) in enumerate(pairs):
-            self.table[i] = bit_of[perms[u], perms[v]]
-
-    def extend(self, reps: list[tuple[int, ...]],
-               universe: list[int]) -> set[tuple[int, ...]]:
-        """Min-image forms of every ``base`` in ``reps`` (all of one size
-        and each a min-image) plus one universe pair not in it.
-
-        The columns where the OR of a base R's rows equals its minimum
-        (R's own bitmask) are R's stabilizer.  If e' = s(e) for s in that
-        stabilizer, R + e' = s(R + e) has the same min-image, so only the
-        least pair of each stabilizer orbit is extended: a slice of such
-        pairs at a time, by one OR with R's rows and one minimum over the
-        group axis.  A pair already in the base gives a key one bit
-        short, which is dropped.
-        """
-        if not reps:
-            return set()
-        table = self.table
-        nelems = table.shape[1]
-        uni = np.array(universe, dtype=np.intp)
-        # about 64K words of keys per slice, a key of p pairs taking p / 64
-        per_slice = max(1, 65536 // (1 + len(self.pairs) // 64) // nelems)
-        buf = np.empty((per_slice, nelems), dtype=table.dtype)
-        keys: set[int] = set()
-        for base in reps:
-            packed = np.zeros(nelems, dtype=table.dtype)
-            for i in base:
-                packed |= table[i]
-            stab = np.flatnonzero(packed == packed.min())
-            step = max(1, 1_000_000 // len(stab))     # (u, stab) slice size
-            for u0 in range(0, len(uni), step):
-                chunk = uni[u0:u0 + step]
-                # column 0 is the identity, so equality marks orbit minima
-                least = chunk[table[np.ix_(chunk, stab)].min(axis=1)
-                              == table[chunk, 0]]
-                for l0 in range(0, len(least), per_slice):
-                    part = least[l0:l0 + per_slice]
-                    # "clip" lets take write straight into the buffer
-                    rows = table.take(part, axis=0, out=buf[:len(part)], mode="clip")
-                    rows |= packed
-                    keys.update(rows.min(axis=1).tolist())
-        k = len(reps[0]) + 1
-        return {tuple(_iter_bits(key)) for key in keys if key.bit_count() == k}
-
-
-def _universe(g: Graph, mode: str, pairs: list[tuple[int, int]]) -> list[int]:
-    """Indices into ``pairs`` of the pairs ``mode`` may flip."""
+def _universe(rows, mode: str, pairs: list[tuple[int, int]]) -> list[int]:
+    """Indices into ``pairs`` of the pairs ``mode`` may flip in the graph
+    with these rows."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     return [i for i, (u, v) in enumerate(pairs)
-            if mode == "mixed" or g.has_edge(u, v) == (mode == "remove-only")]
+            if mode == "mixed" or (rows[u] >> v) & 1 == (mode == "remove-only")]
 
 
 def _flipset_from_indices(g: Graph, subset, pairs) -> FlipSet:
     removed, added = [], []
     for i in subset:
-        u, v = pairs[i]
-        (removed if (g.rows[u] >> v) & 1 else added).append((u, v))
+        u, v = pair = pairs[i]
+        (removed if (g.rows[u] >> v) & 1 else added).append(pair)
     # the pairs come normalized from all_pairs, so skip __post_init__
     return object.__new__(FlipSet)._set(frozenset(removed), frozenset(added))
 
 
 def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                       stats: SearchStats | None = None):
-    """Yield (k, flip_sets) for k = 1..max_k.
+    """Yield (k, flip_sets) for k = 1..max_k: a breadth-first search over
+    isomorphism classes, rooted at ``g``, whose steps flip one pair of
+    the mode.
 
-    At least one FlipSet per orbit of k-subsets of the mode's universe
-    under Aut(g), ordered by min-image subset, so iteration order is
-    deterministic.  Up to ``MAX_CLOSURE`` group elements there is exactly
-    one per orbit; above it, layers k >= 2 dedupe under a base prefix's
-    stabilizer, so one orbit may appear several times.  Layer 1 is the
-    least pair of each orbit of the generators on the universe; the group
-    table is built only for k >= 2.  Candidates generated and orbit
-    duplicates skipped are added to ``stats`` when given.
+    Layer k's flip sets S have k pairs each, and the graphs g xor S cover
+    every class at distance exactly k from ``g`` at least once; any other
+    class among them lies at distance k - 2.  Each class h = g xor S kept
+    from layer k - 1 gives one flip set S + {e} per orbit of Aut(h) on
+    h's pairs of the mode, e the orbit's least pair index, in parent
+    order and then by e.  An orbit that meets S is skipped: flipping one
+    of its pairs gives a class at distance k - 2 or less.  After layer k
+    is yielded, each of its graphs gets one canonical search, which gives
+    its leaf and its group's generators, and those whose leaf is new are
+    kept; the last layer is only yielded.  Candidate pairs and children
+    of a class already seen are added to ``stats`` when given.
     """
     stats = SearchStats() if stats is None else stats
-    pairs = all_pairs(g.n)
-    universe = _universe(g, mode, pairs)
-    report = automorphism_group(g)
-    reps: list[tuple[int, ...]] = [()]
+    n = g.n
+    pairs = all_pairs(n)
+    universe = len(_universe(g.rows, mode, pairs))
+    seen: set[int] = set()
+
+    def expand(s: tuple[int, ...], rows) -> list | None:
+        """(S + {e}, rows) per child of the class of g xor S (``rows``),
+        or None if that class was seen before."""
+        leaf, gens, _ = _search(rows, n, [(1 << n) - 1])
+        if leaf in seen:
+            return None
+        seen.add(leaf)
+        taken = set(s)
+        return [(s + (orbit[0],), rows)
+                for orbit in _orbit_partition(_universe(rows, mode, pairs),
+                                              _pair_maps(gens, n))
+                if taken.isdisjoint(orbit)]
+
+    children, parents = expand((), g.rows), 1
     for k in range(1, max_k + 1):
-        if k == 1:
-            maps = _pair_maps(report.generators, g.n)
-            seen = {orbit[:1] for orbit in _orbit_partition(universe, maps)}
-        else:
-            orbits = _FlipOrbits(report, pairs) if k == 2 else orbits
-            seen = orbits.extend(reps, universe)
-        # every base is a (k-1)-subset of the universe
-        nodes = len(reps) * (len(universe) - (k - 1))
-        stats.nodes += nodes
-        stats.dedup_hits += nodes - len(seen)
-        reps = sorted(seen)
-        yield k, [_flipset_from_indices(g, r, pairs) for r in reps]
+        stats.nodes += parents * (universe - (k - 1))
+        yield k, [_flipset_from_indices(g, s, pairs) for s, _ in children]
+        if k == max_k:
+            return
+        following, parents = [], 0
+        for s, rows in children:
+            u, v = pairs[s[-1]]
+            rows = list(rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            more = expand(s, rows)
+            if more is None:
+                stats.dedup_hits += 1
+            else:
+                parents += 1
+                following += more
+        children = following
 
 
 def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
                      witness_cap: int = DEFAULT_WITNESS_CAP) -> AiResult:
     """Minimum number of edge flips making ``g`` asymmetric.
 
-    Iterative deepening over flip-set size; within a layer at least one
-    representative per Aut(g)-orbit is tested, one each unless the group
-    exceeds ``MAX_CLOSURE`` (equivalent flip sets give isomorphic
-    results, so the value is exact either way).  Raises
+    Iterative deepening over flip-set size: layer k of
+    ``flip_orbit_layers`` reaches every isomorphism class at distance k
+    from ``g``, and isomorphic graphs are asymmetric together, so the
+    first layer with an asymmetric graph gives the exact value.  Raises
     NoAsymmetrizationError for 2 <= n <= 5 and BudgetExceededError (with
     the proven lower bound) when the layer budget runs out.  Raises
     ValueError for an unknown mode, a negative ``max_k`` or a
     ``witness_cap`` below 1.
     """
     n = g.n
-    universe = len(_universe(g, mode, all_pairs(n)))
+    universe = len(_universe(g.rows, mode, all_pairs(n)))
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     if witness_cap < 1:
@@ -310,31 +269,28 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
 
 def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
     """Isomorphism classes of asymmetric graphs reachable by removing
-    exactly r edges and adding exactly s.
+    exactly r edges (s = 0) or adding exactly s non-edges (r = 0).
 
-    Flip sets in one Aut(g)-orbit give isomorphic graphs, so only the
-    layer's representatives of the orbits of (r + s)-subsets are tested (remove-only
-    when s = 0, add-only when r = 0, else the mixed layer's sets with r
-    removals; an automorphism maps edges to edges, so no orbit mixes
-    these).  Distinct orbits may still give isomorphic graphs, so the
-    hits are counted by canonical form.
+    Each remove-only or add-only step changes the edge count by one, so
+    that mode's layer r + s reaches every such class; it may reach one
+    more than once, so the hits are counted by canonical form.  A mixed
+    layer groups classes by distance, not by removals and additions, so
+    r and s both positive is a ValueError.
     """
     n_edges = g.edge_count
     n_non_edges = g.n * (g.n - 1) // 2 - n_edges
     if r < 0 or s < 0:
         raise ValueError(f"edit counts must be non-negative; got r={r}, s={s}")
+    if r and s:
+        raise ValueError(f"edits must be all removals or all additions; "
+                         f"got r={r}, s={s}")
     if r > n_edges:
         raise ValueError(f"cannot remove {r} of {n_edges} edges")
     if s > n_non_edges:
         raise ValueError(f"cannot add {s} of {n_non_edges} non-edges")
     if r + s == 0:
         return int(is_asymmetric(g))
-    mode = "remove-only" if s == 0 else "add-only" if r == 0 else "mixed"
+    mode = "add-only" if r == 0 else "remove-only"
     *_, (_, flip_sets) = flip_orbit_layers(g, r + s, mode)
-    seen: set[bytes] = set()
-    for fs in flip_sets:
-        if len(fs.removed) == r:
-            h = apply_flips(g, fs)
-            if is_asymmetric(h):
-                seen.add(canonical_form(h))
-    return len(seen)
+    hits = (apply_flips(g, fs) for fs in flip_sets)
+    return len({canonical_form(h) for h in hits if is_asymmetric(h)})

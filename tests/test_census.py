@@ -7,7 +7,9 @@ flips gives a flip set of at most k pairs, and a flip set of k pairs
 gives such a path.  Remove-only distances walk back from the asymmetric
 classes along additions, and add-only distances along removals.  The
 BFS uses only class enumeration, canonical forms and the asymmetry test,
-so it shares no code with the search's flip layers.
+so it shares no code with the search's flip layers.  The same class graph,
+walked from one class, gives the distances that the search's layers must
+reach.
 """
 
 from collections import Counter
@@ -18,7 +20,8 @@ import pytest
 
 from asymindex.automorphism import canonical_form, is_asymmetric
 from asymindex.enumeration import nonisomorphic_graphs
-from asymindex.search import BudgetExceededError, asymmetric_index
+from asymindex.search import (BudgetExceededError, apply_flips, asymmetric_index,
+                              flip_orbit_layers)
 
 
 @cache
@@ -38,24 +41,35 @@ def _flip_classes(n: int) -> dict:
     return classes
 
 
-#: Where a BFS step from a class may go, by search mode.
+#: Where a BFS step back towards a class may go, by search mode.
 _STEPS = {"mixed": lambda added, removed: added | removed,
           "remove-only": lambda added, removed: added,
           "add-only": lambda added, removed: removed}
 
+#: Where a search step from a class may go, by search mode.
+_FORWARD = {"mixed": _STEPS["mixed"], "remove-only": _STEPS["add-only"],
+            "add-only": _STEPS["remove-only"]}
 
-def _distances(classes: dict, mode: str) -> dict:
-    dist = {c: 0 for c, (g, _, _) in classes.items() if is_asymmetric(g)}
+
+def _bfs(classes: dict, sources, step) -> dict:
+    """Distance of each class reached from ``sources`` along ``step``."""
+    dist = dict.fromkeys(sources, 0)
     frontier = list(dist)
     while frontier:
         following = []
         for c in frontier:
-            for d in _STEPS[mode](*classes[c][1:]):
+            for d in step(*classes[c][1:]):
                 if d not in dist:
                     dist[d] = dist[c] + 1
                     following.append(d)
         frontier = following
     return dist
+
+
+def _distances(classes: dict, mode: str) -> dict:
+    """Each class's distance to the asymmetric classes: ai in ``mode``."""
+    return _bfs(classes, [c for c, (g, _, _) in classes.items() if is_asymmetric(g)],
+                _STEPS[mode])
 
 
 @pytest.mark.parametrize("n,mode,counts,unreached", [
@@ -80,3 +94,22 @@ def test_bfs_census_matches_search(n, mode, counts, unreached):
             with pytest.raises(BudgetExceededError) as exc:
                 asymmetric_index(g, mode, max_k=comb(n, 2))
             assert exc.value.universe_exhausted
+
+
+@pytest.mark.parametrize("mode", ["mixed", "remove-only", "add-only"])
+def test_layers_reach_each_class_at_its_distance(mode):
+    # from every 6-vertex class, up to its ai (or through every class it
+    # reaches when none is asymmetric): layer k holds every class at
+    # distance exactly k, and any other class in it is at distance k - 2
+    # and symmetric
+    classes = _flip_classes(6)
+    ai = _distances(classes, mode)
+    for c, (g, _, _) in classes.items():
+        dist = _bfs(classes, [c], _FORWARD[mode])
+        max_k = ai[c] if c in ai else max(dist.values())
+        for k, flip_sets in flip_orbit_layers(g, max_k, mode):
+            assert all(fs.size == k for fs in flip_sets)
+            reached = {canonical_form(apply_flips(g, fs)) for fs in flip_sets}
+            exact = {d for d, j in dist.items() if j == k}
+            assert exact <= reached, (c, k)
+            assert all(dist[d] == k - 2 and ai.get(d) != 0 for d in reached - exact)

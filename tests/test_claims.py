@@ -3,6 +3,7 @@ discipline, and determinism."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,10 @@ from asymindex.claims import (cycle_augmentation_formula,
                               kn_bound_formulas, partition_count, verify,
                               verify_suite, DEFAULT_ALLOWLIST, CONFIRMED,
                               REFUTED, NOT_APPLICABLE)
+from asymindex.automorphism import canonical_form
 from asymindex.families import cycle, path
 from asymindex.graph import from_graph6
-from asymindex.search import (asymmetric_index,
+from asymindex.search import (BudgetExceededError, SearchStats, asymmetric_index,
                               count_nonisomorphic_asymmetrizations)
 
 
@@ -154,6 +156,39 @@ class TestVerify:
         assert row.computed == {"ai": 1}
         assert "proven_lower_bound" not in row.evidence and row.ai is None
 
+    def test_prop12_searches_each_class_once(self, monkeypatch):
+        searched = Counter()
+
+        def counted(g, **kwargs):
+            searched[canonical_form(g)] += 1
+            return asymmetric_index(g, **kwargs)
+
+        monkeypatch.setattr(claims, "asymmetric_index", counted)
+        rows = verify("Prop1.2")
+        assert len(rows) == len(searched) == 156
+        assert set(searched.values()) == {1}
+        assert all(r.status == CONFIRMED for r in rows)
+
+    def test_prop12_complement_stop_is_a_further_search_stop(self, monkeypatch):
+        # a stop in the complement's class leaves P_6's row its exact index
+        # and no bound; the complement's own row carries the bound
+        stopped = canonical_form(path(6).complement())
+
+        def search(g, **kwargs):
+            if canonical_form(g) == stopped:
+                raise BudgetExceededError(3, SearchStats())
+            return asymmetric_index(g, **kwargs)
+
+        monkeypatch.setattr(claims, "asymmetric_index", search)
+        rows = {canonical_form(from_graph6(r.params["graph6"])): r
+                for r in verify("Prop1.2")}
+        row = rows[canonical_form(path(6))]
+        assert row.status == claims.BUDGET_EXCEEDED and row.computed == {"ai": 1}
+        assert row.evidence == {"note": "a further search stopped at the layer budget"}
+        row = rows[stopped]
+        assert row.status == claims.BUDGET_EXCEEDED and row.computed == "> 2"
+        assert row.evidence == {"proven_lower_bound": 3}
+
     def test_refutations_carry_evidence_or_key(self):
         for cid in ("Rem2.1", "Sec2.2-cycle-aut", "Thm2.9"):
             for row in verify(cid):
@@ -230,7 +265,7 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "1f5c78c7984990fd60a4ae9287d8485e0bbf96f7e616dbcc5113d48cc7bba6d2")
+            "648919ba9725ce1c64046e12f3998193c44929a7f6c5491a758fce71a894067d")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path

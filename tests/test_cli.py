@@ -129,17 +129,15 @@ class TestAi:
         _, out2, _ = run(capsys, "ai", g6, "--json")
         assert out1 == out2
 
-    # sha256 of the whole --json output; each equals the output computed
-    # before the flip-orbit group became one array and extensions were
-    # pruned by stabilizer, less its dropped transposable_bound key:
-    # K_9 remove-only is exact (ai = 7) over |S_9| = 362880 elements, and
-    # the star on 10 vertices stops at its budget with bound 2
+    # sha256 of the whole --json output of the class search: K_9
+    # remove-only is exact (ai = 7), and the star on 10 vertices stops at
+    # its budget with bound 2
     @pytest.mark.parametrize("g,argv,exit_code,digest", [
         pytest.param(complete(9), ["--mode", "remove-only", "--max-k", "7"], 0,
-                     "30733017bca3e167de67c510376562b2e6b074c5883fea6df154d754a6b62724",
+                     "d327426c33d7a1df9e28d51d167e53d3409948b74fc22495fbbdd7353212b639",
                      id="k9-remove-only"),
         pytest.param(star(10), ["--max-k", "1"], 4,
-                     "0a464426b7bf738751d168d39901d7880e664a17f1611bdccb8380e94bfdabc5",
+                     "64748aa75196bccfb504ad571cd00c71bda43478146f260e90ebae4d841d65d6",
                      id="star10-budget")])
     def test_heavy_inputs_pinned(self, capsys, g, argv, exit_code, digest):
         code, out, _ = run(capsys, "ai", to_graph6(g).decode(), *argv, "--json")

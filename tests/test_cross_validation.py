@@ -15,7 +15,7 @@ from asymindex.automorphism import (AutReport, are_isomorphic,
                                     is_asymmetric, subgroup_elements)
 from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 from asymindex.claims import verify
-from asymindex.families import complete, cycle, star, torus, wheel
+from asymindex.families import complete, star, torus
 from asymindex.search import FlipSet, apply_flips, asymmetric_index
 
 from conftest import bfs_closure
@@ -100,6 +100,24 @@ class TestSearchSpotAudit:
             audited += 1
 
 
+class TestHeavyInputs:
+    """Inputs that took seconds to minutes while each search layer was a
+    table over Aut(G); every witness is asymmetric by VF2's count of
+    self-maps."""
+
+    @pytest.mark.parametrize("g,mode,value", [
+        pytest.param(star(10), "mixed", 7, id="star10"),
+        pytest.param(complete(10), "remove-only", 8, id="k10-remove-only")])
+    def test_exact_value_with_vf2_checked_witnesses(self, g, mode, value):
+        res = asymmetric_index(g, mode)
+        assert res.value == value and res.witnesses
+        for w in res.witnesses:
+            assert w.size == value and (mode == "mixed" or not w.added)
+            h = to_nx(apply_flips(g, w))
+            matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+            assert sum(1 for _ in matcher.isomorphisms_iter()) == 1
+
+
 class TestClosureFallback:
     def test_group_elements_cap(self):
         rep = automorphism_group(Graph.empty(5))  # S_5, order 120
@@ -115,17 +133,6 @@ class TestClosureFallback:
         for a in elems:
             for b in elems:
                 assert tuple(a[b[i]] for i in range(5)) in elem_set
-
-    def test_search_correct_under_tiny_closure_cap(self, monkeypatch):
-        # force the subgroup fallback during orbit pruning; values and
-        # witnesses must be unaffected (dedup is only an optimization)
-        import asymindex.search as search_mod
-        monkeypatch.setattr(search_mod, "MAX_CLOSURE", 6)
-        res = asymmetric_index(cycle(8))
-        assert res.value == 2
-        for w in res.witnesses:
-            assert is_asymmetric(apply_flips(cycle(8), w))
-        assert asymmetric_index(wheel(7)).value == 2
 
 
 class TestGroupElementsOracle:

@@ -16,15 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asymindex.graph import Graph, disjoint_union, from_graph6, join
-from asymindex.automorphism import (are_isomorphic, automorphism_group,
+from asymindex.graph import Graph, _iter_bits, disjoint_union, from_graph6, join
+import asymindex.automorphism as automorphism_mod
+from asymindex.automorphism import (_orbit_partition, _pair_maps,
+                                    are_isomorphic, automorphism_group,
                                     canonical_form, group_elements,
                                     is_asymmetric, subgroup_elements,
                                     MAX_CLOSURE)
 from asymindex.enumeration import all_pairs, graph_from_mask
 from asymindex.families import path, cycle, complete, grid, star, torus, wheel
 import asymindex.search as search_mod
-from asymindex.search import (BudgetExceededError, FlipSet,
+from asymindex.search import (MODES, BudgetExceededError, FlipSet,
                               NoAsymmetrizationError, SearchStats, apply_flips,
                               asymmetric_index,
                               count_nonisomorphic_asymmetrizations,
@@ -221,8 +223,7 @@ class TestAsymmetricIndex:
         assert outcomes[0][:2] == (9, True)
 
     def test_outputs_pinned(self):
-        # sha256 of value, witnesses and stats, computed before the orbit
-        # layers were rebuilt on per-representative images
+        # sha256 of value, witnesses and stats of the class search
         out = []
         for g, kw in ((star(9), {}), (complete(8), {"max_k": 6}),
                       (complete(7), {}), (torus(6, 7), {}),
@@ -235,7 +236,7 @@ class TestAsymmetricIndex:
         out.append([exc.value.lower_bound, exc.value.universe_exhausted,
                     exc.value.stats.as_dict()])
         assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
-            "e852b131a6a5fd7edb553b6cea3f35838d1d8d616abcdb6119238f91df84bd28"
+            "584d79ed082d8a8152ee156ab025c2c2d4757f8f9c109b6a7b1139553a8617ab"
 
 
 class TestTestedCount:
@@ -282,23 +283,143 @@ class TestTestedCount:
         assert calls[0] == exc.value.stats.tested
 
 
+# -- orbit-table layers: the small-input oracle of the orbit tests
+
+
+class FlipOrbitTable:
+    """Canonicalizes pair-index subsets under ``subgroup_elements(report,
+    cap)``.  ``table[i, w]`` is the bit ``1 << j`` of pair i's image j
+    under group row w, so a subset's image is the OR of its rows and its
+    min-image the least such OR: int64 with at most 62 pairs, Python
+    ints above."""
+
+    def __init__(self, report, pairs: list[tuple[int, int]], cap: int):
+        # (n, W): row u holds u's image under every element
+        perms = np.ascontiguousarray(subgroup_elements(report, cap).T)
+        pair_id = np.zeros((len(perms), len(perms)), dtype=np.intp)
+        for i, (u, v) in enumerate(pairs):
+            pair_id[u, v] = pair_id[v, u] = i
+        bits = np.array([1 << i for i in range(len(pairs))],
+                        dtype=np.int64 if len(pairs) <= 62 else object)
+        bit_of = bits[pair_id]                  # pair {u, v}'s bit at [u, v]
+        self.table = np.empty((len(pairs), perms.shape[1]), dtype=bits.dtype)
+        for i, (u, v) in enumerate(pairs):
+            self.table[i] = bit_of[perms[u], perms[v]]
+
+    def extend(self, reps: list[tuple[int, ...]], universe: list[int]) -> set:
+        """Min-image forms of every base in ``reps`` (all of one size, each
+        a min-image) plus one universe pair not in it.  The columns where
+        the OR of a base's rows equals its minimum are its stabilizer, and
+        only the least pair of each stabilizer orbit is extended, in
+        slices of about 64K words.  A pair already in the base gives a key
+        one bit short, which is dropped."""
+        if not reps:
+            return set()
+        table = self.table
+        nelems = table.shape[1]
+        uni = np.array(universe, dtype=np.intp)
+        per_slice = max(1, 65536 // (1 + table.shape[0] // 64) // nelems)
+        buf = np.empty((per_slice, nelems), dtype=table.dtype)
+        keys: set[int] = set()
+        for base in reps:
+            packed = np.zeros(nelems, dtype=table.dtype)
+            for i in base:
+                packed |= table[i]
+            stab = np.flatnonzero(packed == packed.min())
+            step = max(1, 1_000_000 // len(stab))
+            for u0 in range(0, len(uni), step):
+                chunk = uni[u0:u0 + step]
+                # column 0 is the identity, so equality marks orbit minima
+                least = chunk[table[np.ix_(chunk, stab)].min(axis=1)
+                              == table[chunk, 0]]
+                for l0 in range(0, len(least), per_slice):
+                    part = least[l0:l0 + per_slice]
+                    rows = table.take(part, axis=0, out=buf[:len(part)], mode="clip")
+                    rows |= packed
+                    keys.update(rows.min(axis=1).tolist())
+        k = len(reps[0]) + 1
+        return {tuple(_iter_bits(key)) for key in keys if key.bit_count() == k}
+
+
+def table_layers(g: Graph, max_k: int, mode: str = "mixed",
+                 stats: SearchStats | None = None, cap: int = MAX_CLOSURE):
+    """Yield (k, representatives) for k = 1..max_k, each a sorted
+    pair-index tuple: at least one per orbit of k-subsets of the mode's
+    universe under Aut(g), its least bitmask image, in order.
+
+    Layer 1 is the least pair of each orbit of the generators; layer k
+    extends layer k - 1 through ``FlipOrbitTable``, exactly one per orbit
+    up to ``cap`` group elements, and above it under a base prefix's
+    stabilizer, whose finer orbits may keep one orbit several times.
+    ``stats`` gets the candidates (``nodes``) and those not kept
+    (``dedup_hits``).  It shares the orbit helpers with the package, not
+    the class search.
+    """
+    stats = SearchStats() if stats is None else stats
+    pairs = all_pairs(g.n)
+    universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
+                or g.has_edge(u, v) == (mode == "remove-only")]
+    report = automorphism_group(g)
+    reps, table = [()], None
+    for k in range(1, max_k + 1):
+        if k == 1:
+            maps = _pair_maps(report.generators, g.n)
+            keys = {orbit[:1] for orbit in _orbit_partition(universe, maps)}
+        else:
+            table = table or FlipOrbitTable(report, pairs, cap)
+            keys = table.extend(reps, universe)
+        nodes = len(reps) * (len(universe) - (k - 1))
+        stats.nodes += nodes
+        stats.dedup_hits += nodes - len(keys)
+        reps = sorted(keys)
+        yield k, reps
+
+
 class TestLayers:
     def test_layer_reps_cover_k6_classes(self):
-        # orbits of k-subsets of K_6 edges = k-edge graph classes on 6 vertices
+        # removals from K_6: layer k reaches every class of k-edge graphs on
+        # 6 vertices, by complement; the classes of K_6 - {01, 02} and
+        # K_6 - {01, 23} have 4 and 3 orbits of edges
         stats = SearchStats()
-        layers = flip_orbit_layers(complete(6), 3, "remove-only", stats)
-        assert [(k, len(sets)) for k, sets in layers] == [(1, 1), (2, 2), (3, 5)]
-        # 15 + 1*14 + 2*13 candidates; 1 + 2 + 5 of them are kept
-        assert (stats.nodes, stats.dedup_hits) == (55, 47)
+        layers = list(flip_orbit_layers(complete(6), 3, "remove-only", stats))
+        assert [(k, len(sets)) for k, sets in layers] == [(1, 1), (2, 2), (3, 7)]
+        assert [len({canonical_form(apply_flips(complete(6), fs)) for fs in sets})
+                for _, sets in layers] == [1, 2, 5]
+        # 15 + 1*14 + 2*13 candidate pairs; layers 1 and 2 are new classes,
+        # and the last layer is not canonicalized
+        assert (stats.nodes, stats.dedup_hits) == (55, 0)
 
     def test_layer_one_needs_no_group_table(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("layer 1 must not build the group table")
+            raise AssertionError("the search must not build the group table")
 
-        monkeypatch.setattr(search_mod, "subgroup_elements", forbidden)
+        for name in ("subgroup_elements", "group_elements"):
+            monkeypatch.setattr(automorphism_mod, name, forbidden)
         # S_9 fixes the centre: one orbit of edges, one of non-edges
-        layers = flip_orbit_layers(star(10), 1)
-        assert [(k, len(sets)) for k, sets in layers] == [(1, 2)]
+        (_, first), _ = flip_orbit_layers(star(10), 2)
+        assert len(first) == 2
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("g", [Graph.empty(0), Graph.empty(1), Graph.empty(2),
+                                   complete(2)], ids=["n0", "n1", "n2", "k2"])
+    def test_tiny_graphs(self, g, mode):
+        # no pair or one: every layer past the mode's universe is empty
+        size = len([p for p in all_pairs(g.n) if mode == "mixed"
+                    or g.has_edge(*p) == (mode == "remove-only")])
+        assert [(k, len(sets)) for k, sets in flip_orbit_layers(g, 3, mode)] == \
+            [(k, int(k <= size)) for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("g", [star(10), cycle(8), petersen(), torus(6, 7)],
+                             ids=["star10", "c8", "petersen", "torus6x7"])
+    def test_first_layer_nodes_are_the_universe(self, g, mode):
+        # nodes counts candidate pairs: at depth 1, the mode's whole universe
+        stats = SearchStats()
+        list(flip_orbit_layers(g, 1, mode, stats))
+        npairs = g.n * (g.n - 1) // 2
+        size = {"mixed": npairs, "remove-only": g.edge_count,
+                "add-only": npairs - g.edge_count}[mode]
+        assert (stats.nodes, stats.dedup_hits) == (size, 0)
 
     # every graph in every mode, plus C_12 remove-only to full depth: its
     # 66 pairs take keys of more than 62 bits, held as Python ints
@@ -321,7 +442,7 @@ class TestLayers:
         # the representative is the image with the least bitmask
         key = lambda t: sum(1 << i for i in t)
         stats = SearchStats()
-        layers = dict(flip_orbit_layers(g, max_k, mode, stats))
+        layers = dict(table_layers(g, max_k, mode, stats))
         nodes = dedup = 0
         prev = [()]
         for k in range(1, max_k + 1):
@@ -334,9 +455,7 @@ class TestLayers:
                          for p in elems}
                 seen |= orbit
                 expected.add(min(orbit, key=key))
-            got = {tuple(sorted(index[e] for e in fs.removed | fs.added))
-                   for fs in layers[k]}
-            assert got == expected, (k, mode)
+            assert set(layers[k]) == expected, (k, mode)
             cands = [tuple(sorted(base + (e,)))
                      for base in prev for e in universe if e not in base]
             nodes += len(cands)
@@ -397,15 +516,12 @@ class TestPrunedExtension:
                      id="torus5x5-remove-only"),
         pytest.param(cycle(12), 3, "mixed", MAX_CLOSURE, id="c12-mixed"),
         pytest.param(star(8), 4, "mixed", 100, id="star8-subgroup")])
-    def test_matches_unpruned_min_images(self, monkeypatch, g, max_k, mode, cap):
-        monkeypatch.setattr(search_mod, "MAX_CLOSURE", cap)
+    def test_matches_unpruned_min_images(self, g, max_k, mode, cap):
         rep = automorphism_group(g)
         elems = subgroup_elements(rep, cap)
         assert (len(elems) == rep.order) == (cap == MAX_CLOSURE)
-        index = {p: i for i, p in enumerate(all_pairs(g.n))}
         stats = SearchStats()
-        got = [[tuple(sorted(index[e] for e in fs.removed | fs.added)) for fs in sets]
-               for _, sets in flip_orbit_layers(g, max_k, mode, stats)]
+        got = [reps for _, reps in table_layers(g, max_k, mode, stats, cap)]
         expected, nodes, dedup = unpruned_layers(g, max_k, mode, elems)
         assert got == expected
         assert (stats.nodes, stats.dedup_hits) == (nodes, dedup)
@@ -455,10 +571,7 @@ class TestOrbitCounting:
     @staticmethod
     def layers(g: Graph, max_k: int, mode: str):
         """(k, representatives as sorted pair-index tuples) per layer."""
-        index = {p: i for i, p in enumerate(all_pairs(g.n))}
-        return [(k, [tuple(sorted(index[e] for e in fs.removed | fs.added))
-                     for fs in sets])
-                for k, sets in flip_orbit_layers(g, max_k, mode)]
+        return list(table_layers(g, max_k, mode))
 
     def check(self, g: Graph, max_k: int, mode: str):
         npairs = g.n * (g.n - 1) // 2
@@ -510,7 +623,14 @@ class TestCounting:
         cases += [(cycle(n), 0, 2) for n in range(6, 11)]
         cases += [(path(7), 1, 1), (path(7), 2, 1)]
         for g, r, s in cases:
-            assert count_nonisomorphic_asymmetrizations(g, r, s) == brute_count(g, r, s)
+            if r and s:
+                # mixed edits are not counted: a layer groups classes by
+                # distance, not by removals and additions
+                with pytest.raises(ValueError, match="all removals or all additions"):
+                    count_nonisomorphic_asymmetrizations(g, r, s)
+            else:
+                assert count_nonisomorphic_asymmetrizations(g, r, s) == \
+                    brute_count(g, r, s)
 
     def test_c6_two_chords_oracle(self):
         # independent recount: all 36 chord pairs, brute-force asymmetry,

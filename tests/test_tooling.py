@@ -79,3 +79,17 @@ def test_test_imports_resolve():
                if importlib.util.find_spec(mod) is None
                or name and not hasattr(importlib.import_module(mod), name)]
     assert not missing
+
+
+def test_search_keeps_off_the_group_table():
+    # the search walks isomorphism classes; the group table over Aut(G)
+    # and numpy stay out of it
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "search.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "").split(".")[0]}
+            imported |= {alias.name for alias in node.names}
+    assert imported
+    assert not imported & {"numpy", "subgroup_elements", "MAX_CLOSURE"}
