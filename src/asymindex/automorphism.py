@@ -13,7 +13,19 @@ vertex of an equitable partition, and only the remainder of its cell is
 queued as a splitter; a splitter visits only the cells that meet its
 neighbourhood; refinement stops once the partition is discrete.  Each of
 these yields the same ordered partition as queueing and scanning every
-cell.  Open or closed twins answer the asymmetry test without a search.
+cell.
+
+Swapping two open twins (equal rows) or two closed twins (equal rows
+plus their own bits) is an automorphism, so twins answer the asymmetry
+test without a search.  Such a swap fixes every cell that holds both
+twins, so ``canonical_form``, the class search's canonical searches and
+``can_transpose`` seed their tree search with these transpositions: the
+subtrees they prune map onto explored ones, the least leaf and the
+group are unchanged, and a twin class costs one path instead of a
+sibling leaf per twin.  ``automorphism_group`` and
+``find_nontrivial_automorphism`` do not seed: the seeds would become
+generators, and their generators are printed (``aut --json``, the
+ledger).
 """
 
 from __future__ import annotations
@@ -191,7 +203,34 @@ def _pair_maps(perms, n: int) -> list[list[int]]:
             for p in perms]
 
 
-def _search(rows, n, cells, first: bool = False
+def _twin_keys(rows):
+    """Each vertex's open-twin key (its row), then each vertex's
+    closed-twin key (its row plus its own bit), as two lists indexed by
+    vertex: twins are two vertices with equal keys in one list."""
+    yield rows
+    yield [r | 1 << v for v, r in enumerate(rows)]
+
+
+def _twin_transpositions(rows, n, cells) -> list[Perm]:
+    """The transposition of each two consecutive members of a twin class
+    inside one cell of ``cells``: automorphisms fixing every cell."""
+    out = []
+    for keys in _twin_keys(rows):
+        if len(set(keys)) == n:
+            continue
+        for cell in cells:
+            last: dict[int, int] = {}      # key to its last member so far
+            for v in _iter_bits(cell):
+                u = last.get(keys[v])
+                if u is not None:
+                    p = list(range(n))
+                    p[u], p[v] = v, u
+                    out.append(tuple(p))
+                last[keys[v]] = v
+    return out
+
+
+def _search(rows, n, cells, first: bool = False, twins: bool = False
             ) -> tuple[int, list[Perm], tuple[int, ...]]:
     """Minimum leaf triangle-bit value over the individualization tree of
     the ordered partition ``cells``, the automorphisms found, and the
@@ -208,10 +247,17 @@ def _search(rows, n, cells, first: bool = False
     the minimum is unchanged, and the automorphisms found generate the
     group fixing every cell of ``cells`` (McKay & Piperno 2014).  A node
     recomputes its skipped set only after a subtree found new automorphisms.
+
+    ``twins`` seeds the kept automorphisms, before the root, with
+    ``_twin_transpositions``.  They fix every cell, so the subtrees they
+    prune map onto explored ones too: the minimum leaf and the first
+    path stay, and the seeds with the automorphisms found still generate
+    the group.  Only the generators differ, which is why the searches
+    whose generators are printed do not seed.
     """
     best = None                     # (bits, path, order) of the best leaf
     head = None                     # path of the first leaf
-    auts: list[Perm] = []
+    auts: list[Perm] = _twin_transpositions(rows, n, cells) if twins else []
 
     def rec(cells, path) -> int:
         # Takes an equitable partition; returns the depth to unwind to,
@@ -270,13 +316,11 @@ def find_nontrivial_automorphism(g: Graph) -> Perm | None:
 
 
 def is_asymmetric(g: Graph) -> bool:
-    """True iff the automorphism group is trivial.  Swapping two open
-    twins (equal rows) or closed twins (equal rows plus their own bits) is
+    """True iff the automorphism group is trivial.  Swapping two twins is
     an automorphism, so twins answer False without a tree search."""
-    rows = g.rows
-    if (len(set(rows)) < g.n
-            or len({r | 1 << v for v, r in enumerate(rows)}) < g.n):
-        return False
+    for keys in _twin_keys(g.rows):
+        if len(set(keys)) < g.n:
+            return False
     return find_nontrivial_automorphism(g) is None
 
 
@@ -367,7 +411,8 @@ def canonical_form(g: Graph) -> bytes:
     refinement tree, returned as the graph6 bytes of that labeling.
     """
     n = g.n
-    return pack_triangle_bits(n, _search(g.rows, n, [(1 << n) - 1])[0])
+    leaf = _search(g.rows, n, [(1 << n) - 1], twins=True)[0]
+    return pack_triangle_bits(n, leaf)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -394,8 +439,8 @@ def can_transpose(g: Graph, u: int, v: int) -> bool:
     if u == v:
         raise ValueError("transposition needs two distinct vertices")
     rest = ((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)
-    return (_search(g.rows, g.n, [1 << u, 1 << v, rest])[0]
-            == _search(g.rows, g.n, [1 << v, 1 << u, rest])[0])
+    return (_search(g.rows, g.n, [1 << u, 1 << v, rest], twins=True)[0]
+            == _search(g.rows, g.n, [1 << v, 1 << u, rest], twins=True)[0])
 
 
 def transposable_pairs(g: Graph) -> set[tuple[int, int]]:

@@ -190,7 +190,7 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     def expand(s: tuple[int, ...], rows) -> list | None:
         """(S + {e}, rows) per child of the class of g xor S (``rows``),
         or None if that class was seen before."""
-        leaf, gens, _ = _search(rows, n, [(1 << n) - 1])
+        leaf, gens, _ = _search(rows, n, [(1 << n) - 1], twins=True)
         if leaf in seen:
             return None
         seen.add(leaf)

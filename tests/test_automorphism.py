@@ -15,6 +15,7 @@ from asymindex.graph import (Graph, disjoint_union, join, pack_triangle_bits,
                             triangle_bits)
 from asymindex.automorphism import (_child, _first_target, _individualize,
                                     _orbit_partition, _pair_maps, _refine,
+                                    _search, _twin_transpositions,
                                     are_isomorphic,
                                     automorphism_group, canonical_form,
                                     can_transpose, cycles_str,
@@ -24,7 +25,7 @@ from asymindex.automorphism import (_child, _first_target, _individualize,
                                     transposable_pairs)
 from asymindex.claims import _transposable_bound
 from asymindex.families import (path, cycle, complete, star, wheel, circulant,
-                                torus)
+                                split, torus)
 from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 
 from conftest import (bfs_closure, brute_automorphism_count,
@@ -497,6 +498,72 @@ class TestCanonicalForm:
             calls = 0
             canonical_form(g)
             assert calls <= 4 * g.n
+
+
+class TestTwinSeeds:
+    """Searches seeded with twin transpositions against unseeded ones."""
+
+    @staticmethod
+    def inputs():
+        """(graph, partition) pairs: the unit partition of every 7-vertex
+        class, of one seeded relabelling of each and of twin-heavy
+        families, plus [u | v | rest] partitions as can_transpose makes."""
+        rng = random.Random(2424)
+        graphs = []
+        for g in nonisomorphic_graphs(7):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            graphs += [g, g.relabel(tuple(perm))]
+        k222 = join(join(Graph.empty(2), Graph.empty(2)), Graph.empty(2))
+        families = [star(9), complete(8), Graph.empty(7), split(5, 3),
+                    wheel(9), k222]
+        out = [(g, [(1 << g.n) - 1]) for g in graphs + families]
+        for g in families + graphs[::97]:
+            everyone = (1 << g.n) - 1
+            for u, v in rng.sample(list(itertools.combinations(range(g.n), 2)), 4):
+                out += [(g, [1 << u, 1 << v, everyone ^ 1 << u ^ 1 << v]),
+                        (g, [1 << v, 1 << u, everyone ^ 1 << u ^ 1 << v])]
+        return out
+
+    def test_seeds_keep_the_leaf_and_the_group(self):
+        seeded_some = 0
+        for g, cells in self.inputs():
+            seeds = _twin_transpositions(g.rows, g.n, cells)
+            for s in seeds:
+                assert is_automorphism(g, s)
+                assert all(sum(1 << s[v] for v in members(c)) == c for c in cells)
+            leaf, gens, _ = _search(g.rows, g.n, cells)
+            seeded_leaf, seeded_gens, _ = _search(g.rows, g.n, cells, twins=True)
+            assert seeded_leaf == leaf
+            assert (len(bfs_closure(seeded_gens, g.n))
+                    == len(bfs_closure(gens, g.n)))
+            seeded_some += bool(seeds)
+        assert seeded_some > 1000
+
+    def test_twin_classes_cost_one_path(self, monkeypatch):
+        # Without the seeds, each twin costs a sibling leaf: 66, 78 and 78
+        # refinements instead of at most one per vertex.
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _refine(*args)
+
+        monkeypatch.setattr(automorphism, "_refine", counted)
+        for g in (star(12), complete(12), Graph.empty(12)):
+            calls = 0
+            canonical_form(g)
+            assert calls <= 12
+
+    def test_twins_answer_asymmetry_without_a_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("twins need no tree search")
+
+        monkeypatch.setattr(automorphism, "_search", forbidden)
+        for g in (star(9), complete(8), split(5, 3), path(3).add_edge(0, 2),
+                  disjoint_union(path(2), path(3))):
+            assert not is_asymmetric(g)
 
 
 class TestTransposablePairs:
