@@ -33,13 +33,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph, _iter_bits, pack_triangle_bits, triangle_bits
 
 Perm = tuple[int, ...]
 
 # Largest automorphism group that is ever enumerated element by element.
+# Only the tests and the bench tracer build this table.
 MAX_CLOSURE = 1_000_000
 
 
@@ -362,8 +361,8 @@ def automorphism_group(g: Graph) -> AutReport:
     return AutReport(order == 1, order, tuple(generators), tuple(orbits), base)
 
 
-def _transversal(b: int, gens, n: int) -> np.ndarray:
-    """Rows of <gens>, one mapping ``b`` to each orbit point, identity first."""
+def _transversal(b: int, gens, n: int) -> list[Perm]:
+    """Elements of <gens>, one mapping ``b`` to each orbit point, identity first."""
     reps = {b: tuple(range(n))}
     frontier = [b]
     for x in frontier:                  # frontier grows while it is read
@@ -371,25 +370,26 @@ def _transversal(b: int, gens, n: int) -> np.ndarray:
             if s[x] not in reps:
                 reps[s[x]] = compose(s, reps[x])
                 frontier.append(s[x])
-    return np.array(list(reps.values()), dtype=np.int32)
+    return list(reps.values())
 
 
-def subgroup_elements(report: AutReport, cap: int = MAX_CLOSURE) -> np.ndarray:
-    """The group as ``(order, n)`` int32 rows, identity first; above ``cap``
+def subgroup_elements(report: AutReport, cap: int = MAX_CLOSURE) -> list[Perm]:
+    """The group as a list of permutations, identity first; above ``cap``
     elements, the pointwise stabilizer of the shortest base prefix whose
     stabilizer fits.  The stabilizer of the first i base points is T times S:
     T is the transversal of base point i + 1 under the generators fixing
-    the first i, S the stabilizer of the first i + 1.  So the rows grow
-    by ``T[:, elems]`` from the deepest base point up.
+    the first i, S the stabilizer of the first i + 1.  So the list grows
+    by ``compose(t, e)`` for t in T and e in S, t-major, from the deepest
+    base point up.
     """
     n = sum(map(len, report.orbits))        # the orbits partition the vertices
-    elems = np.arange(n, dtype=np.int32)[None]
+    elems = [identity_perm(n)]
     for i, b in reversed(list(enumerate(report.base))):
         gens = [s for s in report.generators if all(s[c] == c for c in report.base[:i])]
-        t = _transversal(b, gens, n)
-        if len(t) * len(elems) > cap:
+        ts = _transversal(b, gens, n)
+        if len(ts) * len(elems) > cap:
             break
-        elems = t[:, elems].reshape(-1, n)
+        elems = [compose(t, e) for t in ts for e in elems]
     return elems
 
 
@@ -397,7 +397,7 @@ def group_elements(report: AutReport, cap: int = MAX_CLOSURE) -> list[Perm] | No
     """Every automorphism as sorted tuples (None if more than ``cap``)."""
     if report.order > cap:
         return None
-    return sorted(map(tuple, subgroup_elements(report, cap).tolist()))
+    return sorted(subgroup_elements(report, cap))
 
 
 # -- canonical form -----------------------------------------------------

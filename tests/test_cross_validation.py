@@ -126,7 +126,7 @@ class TestClosureFallback:
 
     def test_subgroup_fallback_is_group_with_identity(self):
         elems = [tuple(p) for p in
-                 subgroup_elements(automorphism_group(Graph.empty(5)), cap=30).tolist()]
+                 subgroup_elements(automorphism_group(Graph.empty(5)), cap=30)]
         assert elems[0] == identity_perm(5)
         assert 1 <= len(elems) <= 30
         elem_set = set(elems)
@@ -173,7 +173,7 @@ class TestGroupElementsOracle:
         # in the next test), without repeated rows
         for rep, n, expected in cases:
             for cap in {len(expected), max(1, len(expected) - 1)}:
-                table = [tuple(p) for p in subgroup_elements(rep, cap).tolist()]
+                table = [tuple(p) for p in subgroup_elements(rep, cap)]
                 whole = len(table) == len(expected)
                 assert whole == (cap == len(expected))
                 assert table[0] == identity_perm(n)
@@ -192,6 +192,6 @@ class TestGroupElementsOracle:
             assert stabs[-1] == [identity_perm(n)]
             for cap in {1, 2, 6, 24, max(1, len(expected) - 1), len(expected)}:
                 j = next(j for j, stab in enumerate(stabs) if len(stab) <= cap)
-                table = [tuple(p) for p in subgroup_elements(rep, cap).tolist()]
+                table = [tuple(p) for p in subgroup_elements(rep, cap)]
                 assert table[0] == identity_perm(n)
                 assert sorted(table) == stabs[j]

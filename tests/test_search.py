@@ -286,6 +286,12 @@ class TestTestedCount:
 # -- orbit-table layers: the small-input oracle of the orbit tests
 
 
+def group_table(report, cap: int = MAX_CLOSURE) -> np.ndarray:
+    """``subgroup_elements(report, cap)`` as ``(elements, n)`` int32 rows."""
+    n = sum(map(len, report.orbits))
+    return np.array(subgroup_elements(report, cap), dtype=np.int32).reshape(-1, n)
+
+
 class FlipOrbitTable:
     """Canonicalizes pair-index subsets under ``subgroup_elements(report,
     cap)``.  ``table[i, w]`` is the bit ``1 << j`` of pair i's image j
@@ -295,7 +301,7 @@ class FlipOrbitTable:
 
     def __init__(self, report, pairs: list[tuple[int, int]], cap: int):
         # (n, W): row u holds u's image under every element
-        perms = np.ascontiguousarray(subgroup_elements(report, cap).T)
+        perms = np.ascontiguousarray(group_table(report, cap).T)
         pair_id = np.zeros((len(perms), len(perms)), dtype=np.intp)
         for i, (u, v) in enumerate(pairs):
             pair_id[u, v] = pair_id[v, u] = i
@@ -482,7 +488,7 @@ def unpruned_layers(g: Graph, max_k: int, mode: str, elems: np.ndarray):
     npairs = g.n * (g.n - 1) // 2
     universe = [i for i, (u, v) in enumerate(all_pairs(g.n)) if mode == "mixed"
                 or g.has_edge(u, v) == (mode == "remove-only")]
-    whole = subgroup_elements(automorphism_group(g), 10**7)
+    whole = group_table(automorphism_group(g), 10**7)
     reps = sorted({(int(i),) for i in pair_images(g, whole)[universe].min(axis=1)})
     bits = np.array([1 << i for i in range(npairs)],
                     dtype=np.int64 if npairs <= 62 else object)
@@ -518,7 +524,7 @@ class TestPrunedExtension:
         pytest.param(star(8), 4, "mixed", 100, id="star8-subgroup")])
     def test_matches_unpruned_min_images(self, g, max_k, mode, cap):
         rep = automorphism_group(g)
-        elems = subgroup_elements(rep, cap)
+        elems = group_table(rep, cap)
         assert (len(elems) == rep.order) == (cap == MAX_CLOSURE)
         stats = SearchStats()
         got = [reps for _, reps in table_layers(g, max_k, mode, stats, cap)]
@@ -541,7 +547,7 @@ class TestLayerOne:
         pairs = all_pairs(g.n)
         universe = [i for i, (u, v) in enumerate(pairs) if mode == "mixed"
                     or g.has_edge(u, v) == (mode == "remove-only")]
-        images = pair_images(g, subgroup_elements(automorphism_group(g)))
+        images = pair_images(g, group_table(automorphism_group(g)))
         expected = sorted(set(images[universe].min(axis=1).tolist()))
         assert len(expected) == count
         (k, sets), = flip_orbit_layers(g, 1, mode)
@@ -553,7 +559,7 @@ class TestLayerOne:
 def orbit_sizes(g: Graph, reps: list[tuple[int, ...]]) -> list[int]:
     """|Aut g| / |Stab(R)| for each pair-index tuple R of one size, with
     Stab(R) counted as the group rows that map R's pairs onto R."""
-    elems = subgroup_elements(automorphism_group(g))
+    elems = group_table(automorphism_group(g))
     if not reps:
         return []
     sets = np.array(reps)                               # (reps, k)

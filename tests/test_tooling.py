@@ -5,13 +5,16 @@
 function stops a traced run (``bench/run.py --trace 1``) at the first
 missing name.  The tuple is read with ``ast``; the bench is not imported.
 The same ``ast`` reading keeps the ledger and the CLI off the engine's
-private names, and checks that every name the test modules import from
-the package exists.
+private names, checks that every name the test modules import from
+the package exists, and keeps numpy out of the package.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,15 +84,34 @@ def test_test_imports_resolve():
     assert not missing
 
 
-def test_search_keeps_off_the_group_table():
-    # the search walks isomorphism classes; the group table over Aut(G)
-    # and numpy stay out of it
+def imported_names(path: Path) -> set[str]:
+    """Top-level modules and names that ``path`` imports."""
     imported = set()
-    for node in ast.walk(ast.parse((PACKAGE / "search.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported |= {(node.module or "").split(".")[0]}
             imported |= {alias.name for alias in node.names}
+    return imported
+
+
+def test_search_keeps_off_the_group_table():
+    # the search walks isomorphism classes, so the group table over
+    # Aut(G) stays out of it; numpy stays out of the whole package
+    imported = imported_names(PACKAGE / "search.py")
     assert imported
     assert not imported & {"numpy", "subgroup_elements", "MAX_CLOSURE"}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    assert [m.name for m in modules if "numpy" in imported_names(m)] == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # a fresh interpreter, so no earlier test has loaded numpy
+    code = "import sys, asymindex.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
