@@ -5,15 +5,17 @@ The togglable universe is the set of all vertex pairs: a pair currently
 present is a removal candidate, an absent one an addition candidate, and
 the mode masks the universe down to removals or additions only.  The
 search starts at G, and each step flips one pair of the mode.  Layer k
-holds flip sets S of k pairs, in G's labels, and the graphs G xor S
-cover every isomorphism class at distance exactly k from G at least
-once.  A class kept from layer k - 1 is expanded by the least pair of
-each orbit of its own automorphism group on its pairs of the mode;
-flipping two pairs of one orbit gives isomorphic graphs.  One canonical
-search of each child gives its leaf, which decides whether its class
-is new, and its group's generators, which prune its own expansion.
-The same layers drive the index search and the count of asymmetric
-graphs reachable by exactly r removals or exactly s additions.
+holds children (S, rows): S is k pair indices in G's labels and rows
+are the rows of G xor S, and those graphs cover every isomorphism class
+at distance exactly k from G at least once.  A class kept from layer
+k - 1 is expanded by the least pair of each orbit of its own
+automorphism group on its pairs of the mode; flipping two pairs of one
+orbit gives isomorphic graphs.  One canonical search of each child
+gives its leaf, which decides whether its class is new, and its
+group's generators, which prune its own expansion.
+The same layers drive the index search, which builds a FlipSet only
+for each witness, and the count of asymmetric graphs reachable by
+exactly r removals or exactly s additions.
 """
 
 from __future__ import annotations
@@ -65,16 +67,12 @@ class FlipSet:
     added: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        self._set(frozenset(_norm_pair(*e) for e in self.removed),
-                  frozenset(_norm_pair(*e) for e in self.added))
-
-    def _set(self, removed: frozenset, added: frozenset) -> "FlipSet":
-        # Stores pairs already in (u, v), u < v form; the one overlap check.
+        removed = frozenset(_norm_pair(*e) for e in self.removed)
+        added = frozenset(_norm_pair(*e) for e in self.added)
         if removed & added:
             raise ValueError("removed and added sets overlap")
         object.__setattr__(self, "removed", removed)
         object.__setattr__(self, "added", added)
-        return self
 
     @property
     def size(self) -> int:
@@ -101,7 +99,7 @@ class FlipSet:
 class SearchStats:
     nodes: int = 0        # candidate pairs: the mode's pairs outside S,
                           # summed over the classes g xor S expanded
-    tested: int = 0       # asymmetry tests, one per flip set tested
+    tested: int = 0       # asymmetry tests: g, then one per child tested
     dedup_hits: int = 0   # children that land on a class already seen
 
     def as_dict(self) -> dict:
@@ -154,32 +152,25 @@ def _universe(rows, mode: str, pairs: list[tuple[int, int]]) -> list[int]:
             if mode == "mixed" or (rows[u] >> v) & 1 == (mode == "remove-only")]
 
 
-def _flipset_from_indices(g: Graph, subset, pairs) -> FlipSet:
-    removed, added = [], []
-    for i in subset:
-        u, v = pair = pairs[i]
-        (removed if (g.rows[u] >> v) & 1 else added).append(pair)
-    # the pairs come normalized from all_pairs, so skip __post_init__
-    return object.__new__(FlipSet)._set(frozenset(removed), frozenset(added))
-
-
 def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                       stats: SearchStats | None = None):
-    """Yield (k, flip_sets) for k = 1..max_k: a breadth-first search over
+    """Yield (k, children) for k = 1..max_k: a breadth-first search over
     isomorphism classes, rooted at ``g``, whose steps flip one pair of
     the mode.
 
-    Layer k's flip sets S have k pairs each, and the graphs g xor S cover
-    every class at distance exactly k from ``g`` at least once; any other
-    class among them lies at distance k - 2.  Each class h = g xor S kept
-    from layer k - 1 gives one flip set S + {e} per orbit of Aut(h) on
-    h's pairs of the mode, e the orbit's least pair index, in parent
-    order and then by e.  An orbit that meets S is skipped: flipping one
-    of its pairs gives a class at distance k - 2 or less.  After layer k
-    is yielded, each of its graphs gets one canonical search, which gives
-    its leaf and its group's generators, and those whose leaf is new are
-    kept; the last layer is only yielded.  Candidate pairs and children
-    of a class already seen are added to ``stats`` when given.
+    Each child of layer k is (S, rows): S is a tuple of k indices into
+    ``all_pairs(g.n)``, in the order they were flipped, and rows are the
+    adjacency rows of g xor S.  Layer k's graphs cover every class at
+    distance exactly k from ``g`` at least once; any other class among
+    them lies at distance k - 2.  Each class h = g xor S kept from layer
+    k - 1 gives one child S + (e,) per orbit of Aut(h) on h's pairs of
+    the mode, e the orbit's least pair index, in parent order and then by
+    e.  An orbit that meets S is skipped: flipping one of its pairs gives
+    a class at distance k - 2 or less.  After layer k is yielded, each of
+    its graphs gets one canonical search, which gives its leaf and its
+    group's generators, and those whose leaf is new are kept; the last
+    layer is only yielded.  Candidate pairs and children of a class
+    already seen are added to ``stats`` when given.
     """
     stats = SearchStats() if stats is None else stats
     n = g.n
@@ -188,30 +179,32 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     seen: set[int] = set()
 
     def expand(s: tuple[int, ...], rows) -> list | None:
-        """(S + {e}, rows) per child of the class of g xor S (``rows``),
-        or None if that class was seen before."""
+        """The children of the class of g xor S (``rows``), or None if
+        that class was seen before."""
         leaf, gens, _ = _search(rows, n, [(1 << n) - 1], twins=True)
         if leaf in seen:
             return None
         seen.add(leaf)
         taken = set(s)
-        return [(s + (orbit[0],), rows)
-                for orbit in _orbit_partition(_universe(rows, mode, pairs),
-                                              _pair_maps(gens, n))
-                if taken.isdisjoint(orbit)]
+        children = []
+        for orbit in _orbit_partition(_universe(rows, mode, pairs),
+                                      _pair_maps(gens, n)):
+            if taken.isdisjoint(orbit):
+                u, v = pairs[orbit[0]]
+                child = list(rows)
+                child[u] ^= 1 << v
+                child[v] ^= 1 << u
+                children.append((s + (orbit[0],), tuple(child)))
+        return children
 
     children, parents = expand((), g.rows), 1
     for k in range(1, max_k + 1):
         stats.nodes += parents * (universe - (k - 1))
-        yield k, [_flipset_from_indices(g, s, pairs) for s, _ in children]
+        yield k, children
         if k == max_k:
             return
         following, parents = [], 0
         for s, rows in children:
-            u, v = pairs[s[-1]]
-            rows = list(rows)
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
             more = expand(s, rows)
             if more is None:
                 stats.dedup_hits += 1
@@ -225,14 +218,15 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
                      witness_cap: int = DEFAULT_WITNESS_CAP) -> AiResult:
     """Minimum number of edge flips making ``g`` asymmetric.
 
-    Iterative deepening over flip-set size: layer k of
-    ``flip_orbit_layers`` reaches every isomorphism class at distance k
-    from ``g``, and isomorphic graphs are asymmetric together, so the
-    first layer with an asymmetric graph gives the exact value.  Raises
-    NoAsymmetrizationError for 2 <= n <= 5 and BudgetExceededError (with
-    the proven lower bound) when the layer budget runs out.  Raises
-    ValueError for an unknown mode, a negative ``max_k`` or a
-    ``witness_cap`` below 1.
+    Breadth-first over isomorphism classes: layer k of
+    ``flip_orbit_layers`` reaches every class at distance k from ``g``,
+    and isomorphic graphs are asymmetric together, so the first layer
+    with an asymmetric graph gives the exact value.  Its first
+    ``witness_cap`` asymmetric children, as flip sets in ``g``'s labels
+    in ``FlipSet.sort_key`` order, are the witnesses.  Raises NoAsymmetrizationError for 2 <= n <= 5 and
+    BudgetExceededError (with the proven lower bound) when the layer
+    budget runs out.  Raises ValueError for an unknown mode, a negative
+    ``max_k`` or a ``witness_cap`` below 1.
     """
     n = g.n
     universe = len(_universe(g.rows, mode, all_pairs(n)))
@@ -248,14 +242,14 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         return AiResult(0, [FlipSet()], mode, stats)
     if max_k is None:
         max_k = 8 if n <= 12 else 3
-    hits: list[FlipSet] = []
+    hits: list[tuple[int, ...]] = []
     last_k = 0
-    for last_k, flip_sets in flip_orbit_layers(g, min(max_k, universe), mode,
-                                               stats):
-        for fs in flip_sets:
+    for last_k, children in flip_orbit_layers(g, min(max_k, universe), mode,
+                                              stats):
+        for s, rows in children:
             stats.tested += 1
-            if is_asymmetric(apply_flips(g, fs)):
-                hits.append(fs)
+            if is_asymmetric(Graph(n, rows, _trusted=True)):
+                hits.append(s)
                 if len(hits) >= witness_cap:
                     break
         if hits:
@@ -263,8 +257,11 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     if not hits:
         raise BudgetExceededError(min(max_k, universe) + 1, stats,
                                   universe_exhausted=last_k >= universe)
-    witnesses = sorted(hits, key=FlipSet.sort_key)[:witness_cap]
-    return AiResult(witnesses[0].size, witnesses, mode, stats)
+    pairs = all_pairs(n)
+    witnesses = sorted((FlipSet(removed={pairs[i] for i in s if g.has_edge(*pairs[i])},
+                                added={pairs[i] for i in s if not g.has_edge(*pairs[i])})
+                        for s in hits), key=FlipSet.sort_key)
+    return AiResult(last_k, witnesses, mode, stats)
 
 
 def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
@@ -291,6 +288,6 @@ def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
     if r + s == 0:
         return int(is_asymmetric(g))
     mode = "add-only" if r == 0 else "remove-only"
-    *_, (_, flip_sets) = flip_orbit_layers(g, r + s, mode)
-    hits = (apply_flips(g, fs) for fs in flip_sets)
+    *_, (_, children) = flip_orbit_layers(g, r + s, mode)
+    hits = (Graph(g.n, rows, _trusted=True) for _, rows in children)
     return len({canonical_form(h) for h in hits if is_asymmetric(h)})

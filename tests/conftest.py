@@ -16,6 +16,7 @@ import pytest
 
 from asymindex.graph import Graph
 from asymindex.enumeration import all_pairs, graph_from_mask
+from asymindex.search import FlipSet, apply_flips
 
 
 def perm_edge_action(n: int) -> np.ndarray:
@@ -95,6 +96,20 @@ def bfs_closure(generators, n: int) -> list:
                     nxt.append(c)
         frontier = nxt
     return sorted(elems)
+
+
+def rebuilt_child(g: Graph, child) -> Graph:
+    """The graph of a layer child (S, rows), rebuilt from S's distinct
+    pairs with ``apply_flips``, which checks each pair's state in g.  The
+    rows the search yielded must equal it, so the graph a test reads
+    does not rest on the search's own flips."""
+    s, rows = child
+    flips = [all_pairs(g.n)[i] for i in s]
+    assert len(set(flips)) == len(flips)
+    h = apply_flips(g, FlipSet(removed={p for p in flips if g.has_edge(*p)},
+                               added={p for p in flips if not g.has_edge(*p)}))
+    assert h.rows == tuple(rows)
+    return h
 
 
 @pytest.fixture(scope="session")

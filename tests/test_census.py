@@ -20,8 +20,10 @@ import pytest
 
 from asymindex.automorphism import canonical_form, is_asymmetric
 from asymindex.enumeration import nonisomorphic_graphs
-from asymindex.search import (BudgetExceededError, apply_flips, asymmetric_index,
+from asymindex.search import (BudgetExceededError, asymmetric_index,
                               flip_orbit_layers)
+
+from conftest import rebuilt_child
 
 
 @cache
@@ -107,9 +109,9 @@ def test_layers_reach_each_class_at_its_distance(mode):
     for c, (g, _, _) in classes.items():
         dist = _bfs(classes, [c], _FORWARD[mode])
         max_k = ai[c] if c in ai else max(dist.values())
-        for k, flip_sets in flip_orbit_layers(g, max_k, mode):
-            assert all(fs.size == k for fs in flip_sets)
-            reached = {canonical_form(apply_flips(g, fs)) for fs in flip_sets}
+        for k, children in flip_orbit_layers(g, max_k, mode):
+            assert all(len(s) == k for s, _ in children)
+            reached = {canonical_form(rebuilt_child(g, c)) for c in children}
             exact = {d for d, j in dist.items() if j == k}
             assert exact <= reached, (c, k)
             assert all(dist[d] == k - 2 and ai.get(d) != 0 for d in reached - exact)

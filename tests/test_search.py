@@ -30,9 +30,9 @@ from asymindex.search import (MODES, BudgetExceededError, FlipSet,
                               NoAsymmetrizationError, SearchStats, apply_flips,
                               asymmetric_index,
                               count_nonisomorphic_asymmetrizations,
-                              _flipset_from_indices, flip_orbit_layers)
+                              flip_orbit_layers)
 
-from conftest import brute_is_asymmetric
+from conftest import brute_is_asymmetric, rebuilt_child
 from test_automorphism import petersen
 
 
@@ -71,21 +71,6 @@ class TestFlipSet:
             apply_flips(path(4), FlipSet(added={(0, 1)}))
         with pytest.raises(ValueError, match="out of range"):
             apply_flips(path(4), FlipSet(added={(0, 9)}))
-
-    def test_from_indices_matches_public_constructor(self):
-        # _flipset_from_indices skips re-normalization; the result must be
-        # indistinguishable from a FlipSet built the public way.
-        g = path(5)
-        pairs = all_pairs(5)
-        for subset in combinations(range(len(pairs)), 3):
-            fs = _flipset_from_indices(g, subset, pairs)
-            chosen = [pairs[i] for i in subset]
-            public = FlipSet(removed={(v, u) for u, v in chosen if g.has_edge(u, v)},
-                             added={(v, u) for u, v in chosen if not g.has_edge(u, v)})
-            assert fs == public and hash(fs) == hash(public)
-            assert fs.sort_key() == public.sort_key() and repr(fs) == repr(public)
-        with pytest.raises(ValueError, match="overlap"):
-            object.__new__(FlipSet)._set(frozenset({(0, 1)}), frozenset({(0, 1)}))
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -388,9 +373,10 @@ class TestLayers:
         # K_6 - {01, 23} have 4 and 3 orbits of edges
         stats = SearchStats()
         layers = list(flip_orbit_layers(complete(6), 3, "remove-only", stats))
-        assert [(k, len(sets)) for k, sets in layers] == [(1, 1), (2, 2), (3, 7)]
-        assert [len({canonical_form(apply_flips(complete(6), fs)) for fs in sets})
-                for _, sets in layers] == [1, 2, 5]
+        assert [(k, len(children)) for k, children in layers] == \
+            [(1, 1), (2, 2), (3, 7)]
+        assert [len({canonical_form(rebuilt_child(complete(6), c)) for c in children})
+                for _, children in layers] == [1, 2, 5]
         # 15 + 1*14 + 2*13 candidate pairs; layers 1 and 2 are new classes,
         # and the last layer is not canonicalized
         assert (stats.nodes, stats.dedup_hits) == (55, 0)
@@ -550,10 +536,11 @@ class TestLayerOne:
         images = pair_images(g, group_table(automorphism_group(g)))
         expected = sorted(set(images[universe].min(axis=1).tolist()))
         assert len(expected) == count
-        (k, sets), = flip_orbit_layers(g, 1, mode)
-        index = {p: i for i, p in enumerate(pairs)}
+        (k, children), = flip_orbit_layers(g, 1, mode)
         assert k == 1
-        assert [index[e] for fs in sets for e in fs.removed | fs.added] == expected
+        for child in children:
+            rebuilt_child(g, child)
+        assert [i for s, _ in children for i in s] == expected
 
 
 def orbit_sizes(g: Graph, reps: list[tuple[int, ...]]) -> list[int]:

@@ -6,7 +6,9 @@ function stops a traced run (``bench/run.py --trace 1``) at the first
 missing name.  The tuple is read with ``ast``; the bench is not imported.
 The same ``ast`` reading keeps the ledger and the CLI off the engine's
 private names, checks that every name the test modules import from
-the package exists, and keeps numpy out of the package.
+the package exists, and keeps numpy out of the package.  The tracer's
+check that the asymmetry tests under ``asymmetric_index`` number
+``SearchStats.tested`` is held here with a counter in its place.
 """
 
 import ast
@@ -18,6 +20,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import asymindex.search as search_mod
+from asymindex.families import complete, cycle
+from asymindex.search import BudgetExceededError, asymmetric_index
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -37,6 +43,25 @@ def test_traced_names_resolve():
                if not callable(getattr(importlib.import_module(f"asymindex.{mod}"),
                                        name, None))]
     assert not missing
+
+
+def test_asymmetry_tests_number_stats_tested(monkeypatch):
+    # the tracer wraps `is_asymmetric` at the search module's binding and
+    # checks its calls under `asymmetric_index` against `tested`, on a
+    # search that hits and on one that runs out of budget
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    original = search_mod.is_asymmetric
+    monkeypatch.setattr(search_mod, "is_asymmetric", counted)
+    assert asymmetric_index(cycle(8)).stats.tested == len(calls) > 1
+    calls.clear()
+    with pytest.raises(BudgetExceededError) as exc:
+        asymmetric_index(complete(6), max_k=3)
+    assert exc.value.stats.tested == len(calls) > 1
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asymindex"
