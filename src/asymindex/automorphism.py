@@ -18,14 +18,19 @@ cell.
 Swapping two open twins (equal rows) or two closed twins (equal rows
 plus their own bits) is an automorphism, so twins answer the asymmetry
 test without a search.  Such a swap fixes every cell that holds both
-twins, so ``canonical_form``, the class search's canonical searches and
-``can_transpose`` seed their tree search with these transpositions: the
-subtrees they prune map onto explored ones, the least leaf and the
-group are unchanged, and a twin class costs one path instead of a
-sibling leaf per twin.  ``automorphism_group`` and
-``find_nontrivial_automorphism`` do not seed: the seeds would become
-generators, and their generators are printed (``aut --json``, the
-ledger).
+twins, so ``canonical_form`` and ``can_transpose`` seed their tree
+search with these transpositions: the subtrees they prune map onto
+explored ones, the least leaf and the group are unchanged, and a twin
+class costs one path instead of a sibling leaf per twin.
+``automorphism_group`` and ``find_nontrivial_automorphism`` do not
+seed: the seeds would become generators, and their generators are
+printed (``aut --json``, the ledger).
+
+The class walk of ``search`` canonicalizes each child on its twin
+quotient instead (``_class_search``): every twin class becomes one
+vertex coloured by its kind and size, so the tree search runs on fewer
+vertices, and its key and lifted generators stand in for the leaf and
+generators of the whole graph.  ``canonical_form`` is unchanged.
 """
 
 from __future__ import annotations
@@ -112,33 +117,47 @@ def _refine(rows: tuple[int, ...], cells: list[int],
     i, v)`` of an equitable partition, ``[cells[i + 1]]`` gives the same
     result: an old cell never splits a subset of an old cell, and
     ``1 << v`` splits nothing once the remainder is drained.  A discrete
-    partition ends it.
+    partition ends it.  A one-vertex splitter counts only 0 and 1, so a
+    cell it splits becomes ``[cell & ~hit, cell & hit]`` with no count
+    per vertex.
     """
     cells = list(cells)
     queue = list(cells if splitters is None else splitters)
     while queue and len(cells) < len(rows):
         splitter = queue.pop()
         hit = 0
-        for v in _iter_bits(splitter):
-            hit |= rows[v]
+        rest = splitter
+        while rest:
+            b = rest & -rest
+            hit |= rows[b.bit_length() - 1]
+            rest ^= b
         out = []
-        for cell in cells:
-            touched = cell & hit
-            if not touched or not cell & (cell - 1):
-                out.append(cell)
-                continue
-            groups: dict[int, int] = {0: cell & ~hit} if cell != touched else {}
-            while touched:
-                b = touched & -touched
-                touched ^= b
-                key = (rows[b.bit_length() - 1] & splitter).bit_count()
-                groups[key] = groups.get(key, 0) | b
-            if len(groups) == 1:
-                out.append(cell)
-            else:
-                for key in sorted(groups):
-                    out.append(groups[key])
-                    queue.append(groups[key])
+        if not splitter & (splitter - 1):
+            for cell in cells:
+                touched = cell & hit
+                if touched and touched != cell:
+                    out += (cell ^ touched, touched)
+                    queue += (cell ^ touched, touched)
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                touched = cell & hit
+                if not touched or not cell & (cell - 1):
+                    out.append(cell)
+                    continue
+                groups: dict[int, int] = {0: cell & ~hit} if cell != touched else {}
+                while touched:
+                    b = touched & -touched
+                    touched ^= b
+                    key = (rows[b.bit_length() - 1] & splitter).bit_count()
+                    groups[key] = groups.get(key, 0) | b
+                if len(groups) == 1:
+                    out.append(cell)
+                else:
+                    for key in sorted(groups):
+                        out.append(groups[key])
+                        queue.append(groups[key])
         cells = out
     return cells
 
@@ -191,15 +210,21 @@ def _orbit_partition(points, maps) -> list[tuple[int, ...]]:
     return orbits
 
 
-def _pair_maps(perms, n: int) -> list[list[int]]:
-    """Each permutation of ``range(n)`` as a map on pair indices, the pairs
-    in ``combinations(range(n), 2)`` order: entry i is the index of pair
-    i's image."""
+def _pair_index(n: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The pairs of ``range(n)`` in ``combinations(range(n), 2)`` order,
+    and the n x n table whose entries [u][v] and [v][u] are the index of
+    pair {u, v}."""
+    pairs = list(itertools.combinations(range(n), 2))
     index = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+    for i, (u, v) in enumerate(pairs):
         index[u][v] = index[v][u] = i
-    return [[index[p[u]][p[v]] for u, v in itertools.combinations(range(n), 2)]
-            for p in perms]
+    return pairs, index
+
+
+def _pair_maps(perms, pairs, index) -> list[list[int]]:
+    """Each permutation as a map on pair indices, given ``_pair_index``'s
+    pairs and table: entry i is the index of pair i's image."""
+    return [[index[p[u]][p[v]] for u, v in pairs] for p in perms]
 
 
 def _twin_keys(rows):
@@ -302,7 +327,70 @@ def _search(rows, n, cells, first: bool = False, twins: bool = False
         return n
 
     rec(_refine(rows, [c for c in cells if c]), ())
+    del rec                         # it refers to itself: free it now
     return best[0], auts, head
+
+
+def _class_search(rows, n) -> tuple[object, list[Perm]]:
+    """A key, equal for two graphs on n vertices iff they are isomorphic,
+    and generators of the automorphism group of the graph with these
+    rows, from a search of its twin quotient.
+
+    Each nontrivial twin class (a vertex lies in at most one: open twins
+    are never adjacent, closed twins always are) merges into one vertex
+    coloured (kind, size), kind 1 open and 2 closed; a vertex in none is
+    coloured (0, 1).  Twins agree outside their class, so the coloured
+    quotient determines the graph: the key is the sorted colours and the
+    quotient's least leaf, one cell per colour in sorted order.  The
+    quotient's generators, lifted sorted members onto sorted members, and
+    the transpositions of consecutive members of each class generate the
+    group.  A twin-free graph is searched whole, and its key is its leaf.
+    """
+    blocks = {}                     # least member to (colour, members)
+    for kind, keys in enumerate(_twin_keys(rows), 1):
+        if len(set(keys)) < n:
+            by_key: dict[int, list[int]] = {}
+            for v, key in enumerate(keys):
+                by_key.setdefault(key, []).append(v)
+            for vs in by_key.values():
+                if len(vs) > 1:
+                    blocks[vs[0]] = ((kind, len(vs)), vs)
+    if not blocks:
+        leaf, gens, _ = _search(rows, n, [(1 << n) - 1], twins=True)
+        return leaf, gens
+    q = [-1] * n                    # each vertex's quotient vertex
+    colours, members = [], []
+    for v in range(n):
+        if q[v] < 0:
+            colour, vs = blocks.get(v, ((0, 1), [v]))
+            for w in vs:
+                q[w] = len(members)
+            colours.append(colour)
+            members.append(vs)
+    qrows = []
+    for x, vs in enumerate(members):
+        row, acc = rows[vs[0]], 0
+        while row:
+            b = row & -row
+            acc |= 1 << q[b.bit_length() - 1]
+            row ^= b
+        qrows.append(acc & ~(1 << x))
+    cells = [sum(1 << x for x, c in enumerate(colours) if c == colour)
+             for colour in sorted(set(colours))]
+    leaf, qgens, _ = _search(qrows, len(members), cells, twins=True)
+    gens = []
+    for s in qgens:
+        p = [0] * n
+        for x, vs in enumerate(members):
+            for v, w in zip(vs, members[s[x]]):
+                p[v] = w
+        gens.append(tuple(p))
+    for _, vs in blocks.values():
+        for u, v in zip(vs, vs[1:]):
+            p = list(range(n))
+            p[u], p[v] = v, u
+            gens.append(tuple(p))
+    return (tuple(sorted(colours)), leaf), gens
 
 
 # -- public asymmetry / group API ---------------------------------------
@@ -450,9 +538,9 @@ def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
     pairs, so one pair per orbit is tested.
     """
     report = automorphism_group(g)
-    pairs = list(itertools.combinations(range(g.n), 2))
+    pairs, index = _pair_index(g.n)
     orbit_of = {v: k for k, orbit in enumerate(report.orbits) for v in orbit}
     inside = [i for i, (u, v) in enumerate(pairs) if orbit_of[u] == orbit_of[v]]
-    orbits = _orbit_partition(inside, _pair_maps(report.generators, g.n))
+    orbits = _orbit_partition(inside, _pair_maps(report.generators, pairs, index))
     return {pairs[i] for orbit in orbits
             if can_transpose(g, *pairs[orbit[0]]) for i in orbit}

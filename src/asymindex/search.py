@@ -10,9 +10,11 @@ are the rows of G xor S, and those graphs cover every isomorphism class
 at distance exactly k from G at least once.  A class kept from layer
 k - 1 is expanded by the least pair of each orbit of its own
 automorphism group on its pairs of the mode; flipping two pairs of one
-orbit gives isomorphic graphs.  One canonical search of each child
-gives its leaf, which decides whether its class is new, and its
-group's generators, which prune its own expansion.
+orbit gives isomorphic graphs.  One canonical search of each child, run
+on its twin quotient (``automorphism._class_search``), gives a key,
+which decides whether its class is new, and its group's generators,
+which prune its own expansion.  The pairs, their index table and the
+mode's universe are set up once per walk (``_walk``).
 The same layers drive the index search, which builds a FlipSet only
 for each witness, and the count of asymmetric graphs reachable by
 exactly r removals or exactly s additions.
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .automorphism import (_orbit_partition, _pair_maps, _search,
-                           canonical_form, is_asymmetric)
-from .enumeration import all_pairs
+from .automorphism import (_class_search, _orbit_partition, _pair_index,
+                           _pair_maps, _search, _twin_keys, canonical_form,
+                           is_asymmetric)
 
 MODES = ("mixed", "add-only", "remove-only")
 DEFAULT_WITNESS_CAP = 4
@@ -143,17 +145,23 @@ def apply_flips(g: Graph, flips: FlipSet) -> Graph:
 # -- class search -------------------------------------------------------
 
 
-def _universe(rows, mode: str, pairs: list[tuple[int, int]]) -> list[int]:
-    """Indices into ``pairs`` of the pairs ``mode`` may flip in the graph
-    with these rows."""
+def _walk(n: int, mode: str):
+    """What every class of a walk on n vertices shares: the pairs and
+    their index table (``_pair_index``), and the universe, a function from
+    rows to the indices of the pairs ``mode`` may flip in that graph.
+    Raises ValueError for an unknown mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return [i for i, (u, v) in enumerate(pairs)
-            if mode == "mixed" or (rows[u] >> v) & 1 == (mode == "remove-only")]
+    pairs, index = _pair_index(n)
+    if mode == "mixed":
+        return pairs, index, lambda rows: range(len(pairs))
+    present = mode == "remove-only"
+    return pairs, index, lambda rows: [i for i, (u, v) in enumerate(pairs)
+                                       if (rows[u] >> v) & 1 == present]
 
 
 def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
-                      stats: SearchStats | None = None):
+                      stats: SearchStats | None = None, walk=None):
     """Yield (k, children) for k = 1..max_k: a breadth-first search over
     isomorphism classes, rooted at ``g``, whose steps flip one pair of
     the mode.
@@ -167,28 +175,29 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     the mode, e the orbit's least pair index, in parent order and then by
     e.  An orbit that meets S is skipped: flipping one of its pairs gives
     a class at distance k - 2 or less.  After layer k is yielded, each of
-    its graphs gets one canonical search, which gives its leaf and its
-    group's generators, and those whose leaf is new are kept; the last
-    layer is only yielded.  Candidate pairs and children of a class
-    already seen are added to ``stats`` when given.
+    its graphs gets one canonical search on its twin quotient, which gives
+    a key and its group's generators, and those whose key is new are
+    kept; the last layer is only yielded.  Candidate pairs and children
+    of a class already seen are added to ``stats`` when given.  ``walk``
+    is ``_walk(g.n, mode)`` when the caller has built it.
     """
     stats = SearchStats() if stats is None else stats
     n = g.n
-    pairs = all_pairs(n)
-    universe = len(_universe(g.rows, mode, pairs))
-    seen: set[int] = set()
+    pairs, index, universe = _walk(n, mode) if walk is None else walk
+    size = len(universe(g.rows))
+    seen: set = set()
 
     def expand(s: tuple[int, ...], rows) -> list | None:
         """The children of the class of g xor S (``rows``), or None if
         that class was seen before."""
-        leaf, gens, _ = _search(rows, n, [(1 << n) - 1], twins=True)
-        if leaf in seen:
+        key, gens = _class_search(rows, n)
+        if key in seen:
             return None
-        seen.add(leaf)
+        seen.add(key)
         taken = set(s)
         children = []
-        for orbit in _orbit_partition(_universe(rows, mode, pairs),
-                                      _pair_maps(gens, n)):
+        for orbit in _orbit_partition(universe(rows),
+                                      _pair_maps(gens, pairs, index)):
             if taken.isdisjoint(orbit):
                 u, v = pairs[orbit[0]]
                 child = list(rows)
@@ -197,9 +206,14 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                 children.append((s + (orbit[0],), tuple(child)))
         return children
 
+    # An input with twins is also searched whole, as ``aut`` searches it,
+    # so that one too deep for the tree search still stops here with a
+    # RecursionError (exit 4 in the CLI) instead of walking on.
+    if any(len(set(keys)) < n for keys in _twin_keys(g.rows)):
+        _search(g.rows, n, [(1 << n) - 1], twins=True)
     children, parents = expand((), g.rows), 1
     for k in range(1, max_k + 1):
-        stats.nodes += parents * (universe - (k - 1))
+        stats.nodes += parents * (size - (k - 1))
         yield k, children
         if k == max_k:
             return
@@ -229,7 +243,9 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     ``max_k`` or a ``witness_cap`` below 1.
     """
     n = g.n
-    universe = len(_universe(g.rows, mode, all_pairs(n)))
+    walk = _walk(n, mode)
+    pairs, _, universe = walk
+    size = len(universe(g.rows))
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     if witness_cap < 1:
@@ -244,8 +260,8 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         max_k = 8 if n <= 12 else 3
     hits: list[tuple[int, ...]] = []
     last_k = 0
-    for last_k, children in flip_orbit_layers(g, min(max_k, universe), mode,
-                                              stats):
+    for last_k, children in flip_orbit_layers(g, min(max_k, size), mode,
+                                              stats, walk):
         for s, rows in children:
             stats.tested += 1
             if is_asymmetric(Graph(n, rows, _trusted=True)):
@@ -255,9 +271,8 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         if hits:
             break
     if not hits:
-        raise BudgetExceededError(min(max_k, universe) + 1, stats,
-                                  universe_exhausted=last_k >= universe)
-    pairs = all_pairs(n)
+        raise BudgetExceededError(min(max_k, size) + 1, stats,
+                                  universe_exhausted=last_k >= size)
     witnesses = sorted((FlipSet(removed={pairs[i] for i in s if g.has_edge(*pairs[i])},
                                 added={pairs[i] for i in s if not g.has_edge(*pairs[i])})
                         for s in hits), key=FlipSet.sort_key)

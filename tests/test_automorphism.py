@@ -3,8 +3,10 @@ forms, transposable pairs.  Expected values come from brute-force
 permutation loops or exhaustive enumeration, never from the engine."""
 
 import hashlib
+import inspect
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from asymindex import automorphism
 from asymindex.graph import (Graph, disjoint_union, join, pack_triangle_bits,
                             triangle_bits)
-from asymindex.automorphism import (_child, _first_target, _individualize,
-                                    _orbit_partition, _pair_maps, _refine,
+from asymindex.automorphism import (_child, _class_search, _first_target,
+                                    _individualize, _orbit_partition,
+                                    _pair_index, _pair_maps, _refine,
                                     _search, _twin_transpositions,
                                     are_isomorphic,
                                     automorphism_group, canonical_form,
@@ -368,6 +371,37 @@ class TestIncrementalRefinement:
                 checked += 1
         assert checked > 100
 
+    def test_one_vertex_splitter_step(self):
+        # The root partition and each [u | v | rest] of can_transpose, u < v,
+        # on every 7-vertex class; on the first seven of them, a line
+        # tracer counts the splits that the one-vertex branch makes.
+        lines, first = inspect.getsourcelines(_refine)
+        split = first + next(i for i, line in enumerate(lines)
+                             if "out += (cell ^ touched, touched)" in line)
+        taken = 0
+
+        def local(frame, event, arg):
+            nonlocal taken
+            taken += event == "line" and frame.f_lineno == split
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code is _refine.__code__ else None
+
+        everyone = (1 << 7) - 1
+        partitions = [[everyone]] + [[1 << u, 1 << v, everyone ^ 1 << u ^ 1 << v]
+                                     for u, v in itertools.combinations(range(7), 2)]
+        outer = sys.gettrace()
+        for g in nonisomorphic_graphs(7):
+            for j, cells in enumerate(partitions):
+                sys.settrace(tracer if j < 7 else outer)
+                try:
+                    got = _refine(g.rows, cells)
+                finally:
+                    sys.settrace(outer)
+                assert got == full_queue_refine(g.rows, cells)
+        assert taken > 1000
+
 
 class TestEngineOutputs:
     def test_engine_outputs_pinned(self):
@@ -566,6 +600,41 @@ class TestTwinSeeds:
             assert not is_asymmetric(g)
 
 
+class TestClassSearch:
+    """The walk's twin-quotient search: its key against ``canonical_form``,
+    its generators against ``is_automorphism`` and, closed by
+    ``bfs_closure``, against the group order."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(2727)
+        graphs = []
+        for g in nonisomorphic_graphs(7):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            graphs += [g, g.relabel(tuple(perm))]
+        # P_5 + P_7, a remove-only child of C_12; and open twins 0, 1 with
+        # closed twins 3, 4 around vertex 2.
+        forest = cycle(12).remove_edge(0, 1).remove_edge(5, 6)
+        both = Graph.from_edges(5, [(0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        return graphs + [star(9), complete(8), split(5, 3), Graph.empty(7),
+                         complete(7), forest, both]
+
+    def test_keys_and_generators(self):
+        forms: dict = {}                # (n, key) to canonical forms
+        keys: dict = {}                 # canonical form to keys
+        for g in self.inputs():
+            key, gens = _class_search(g.rows, g.n)
+            form = canonical_form(g)
+            forms.setdefault((g.n, key), set()).add(form)
+            keys.setdefault(form, set()).add(key)
+            assert all(is_automorphism(g, p) for p in gens)
+            assert len(bfs_closure(gens, g.n)) == automorphism_group(g).order
+        assert all(len(v) == 1 for v in forms.values())
+        assert all(len(v) == 1 for v in keys.values())
+        assert len(keys) == 1044 + 5     # E_7 and K_7 are 7-vertex classes
+
+
 class TestTransposablePairs:
     def test_cycle_all_pairs(self):
         assert transposable_pairs(cycle(6)) == set(all_pairs(6))
@@ -622,7 +691,7 @@ class TestPairOrbits:
         pairs = all_pairs(6)
         for g in classes6:
             gens = automorphism_group(g).generators
-            maps = _pair_maps(gens, 6)
+            maps = _pair_maps(gens, *_pair_index(6))
             for p, m in zip(gens, maps):
                 assert [pairs[j] for j in m] == \
                     [tuple(sorted((p[u], p[v]))) for u, v in pairs]

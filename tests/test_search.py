@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from asymindex.graph import Graph, _iter_bits, disjoint_union, from_graph6, join
 import asymindex.automorphism as automorphism_mod
-from asymindex.automorphism import (_orbit_partition, _pair_maps,
+from asymindex.automorphism import (_orbit_partition, _pair_index, _pair_maps,
                                     are_isomorphic, automorphism_group,
                                     canonical_form, group_elements,
                                     is_asymmetric, subgroup_elements,
@@ -268,6 +268,30 @@ class TestTestedCount:
         assert calls[0] == exc.value.stats.tested
 
 
+class TestEngineWork:
+    """The walk's canonical searches run on twin quotients, so the
+    refinements one ``asymmetric_index`` run makes stay far below what
+    searches of each whole child cost: 562 on K_8 and 2447 on K_{1,8}."""
+
+    @pytest.mark.parametrize("g,ceiling,stats", [
+        pytest.param(complete(8), 250, (1048, 237, 51), id="k8"),
+        pytest.param(star(9), 1000, (5178, 1618, 314), id="star9")])
+    def test_refinements_under_the_search(self, monkeypatch, g, ceiling, stats):
+        calls = 0
+        refine = automorphism_mod._refine
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return refine(*args)
+
+        monkeypatch.setattr(automorphism_mod, "_refine", counted)
+        res = asymmetric_index(g)
+        assert res.value == 6
+        assert (res.stats.nodes, res.stats.tested, res.stats.dedup_hits) == stats
+        assert calls <= ceiling
+
+
 # -- orbit-table layers: the small-input oracle of the orbit tests
 
 
@@ -354,7 +378,7 @@ def table_layers(g: Graph, max_k: int, mode: str = "mixed",
     reps, table = [()], None
     for k in range(1, max_k + 1):
         if k == 1:
-            maps = _pair_maps(report.generators, g.n)
+            maps = _pair_maps(report.generators, *_pair_index(g.n))
             keys = {orbit[:1] for orbit in _orbit_partition(universe, maps)}
         else:
             table = table or FlipOrbitTable(report, pairs, cap)
