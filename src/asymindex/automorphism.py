@@ -385,11 +385,7 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
             for v, w in zip(vs, members[s[x]]):
                 p[v] = w
         gens.append(tuple(p))
-    for _, vs in blocks.values():
-        for u, v in zip(vs, vs[1:]):
-            p = list(range(n))
-            p[u], p[v] = v, u
-            gens.append(tuple(p))
+    gens += _twin_transpositions(rows, n, [(1 << n) - 1])
     return (tuple(sorted(colours)), leaf), gens
 
 

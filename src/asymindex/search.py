@@ -161,7 +161,7 @@ def _walk(n: int, mode: str):
 
 
 def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
-                      stats: SearchStats | None = None, walk=None):
+                      stats: SearchStats | None = None):
     """Yield (k, children) for k = 1..max_k: a breadth-first search over
     isomorphism classes, rooted at ``g``, whose steps flip one pair of
     the mode.
@@ -178,12 +178,11 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     its graphs gets one canonical search on its twin quotient, which gives
     a key and its group's generators, and those whose key is new are
     kept; the last layer is only yielded.  Candidate pairs and children
-    of a class already seen are added to ``stats`` when given.  ``walk``
-    is ``_walk(g.n, mode)`` when the caller has built it.
+    of a class already seen are added to ``stats`` when given.
     """
     stats = SearchStats() if stats is None else stats
     n = g.n
-    pairs, index, universe = _walk(n, mode) if walk is None else walk
+    pairs, index, universe = _walk(n, mode)
     size = len(universe(g.rows))
     seen: set = set()
 
@@ -206,9 +205,13 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                 children.append((s + (orbit[0],), tuple(child)))
         return children
 
-    # An input with twins is also searched whole, as ``aut`` searches it,
-    # so that one too deep for the tree search still stops here with a
-    # RecursionError (exit 4 in the CLI) instead of walking on.
+    # Stopgap: an input with twins is also searched whole, as ``aut``
+    # searches it, so that one too deep for the tree search stops here
+    # with a RecursionError (exit 4 in the CLI) instead of walking into
+    # ``_pair_maps``, whose cost on a big twin class is cubic in n.  Only
+    # the root is guarded.  Remove this and the ``_search`` and
+    # ``_twin_keys`` imports once pair orbits are read off the twin
+    # quotient (ROADMAP item 5).
     if any(len(set(keys)) < n for keys in _twin_keys(g.rows)):
         _search(g.rows, n, [(1 << n) - 1], twins=True)
     children, parents = expand((), g.rows), 1
@@ -243,8 +246,7 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     ``max_k`` or a ``witness_cap`` below 1.
     """
     n = g.n
-    walk = _walk(n, mode)
-    pairs, _, universe = walk
+    pairs, _, universe = _walk(n, mode)
     size = len(universe(g.rows))
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
@@ -261,7 +263,7 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     hits: list[tuple[int, ...]] = []
     last_k = 0
     for last_k, children in flip_orbit_layers(g, min(max_k, size), mode,
-                                              stats, walk):
+                                              stats):
         for s, rows in children:
             stats.tested += 1
             if is_asymmetric(Graph(n, rows, _trusted=True)):
