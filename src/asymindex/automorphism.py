@@ -17,20 +17,16 @@ cell.
 
 Swapping two open twins (equal rows) or two closed twins (equal rows
 plus their own bits) is an automorphism, so twins answer the asymmetry
-test without a search.  Such a swap fixes every cell that holds both
-twins, so ``canonical_form`` and ``can_transpose`` seed their tree
-search with these transpositions: the subtrees they prune map onto
-explored ones, the least leaf and the group are unchanged, and a twin
-class costs one path instead of a sibling leaf per twin.
-``automorphism_group`` and ``find_nontrivial_automorphism`` do not
-seed: the seeds would become generators, and their generators are
-printed (``aut --json``, the ledger).
+test without a search.  Such a swap fixes every cell holding both twins,
+so every tree search starts with these transpositions: they prune only
+subtrees that map onto explored ones, and a twin class costs one path
+instead of a sibling leaf per twin.
 
 The class walk of ``search`` canonicalizes each child on its twin
 quotient instead (``_class_search``): every twin class becomes one
 vertex coloured by its kind and size, so the tree search runs on fewer
 vertices, and its key and lifted generators stand in for the leaf and
-generators of the whole graph.  ``canonical_form`` is unchanged.
+generators of the whole graph.
 """
 
 from __future__ import annotations
@@ -235,6 +231,11 @@ def _twin_keys(rows):
     yield [r | 1 << v for v, r in enumerate(rows)]
 
 
+def _has_twins(rows, n) -> bool:
+    """True iff two vertices have equal keys in one ``_twin_keys`` list."""
+    return len(set(rows)) < n or len({r | 1 << v for v, r in enumerate(rows)}) < n
+
+
 def _twin_transpositions(rows, n, cells) -> list[Perm]:
     """The transposition of each two consecutive members of a twin class
     inside one cell of ``cells``: automorphisms fixing every cell."""
@@ -254,34 +255,31 @@ def _twin_transpositions(rows, n, cells) -> list[Perm]:
     return out
 
 
-def _search(rows, n, cells, first: bool = False, twins: bool = False
-            ) -> tuple[int, list[Perm], tuple[int, ...]]:
+def _search(rows, n, cells, first: bool = False
+            ) -> tuple[int | None, list[Perm], tuple[int, ...] | None]:
     """Minimum leaf triangle-bit value over the individualization tree of
     the ordered partition ``cells``, the automorphisms found, and the
     path to the first leaf.  That path individualizes, at each level, the
     least vertex of the first smallest non-singleton cell.  Empty cells
     are dropped first, so a partition of no vertices is one leaf.
 
-    A leaf whose bits equal the best leaf's gives an automorphism (leaf
-    order to best-leaf order), which is kept; ``first`` stops the search
-    there.  A child in the orbit of an explored sibling under the kept
-    automorphisms fixing the node's path is skipped, and a branch that a
-    new automorphism maps onto the best leaf's branch is abandoned.  Both
-    skip only subtrees that an automorphism maps onto explored ones, so
-    the minimum is unchanged, and the automorphisms found generate the
-    group fixing every cell of ``cells`` (McKay & Piperno 2014).  A node
-    recomputes its skipped set only after a subtree found new automorphisms.
-
-    ``twins`` seeds the kept automorphisms, before the root, with
-    ``_twin_transpositions``.  They fix every cell, so the subtrees they
-    prune map onto explored ones too: the minimum leaf and the first
-    path stay, and the seeds with the automorphisms found still generate
-    the group.  Only the generators differ, which is why the searches
-    whose generators are printed do not seed.
+    The kept automorphisms start with the ``_twin_transpositions`` of
+    ``cells``; a leaf whose bits equal the best leaf's adds one (leaf order
+    to best-leaf order).  ``first`` returns once one is kept, with a leaf
+    and path that mean nothing (None if a seed ended it).  A child in the
+    orbit of an explored sibling under the kept automorphisms fixing the
+    node's path is skipped, and a branch that a new automorphism maps onto
+    the best leaf's branch is abandoned.  Both skip only subtrees that an
+    automorphism fixing every cell maps onto explored ones, so the minimum
+    and the first path stay, and the kept automorphisms generate the group
+    fixing every cell (McKay & Piperno 2014).  A node recomputes its
+    skipped set only after a subtree found new automorphisms.
     """
+    auts: list[Perm] = _twin_transpositions(rows, n, cells)
+    if first and auts:
+        return None, auts, None
     best = None                     # (bits, path, order) of the best leaf
     head = None                     # path of the first leaf
-    auts: list[Perm] = _twin_transpositions(rows, n, cells) if twins else []
 
     def rec(cells, path) -> int:
         # Takes an equitable partition; returns the depth to unwind to,
@@ -356,8 +354,7 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
                 if len(vs) > 1:
                     blocks[vs[0]] = ((kind, len(vs)), vs)
     if not blocks:
-        leaf, gens, _ = _search(rows, n, [(1 << n) - 1], twins=True)
-        return leaf, gens
+        return _search(rows, n, [(1 << n) - 1])[:2]
     q = [-1] * n                    # each vertex's quotient vertex
     colours, members = [], []
     for v in range(n):
@@ -377,7 +374,7 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
         qrows.append(acc & ~(1 << x))
     cells = [sum(1 << x for x, c in enumerate(colours) if c == colour)
              for colour in sorted(set(colours))]
-    leaf, qgens, _ = _search(qrows, len(members), cells, twins=True)
+    leaf, qgens, _ = _search(qrows, len(members), cells)
     gens = []
     for s in qgens:
         p = [0] * n
@@ -393,18 +390,15 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
 
 
 def find_nontrivial_automorphism(g: Graph) -> Perm | None:
-    """Some non-identity automorphism of ``g``, or None when asymmetric."""
+    """A non-identity automorphism (a twin swap if ``g`` has twins) or None."""
     auts = _search(g.rows, g.n, [(1 << g.n) - 1], first=True)[1]
     return auts[0] if auts else None
 
 
 def is_asymmetric(g: Graph) -> bool:
     """True iff the automorphism group is trivial.  Swapping two twins is
-    an automorphism, so twins answer False without a tree search."""
-    for keys in _twin_keys(g.rows):
-        if len(set(keys)) < g.n:
-            return False
-    return find_nontrivial_automorphism(g) is None
+    an automorphism, so twins answer False without building the seeds."""
+    return not _has_twins(g.rows, g.n) and find_nontrivial_automorphism(g) is None
 
 
 @dataclass(frozen=True)
@@ -421,11 +415,11 @@ class AutReport:
 def automorphism_group(g: Graph) -> AutReport:
     """Generators, exact order, orbits and base from one tree search.
 
-    The generators are the automorphisms found by one search of the
-    root partition.  The base is the prefix of the search's first path
-    along which some generator fixing the earlier base points is left:
-    each step individualizes the least vertex of the first smallest
-    non-singleton cell.  The search runs the subtree below
+    The generators are the twin transpositions and the automorphisms
+    found by one search of the root partition.  The base is the prefix of
+    the search's first path along which some generator fixing the earlier
+    base points is left: each step individualizes the least vertex of the
+    first smallest non-singleton cell.  The search runs the subtree below
     the k-th base node first, exactly as a search of that node's
     partition would, so the generators fixing the first k base points
     generate their pointwise stabilizer.  The order is the product of
@@ -495,7 +489,7 @@ def canonical_form(g: Graph) -> bytes:
     refinement tree, returned as the graph6 bytes of that labeling.
     """
     n = g.n
-    leaf = _search(g.rows, n, [(1 << n) - 1], twins=True)[0]
+    leaf = _search(g.rows, n, [(1 << n) - 1])[0]
     return pack_triangle_bits(n, leaf)
 
 
@@ -523,8 +517,8 @@ def can_transpose(g: Graph, u: int, v: int) -> bool:
     if u == v:
         raise ValueError("transposition needs two distinct vertices")
     rest = ((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)
-    return (_search(g.rows, g.n, [1 << u, 1 << v, rest], twins=True)[0]
-            == _search(g.rows, g.n, [1 << v, 1 << u, rest], twins=True)[0])
+    return (_search(g.rows, g.n, [1 << u, 1 << v, rest])[0]
+            == _search(g.rows, g.n, [1 << v, 1 << u, rest])[0])
 
 
 def transposable_pairs(g: Graph) -> set[tuple[int, int]]:

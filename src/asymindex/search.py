@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph
+from .enumeration import all_pairs
 from .automorphism import (_class_search, _orbit_partition, _pair_index,
-                           _pair_maps, _search, _twin_keys, canonical_form,
+                           _pair_maps, _search, _has_twins, canonical_form,
                            is_asymmetric)
 
 MODES = ("mixed", "add-only", "remove-only")
@@ -145,13 +146,19 @@ def apply_flips(g: Graph, flips: FlipSet) -> Graph:
 # -- class search -------------------------------------------------------
 
 
+def _universe_size(g: Graph, mode: str) -> int:
+    """Count of pairs ``mode`` may flip in ``g``; ValueError if unknown."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    total = g.n * (g.n - 1) // 2
+    return {"mixed": total, "remove-only": g.edge_count,
+            "add-only": total - g.edge_count}[mode]
+
+
 def _walk(n: int, mode: str):
     """What every class of a walk on n vertices shares: the pairs and
     their index table (``_pair_index``), and the universe, a function from
-    rows to the indices of the pairs ``mode`` may flip in that graph.
-    Raises ValueError for an unknown mode."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    rows to the indices of the pairs a known ``mode`` may flip there."""
     pairs, index = _pair_index(n)
     if mode == "mixed":
         return pairs, index, lambda rows: range(len(pairs))
@@ -182,8 +189,8 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     """
     stats = SearchStats() if stats is None else stats
     n = g.n
+    size = _universe_size(g, mode)
     pairs, index, universe = _walk(n, mode)
-    size = len(universe(g.rows))
     seen: set = set()
 
     def expand(s: tuple[int, ...], rows) -> list | None:
@@ -205,15 +212,12 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                 children.append((s + (orbit[0],), tuple(child)))
         return children
 
-    # Stopgap: an input with twins is also searched whole, as ``aut``
-    # searches it, so that one too deep for the tree search stops here
-    # with a RecursionError (exit 4 in the CLI) instead of walking into
-    # ``_pair_maps``, whose cost on a big twin class is cubic in n.  Only
-    # the root is guarded.  Remove this and the ``_search`` and
-    # ``_twin_keys`` imports once pair orbits are read off the twin
-    # quotient (ROADMAP item 5).
-    if any(len(set(keys)) < n for keys in _twin_keys(g.rows)):
-        _search(g.rows, n, [(1 << n) - 1], twins=True)
+    # Stopgap for the root only, until a work budget (ROADMAP item 8): an
+    # input with twins is also searched whole, as ``aut`` searches it, so
+    # one too deep for the tree search stops here with a RecursionError
+    # (exit 4 in the CLI) before ``_pair_maps``, cubic in n on big twin classes.
+    if _has_twins(g.rows, n):
+        _search(g.rows, n, [(1 << n) - 1])
     children, parents = expand((), g.rows), 1
     for k in range(1, max_k + 1):
         stats.nodes += parents * (size - (k - 1))
@@ -240,14 +244,14 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     and isomorphic graphs are asymmetric together, so the first layer
     with an asymmetric graph gives the exact value.  Its first
     ``witness_cap`` asymmetric children, as flip sets in ``g``'s labels
-    in ``FlipSet.sort_key`` order, are the witnesses.  Raises NoAsymmetrizationError for 2 <= n <= 5 and
-    BudgetExceededError (with the proven lower bound) when the layer
-    budget runs out.  Raises ValueError for an unknown mode, a negative
-    ``max_k`` or a ``witness_cap`` below 1.
+    in ``FlipSet.sort_key`` order, are the witnesses.  Raises
+    NoAsymmetrizationError for 2 <= n <= 5 and BudgetExceededError (with
+    the proven lower bound) when the layer budget runs out.  Raises
+    ValueError for an unknown mode, a negative ``max_k`` or a
+    ``witness_cap`` below 1.
     """
     n = g.n
-    pairs, _, universe = _walk(n, mode)
-    size = len(universe(g.rows))
+    size = _universe_size(g, mode)
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     if witness_cap < 1:
@@ -275,6 +279,7 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     if not hits:
         raise BudgetExceededError(min(max_k, size) + 1, stats,
                                   universe_exhausted=last_k >= size)
+    pairs = all_pairs(n)
     witnesses = sorted((FlipSet(removed={pairs[i] for i in s if g.has_edge(*pairs[i])},
                                 added={pairs[i] for i in s if not g.has_edge(*pairs[i])})
                         for s in hits), key=FlipSet.sort_key)

@@ -408,18 +408,30 @@ class TestEngineOutputs:
         # sha256 over automorphism_group (order, generators, orbits),
         # find_nontrivial_automorphism and transposable_pairs; `aut --json`
         # and the ledger's evidence print these, so a change in the search
-        # order that alters a generator or witness fails here.
+        # order that alters a generator or witness fails here.  Recorded
+        # once every search started from its twin transpositions.
         digest = hashlib.sha256()
-        graphs = list(nonisomorphic_graphs(7)) + [
-            torus(6, 7), star(9), complete(8), wheel(9), petersen(),
-            circulant(17, (1, 4))]
-        for g in graphs:
+        families = [torus(6, 7), star(9), complete(8), wheel(9), petersen(),
+                    circulant(17, (1, 4))]
+        for g in list(nonisomorphic_graphs(7)) + families:
             rep = automorphism_group(g)
+            assert all(is_automorphism(g, p) for p in rep.generators)
             digest.update(repr((rep.order, rep.generators, rep.orbits,
                                 find_nontrivial_automorphism(g),
                                 sorted(transposable_pairs(g)))).encode())
-        assert digest.hexdigest() == ("ed4fe806ad5e30d11f1173aeedd84e8e"
-                                      "7962f2eec3b8e9d11b575be08a8680fb")
+        assert digest.hexdigest() == ("558e450985509ca5cdc042345850ba94"
+                                      "38100021efea404feb05c3165b988c3a")
+        # The pinned generators generate a group of the reported order:
+        # the families above, and seeded relabellings of twin-heavy ones.
+        rng = random.Random(2828)
+        k222 = join(join(Graph.empty(2), Graph.empty(2)), Graph.empty(2))
+        for g in (split(5, 3), k222, Graph.empty(7)):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            families.append(g.relabel(tuple(perm)))
+        for g in families:
+            rep = automorphism_group(g)
+            assert len(bfs_closure(rep.generators, g.n)) == rep.order
 
 
 class TestCanonicalForm:
@@ -559,15 +571,17 @@ class TestTwinSeeds:
                         (g, [1 << v, 1 << u, everyone ^ 1 << u ^ 1 << v])]
         return out
 
-    def test_seeds_keep_the_leaf_and_the_group(self):
+    def test_seeds_keep_the_leaf_and_the_group(self, monkeypatch):
         seeded_some = 0
         for g, cells in self.inputs():
             seeds = _twin_transpositions(g.rows, g.n, cells)
             for s in seeds:
                 assert is_automorphism(g, s)
                 assert all(sum(1 << s[v] for v in members(c)) == c for c in cells)
-            leaf, gens, _ = _search(g.rows, g.n, cells)
-            seeded_leaf, seeded_gens, _ = _search(g.rows, g.n, cells, twins=True)
+            seeded_leaf, seeded_gens, _ = _search(g.rows, g.n, cells)
+            with monkeypatch.context() as m:    # the unseeded reference
+                m.setattr(automorphism, "_twin_transpositions", lambda *a: [])
+                leaf, gens, _ = _search(g.rows, g.n, cells)
             assert seeded_leaf == leaf
             assert (len(bfs_closure(seeded_gens, g.n))
                     == len(bfs_closure(gens, g.n)))
@@ -589,6 +603,16 @@ class TestTwinSeeds:
             calls = 0
             canonical_form(g)
             assert calls <= 12
+
+    def test_twin_witnesses_need_no_refinement(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a twin swap is a witness before the root")
+
+        monkeypatch.setattr(automorphism, "_refine", forbidden)
+        for g in (star(9), complete(8), split(5, 3), Graph.empty(200)):
+            p = find_nontrivial_automorphism(g)
+            assert p is not None and not is_identity(p)
+            assert is_automorphism(g, p)
 
     def test_twins_answer_asymmetry_without_a_search(self, monkeypatch):
         def forbidden(*args, **kwargs):

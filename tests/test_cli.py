@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from asymindex.cli import main
 from asymindex.graph import GRAPH6_MAX_N, from_graph6, to_graph6
-from asymindex.families import complete, cycle, path, star, wheel
+from asymindex.families import complete, cycle, path, split, star, wheel
 
 
 def run(capsys, *argv):
@@ -171,6 +175,28 @@ class TestAi:
             code, out, err = run(capsys, "ai", g6, flag, value)
             assert code == 2 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestHashSeed:
+    def test_outputs_independent_of_hash_seed(self):
+        # The bench pins PYTHONHASHSEED=0, so output that rests on the
+        # order of a hashed set or dict shows only across seeds: one
+        # interpreter per seed, each printing aut and ai --json envelopes.
+        code = ("import sys\n"
+                "from asymindex.cli import main\n"
+                "for g6 in sys.argv[1:]:\n"
+                "    for cmd in ('aut', 'ai'):\n"
+                "        print(main([cmd, g6, '--json']))\n")
+        graphs = [to_graph6(g).decode() for g in (star(9), split(5, 3), complete(7))]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            outs.append(subprocess.run([sys.executable, "-c", code, *graphs], env=env,
+                                       check=True, capture_output=True, text=True).stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count('"command": "aut"') == outs[0].count('"command": "ai"') == 3
 
 
 class TestAut:
