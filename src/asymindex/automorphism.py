@@ -25,8 +25,8 @@ instead of a sibling leaf per twin.
 The class walk of ``search`` canonicalizes each child on its twin
 quotient instead (``_class_search``): every twin class becomes one
 vertex coloured by its kind and size, so the tree search runs on fewer
-vertices, and its key and lifted generators stand in for the leaf and
-generators of the whole graph.
+vertices, and its key and lifted generators, with a swap and a cycle
+per twin class, stand in for the leaf and generators of the whole graph.
 """
 
 from __future__ import annotations
@@ -223,24 +223,27 @@ def _pair_maps(perms, pairs, index) -> list[list[int]]:
     return [[index[p[u]][p[v]] for u, v in pairs] for p in perms]
 
 
-def _twin_keys(rows):
-    """Each vertex's open-twin key (its row), then each vertex's
-    closed-twin key (its row plus its own bit), as two lists indexed by
-    vertex: twins are two vertices with equal keys in one list."""
-    yield rows
-    yield [r | 1 << v for v, r in enumerate(rows)]
+def _perm(n: int, src, dst) -> Perm:
+    """The permutation of ``range(n)`` mapping each ``src`` vertex onto
+    the ``dst`` vertex at its position and fixing the rest."""
+    p = list(range(n))
+    for v, w in zip(src, dst):
+        p[v] = w
+    return tuple(p)
 
 
 def _has_twins(rows, n) -> bool:
-    """True iff two vertices have equal keys in one ``_twin_keys`` list."""
+    """True iff two vertices have equal rows (open twins) or equal rows
+    plus their own bits (closed twins); ``_twin_pairs`` lists them."""
     return len(set(rows)) < n or len({r | 1 << v for v, r in enumerate(rows)}) < n
 
 
-def _twin_transpositions(rows, n, cells) -> list[Perm]:
-    """The transposition of each two consecutive members of a twin class
-    inside one cell of ``cells``: automorphisms fixing every cell."""
+def _twin_pairs(rows, n, cells) -> list[tuple[int, int]]:
+    """Each two consecutive members (u, v) of a twin class inside one cell
+    of ``cells``: open twins, then closed twins; cell by cell; by v.
+    Swapping u and v is an automorphism fixing every cell."""
     out = []
-    for keys in _twin_keys(rows):
+    for keys in (rows, [r | 1 << v for v, r in enumerate(rows)]):
         if len(set(keys)) == n:
             continue
         for cell in cells:
@@ -248,9 +251,7 @@ def _twin_transpositions(rows, n, cells) -> list[Perm]:
             for v in _iter_bits(cell):
                 u = last.get(keys[v])
                 if u is not None:
-                    p = list(range(n))
-                    p[u], p[v] = v, u
-                    out.append(tuple(p))
+                    out.append((u, v))
                 last[keys[v]] = v
     return out
 
@@ -263,7 +264,7 @@ def _search(rows, n, cells, first: bool = False
     least vertex of the first smallest non-singleton cell.  Empty cells
     are dropped first, so a partition of no vertices is one leaf.
 
-    The kept automorphisms start with the ``_twin_transpositions`` of
+    The kept automorphisms start with the swaps of the ``_twin_pairs`` of
     ``cells``; a leaf whose bits equal the best leaf's adds one (leaf order
     to best-leaf order).  ``first`` returns once one is kept, with a leaf
     and path that mean nothing (None if a seed ended it).  A child in the
@@ -275,7 +276,11 @@ def _search(rows, n, cells, first: bool = False
     fixing every cell (McKay & Piperno 2014).  A node recomputes its
     skipped set only after a subtree found new automorphisms.
     """
-    auts: list[Perm] = _twin_transpositions(rows, n, cells)
+    auts: list[Perm] = []           # the seeds, built inline: a hot path
+    for u, v in _twin_pairs(rows, n, cells):
+        p = list(range(n))
+        p[u], p[v] = v, u
+        auts.append(tuple(p))
     if first and auts:
         return None, auts, None
     best = None                     # (bits, path, order) of the best leaf
@@ -294,10 +299,8 @@ def _search(rows, n, cells, first: bool = False
             if best is None or bits < best[0]:
                 best = (bits, path, order)
             elif bits == best[0]:
-                p = [0] * n
-                for v, w in zip(order, best[2]):
-                    p[v] = w        # the leaf's label-j vertex to the best's
-                sigma = tuple(p)
+                # the leaf's label-j vertex to the best's
+                sigma = _perm(n, order, best[2])
                 auts.append(sigma)
                 if first:
                     return -1
@@ -334,36 +337,38 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
     and generators of the automorphism group of the graph with these
     rows, from a search of its twin quotient.
 
-    Each nontrivial twin class (a vertex lies in at most one: open twins
-    are never adjacent, closed twins always are) merges into one vertex
+    The ``_twin_pairs`` of the whole vertex set chain into the nontrivial
+    twin classes (a vertex lies in at most one: open twins are never
+    adjacent, closed twins always are).  Each merges into one vertex
     coloured (kind, size), kind 1 open and 2 closed; a vertex in none is
-    coloured (0, 1).  Twins agree outside their class, so the coloured
-    quotient determines the graph: the key is the sorted colours and the
-    quotient's least leaf, one cell per colour in sorted order.  The
-    quotient's generators, lifted sorted members onto sorted members, and
-    the transpositions of consecutive members of each class generate the
-    group.  A twin-free graph is searched whole, and its key is its leaf.
+    coloured (1, 1), first in colour order.  Twins agree outside their
+    class, so the coloured quotient determines the graph: the key is the
+    sorted colours and the quotient's least leaf, one cell per colour in
+    sorted order.  The quotient's generators, lifted sorted members onto
+    sorted members, and for each class the swap of its first two members
+    and the cycle of all of them generate the group.  A twin-free graph
+    is searched whole, and its key is its leaf.
     """
-    blocks = {}                     # least member to (colour, members)
-    for kind, keys in enumerate(_twin_keys(rows), 1):
-        if len(set(keys)) < n:
-            by_key: dict[int, list[int]] = {}
-            for v, key in enumerate(keys):
-                by_key.setdefault(key, []).append(v)
-            for vs in by_key.values():
-                if len(vs) > 1:
-                    blocks[vs[0]] = ((kind, len(vs)), vs)
-    if not blocks:
+    twins = _twin_pairs(rows, n, [(1 << n) - 1])
+    if not twins:
         return _search(rows, n, [(1 << n) - 1])[:2]
+    block: dict[int, list[int]] = {}    # each twin to its class's members
+    for u, v in twins:
+        block[v] = block.setdefault(u, [u])
+        block[v].append(v)
     q = [-1] * n                    # each vertex's quotient vertex
-    colours, members = [], []
+    colours, members, gens = [], [], []
     for v in range(n):
         if q[v] < 0:
-            colour, vs = blocks.get(v, ((0, 1), [v]))
+            vs = block.get(v, [v])
             for w in vs:
                 q[w] = len(members)
-            colours.append(colour)
+            colours.append((1 + (rows[v] >> vs[-1] & 1), len(vs)))
             members.append(vs)
+            if len(vs) > 1:
+                gens.append(_perm(n, vs[:2], vs[1::-1]))
+            if len(vs) > 2:
+                gens.append(_perm(n, vs, vs[1:] + vs[:1]))
     qrows = []
     for x, vs in enumerate(members):
         row, acc = rows[vs[0]], 0
@@ -375,14 +380,8 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
     cells = [sum(1 << x for x, c in enumerate(colours) if c == colour)
              for colour in sorted(set(colours))]
     leaf, qgens, _ = _search(qrows, len(members), cells)
-    gens = []
-    for s in qgens:
-        p = [0] * n
-        for x, vs in enumerate(members):
-            for v, w in zip(vs, members[s[x]]):
-                p[v] = w
-        gens.append(tuple(p))
-    gens += _twin_transpositions(rows, n, [(1 << n) - 1])
+    flat = [v for vs in members for v in vs]
+    gens += [_perm(n, flat, [w for y in s for w in members[y]]) for s in qgens]
     return (tuple(sorted(colours)), leaf), gens
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
@@ -551,11 +552,11 @@ _CATALOG: dict[str, _Entry] = {
         _Check("Thm2.6-printed-lower",
                "printed lower bound n - floor((n-1)/7) + 4 <= upper bound n - 2", (8,),
                claimed=lambda n: kn_bound_formulas(n)["lower_printed"],
-               oracle=lambda n: min(kn_bound_formulas(n)["lower_printed"], n - 2),
+               oracle=lambda n: min(itemgetter("lower_printed", "upper")(kn_bound_formulas(n))),
                note="printed lower bound exceeds the upper bound",
                keys="Thm2.6-printed-lower"),
-        _Check("Thm2.6-asymptotic", "6*floor(n/7) <= ai(K_n) <= n - 2", (8,),
-               Graph.complete, bounds=lambda g: (6 * (g.n // 7), g.n - 2)),
+        _Check("Thm2.6-asymptotic", "6*floor(n/7) <= ai(K_n) <= n - 2", (8,), Graph.complete,
+               bounds=lambda g: itemgetter("lower_asymptotic", "upper")(kn_bound_formulas(g.n))),
         _Check("Thm2.6-upper",
                "removing an asymmetric forest leaves K_n asymmetric (ai <= n-2)",
                (8, 9, 10), Graph.complete,

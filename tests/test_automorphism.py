@@ -17,8 +17,8 @@ from asymindex.graph import (Graph, disjoint_union, join, pack_triangle_bits,
                             triangle_bits)
 from asymindex.automorphism import (_child, _class_search, _first_target,
                                     _individualize, _orbit_partition,
-                                    _pair_index, _pair_maps, _refine,
-                                    _search, _twin_transpositions,
+                                    _pair_index, _pair_maps, _perm, _refine,
+                                    _search, _twin_pairs,
                                     are_isomorphic,
                                     automorphism_group, canonical_form,
                                     can_transpose, cycles_str,
@@ -574,13 +574,14 @@ class TestTwinSeeds:
     def test_seeds_keep_the_leaf_and_the_group(self, monkeypatch):
         seeded_some = 0
         for g, cells in self.inputs():
-            seeds = _twin_transpositions(g.rows, g.n, cells)
+            seeds = [_perm(g.n, (u, v), (v, u))
+                     for u, v in _twin_pairs(g.rows, g.n, cells)]
             for s in seeds:
                 assert is_automorphism(g, s)
                 assert all(sum(1 << s[v] for v in members(c)) == c for c in cells)
             seeded_leaf, seeded_gens, _ = _search(g.rows, g.n, cells)
             with monkeypatch.context() as m:    # the unseeded reference
-                m.setattr(automorphism, "_twin_transpositions", lambda *a: [])
+                m.setattr(automorphism, "_twin_pairs", lambda *a: [])
                 leaf, gens, _ = _search(g.rows, g.n, cells)
             assert seeded_leaf == leaf
             assert (len(bfs_closure(seeded_gens, g.n))
@@ -657,6 +658,19 @@ class TestClassSearch:
         assert all(len(v) == 1 for v in forms.values())
         assert all(len(v) == 1 for v in keys.values())
         assert len(keys) == 1044 + 5     # E_7 and K_7 are 7-vertex classes
+
+    def test_two_generators_per_twin_class(self):
+        # Each quotient is one vertex or two of distinct colours, so it has
+        # no generators; a swap and a cycle per class still give every
+        # pair orbit: inside each class, and between two classes.
+        for g, classes, pair_orbits in ((Graph.empty(200), 1, 1), (star(60), 1, 2),
+                                        (split(30, 30), 2, 3)):
+            gens = _class_search(g.rows, g.n)[1]
+            assert len(gens) <= 2 * classes
+            assert all(is_automorphism(g, p) for p in gens)
+            pairs, index = _pair_index(g.n)
+            assert len(_orbit_partition(range(len(pairs)),
+                                        _pair_maps(gens, pairs, index))) == pair_orbits
 
 
 class TestTransposablePairs:

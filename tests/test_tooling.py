@@ -67,10 +67,11 @@ def test_asymmetry_tests_number_stats_tested(monkeypatch):
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asymindex"
 
 
-@pytest.mark.parametrize("module", ["claims", "cli"])
+@pytest.mark.parametrize("module", ["claims", "cli", "families"])
 def test_ledger_and_cli_use_public_names(module):
-    # the ledger and the CLI stay on the engine's public surface: no
-    # `_`-prefixed name (dunders aside) from another asymindex module
+    # the ledger, the CLI and the witness catalog stay on the engine's
+    # public surface: no `_`-prefixed name (dunders aside) from another
+    # asymindex module
     private = [f"{node.module or '.'}.{alias.name}"
                for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
                if isinstance(node, ast.ImportFrom)
