@@ -506,30 +506,29 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 def can_transpose(g: Graph, u: int, v: int) -> bool:
     """True iff some automorphism swaps ``u`` and ``v``.
 
-    The canonical leaves of the partitions [u | v | rest] and
-    [v | u | rest] are equal iff some automorphism maps one onto the
-    other.  Individualized singletons keep their positions in every
-    leaf, so the leaf map then sends u to v and v to u.
+    One search of the partition [{u, v} | rest] keeps generators of the
+    automorphisms fixing both cells.  Restricting them to {u, v} is a
+    homomorphism onto a subgroup of Sym({u, v}), so some automorphism
+    swaps u and v iff some generator maps u to v.
     """
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
         raise ValueError("transposition needs two distinct vertices")
     rest = ((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)
-    return (_search(g.rows, g.n, [1 << u, 1 << v, rest])[0]
-            == _search(g.rows, g.n, [1 << v, 1 << u, rest])[0])
+    return any(s[u] == v for s in _search(g.rows, g.n, [1 << u | 1 << v, rest])[1])
 
 
 def transposable_pairs(g: Graph) -> set[tuple[int, int]]:
     """All unordered pairs swapped by some automorphism.
 
-    Swappability is constant on an orbit of the group on unordered
-    pairs, so one pair per orbit is tested.
+    Some automorphism swaps u and v iff the ordered pair (v, u) lies in
+    the orbit of (u, v) under the generators of ``automorphism_group``,
+    each acting on the ordered pairs, point u * n + v.
     """
-    report = automorphism_group(g)
-    pairs, index = _pair_index(g.n)
-    orbit_of = {v: k for k, orbit in enumerate(report.orbits) for v in orbit}
-    inside = [i for i, (u, v) in enumerate(pairs) if orbit_of[u] == orbit_of[v]]
-    orbits = _orbit_partition(inside, _pair_maps(report.generators, pairs, index))
-    return {pairs[i] for orbit in orbits
-            if can_transpose(g, *pairs[orbit[0]]) for i in orbit}
+    n = g.n
+    maps = [[p[u] * n + p[v] for u in range(n) for v in range(n)]
+            for p in automorphism_group(g).generators]
+    return {(u, v) for orbit in map(set, _orbit_partition(range(n * n), maps))
+            for x in orbit for u, v in [divmod(x, n)]
+            if u < v and v * n + u in orbit}

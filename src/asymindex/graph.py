@@ -128,27 +128,25 @@ class Graph:
     # -- edits (return new graphs) ------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if (self.rows[u] >> v) & 1:
-            raise ValueError(f"edge ({u},{v}) already present")
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, rows, _trusted=True)
+        return self._toggle(u, v, False)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
+        return self._toggle(u, v, True)
+
+    def _toggle(self, u: int, v: int, present: bool) -> "Graph":
+        """The graph with pair {u, v} flipped; ValueError unless u and v are
+        distinct vertices in range and the edge's presence is ``present``."""
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (self.rows[u] >> v) & 1:
-            raise ValueError(f"edge ({u},{v}) not present")
+        if (self.rows[u] >> v) & 1 != present:
+            raise ValueError(f"edge ({u},{v}) not present: cannot remove an absent edge"
+                             if present else
+                             f"edge ({u},{v}) already present: cannot add an existing edge")
         rows = list(self.rows)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
         return Graph(self.n, rows, _trusted=True)
 
     def complement(self) -> "Graph":

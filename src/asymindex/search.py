@@ -121,26 +121,14 @@ class AiResult:
 
 
 def apply_flips(g: Graph, flips: FlipSet) -> Graph:
-    """Delete ``flips.removed`` and insert ``flips.added``."""
-    rows = list(g.rows)
-    n = g.n
+    """Delete ``flips.removed``, then insert ``flips.added``, by
+    ``Graph.remove_edge`` and ``Graph.add_edge``, whose checks raise
+    ValueError on a pair out of range, a loop or a wrong edge state."""
     for u, v in flips.removed:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"flip pair ({u},{v}) out of range")
-        if not (rows[u] >> v) & 1:
-            raise ValueError(f"cannot remove absent edge ({u},{v})")
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
+        g = g.remove_edge(u, v)
     for u, v in flips.added:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"flip pair ({u},{v}) out of range")
-        if u == v:
-            raise ValueError(f"cannot add self-loop at {u}")
-        if (rows[u] >> v) & 1:
-            raise ValueError(f"cannot add existing edge ({u},{v})")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows, _trusted=True)
+        g = g.add_edge(u, v)
+    return g
 
 
 # -- class search -------------------------------------------------------

@@ -694,6 +694,26 @@ class TestTransposablePairs:
                         if p[u] != u and p[p[u]] == u:
                             expected.add(tuple(sorted((u, p[u]))))
             assert transposable_pairs(g) == expected
+            for u, v in itertools.combinations(range(g.n), 2):
+                assert can_transpose(g, u, v) == ((u, v) in expected)
+                assert can_transpose(g, v, u) == ((u, v) in expected)
+
+    def test_one_search_per_swap_question(self, monkeypatch):
+        # Each answer is read off the generators of one tree search.
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return _search(*args, **kwargs)
+
+        monkeypatch.setattr(automorphism, "_search", counted)
+        for ask in (lambda: transposable_pairs(cycle(8)),
+                    lambda: transposable_pairs(star(7)),
+                    lambda: can_transpose(cycle(8), 0, 4)):
+            calls = 0
+            assert ask()
+            assert calls == 1
 
     def test_orbit_without_swaps(self):
         # A triangle whose edges carry chiral gadgets: its group has order 3

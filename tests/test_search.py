@@ -72,6 +72,14 @@ class TestFlipSet:
         with pytest.raises(ValueError, match="out of range"):
             apply_flips(path(4), FlipSet(added={(0, 9)}))
 
+    @pytest.mark.parametrize("flips", [FlipSet(removed={(0, 9)}),
+                                       FlipSet(removed={(2, 2)}),
+                                       FlipSet(added={(2, 2)})],
+                             ids=["removed-out-of-range", "removed-loop", "added-loop"])
+    def test_apply_rejects_bad_pairs(self, flips):
+        with pytest.raises(ValueError, match="out of range|self-loop"):
+            apply_flips(path(4), flips)
+
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_inverse_roundtrip(self, data):
