@@ -32,7 +32,6 @@ per twin class, stand in for the leaf and generators of the whole graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graph import Graph, _iter_bits, pack_triangle_bits, triangle_bits
 
@@ -400,15 +399,31 @@ def is_asymmetric(g: Graph) -> bool:
     return not _has_twins(g.rows, g.n) and find_nontrivial_automorphism(g) is None
 
 
-@dataclass(frozen=True)
 class AutReport:
     """Automorphism group summary: exact order, generators, orbits, base."""
 
-    is_asymmetric: bool
-    order: int
-    generators: tuple[Perm, ...]
-    orbits: tuple[tuple[int, ...], ...]
-    base: tuple[int, ...]
+    __slots__ = ("is_asymmetric", "order", "generators", "orbits", "base")
+
+    def __init__(self, is_asymmetric: bool, order: int, generators: tuple[Perm, ...],
+                 orbits: tuple[tuple[int, ...], ...], base: tuple[int, ...]):
+        for name, value in zip(AutReport.__slots__,
+                               (is_asymmetric, order, generators, orbits, base)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AutReport instances are immutable")
+
+    def _fields(self) -> tuple:
+        return (self.is_asymmetric, self.order, self.generators, self.orbits, self.base)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AutReport) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (AutReport, self._fields())
 
 
 def automorphism_group(g: Graph) -> AutReport:

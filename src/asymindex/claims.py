@@ -12,12 +12,12 @@ clean exit code while still printing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from collections import namedtuple
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .graph import Graph, disjoint_union, join, to_graph6
 from .automorphism import (automorphism_group, canonical_form, cycles_str,
@@ -51,7 +51,6 @@ DEFAULT_ALLOWLIST = (
 )
 
 
-@dataclass
 class ClaimReport:
     """Outcome of one claim instance.
 
@@ -60,15 +59,25 @@ class ClaimReport:
     ``to_dict`` leaves them out.
     """
 
-    claim_id: str
-    params: dict
-    expected: str
-    computed: object
-    status: str
-    evidence: dict = field(default_factory=dict)
-    allowlist_key: str | None = None
-    ai: int | None = None
-    vertices: int | None = None
+    __slots__ = ("claim_id", "params", "expected", "computed", "status", "evidence",
+                 "allowlist_key", "ai", "vertices")
+
+    def __init__(self, claim_id: str, params: dict, expected: str, computed: object,
+                 status: str, evidence: dict | None = None, allowlist_key: str | None = None,
+                 ai: int | None = None, vertices: int | None = None):
+        self.claim_id = claim_id
+        self.params = params
+        self.expected = expected
+        self.computed = computed
+        self.status = status
+        self.evidence = {} if evidence is None else evidence
+        self.allowlist_key = allowlist_key
+        self.ai = ai
+        self.vertices = vertices
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClaimReport) and (self.to_dict(), self.ai, self.vertices) \
+            == (other.to_dict(), other.ai, other.vertices)
 
     def to_dict(self) -> dict:
         return {"claim": self.claim_id, "params": self.params,
@@ -319,8 +328,10 @@ def _thm_3_1(budget) -> Iterator[ClaimReport]:
 # -- claims as data -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(namedtuple("_Check", (
+        "row_id", "text", "instances", "graph", "value", "bounds", "witness", "claimed",
+        "oracle", "edits", "size", "removal_free", "values", "note", "params", "keys"),
+        defaults=(None,) * 8 + (False, (), "", {}, {}))):
     """One row per instance x of a claim, in one of six shapes: the
     catalog ``witness(*x)`` asymmetrizes its graph; ``claimed(*x)`` equals
     ``oracle(*x)``; ai(``graph(*x)``) is ``value``; ``bounds(graph(*x))``
@@ -335,25 +346,11 @@ class _Check:
     row's params.  ``keys`` maps an instance tuple to the allowlist key
     of its refutation (for a search row, also of a graph that cannot be
     asymmetrized at all), or is one key for every instance; an equality
-    row's refutation also carries ``note``.
+    row's refutation also carries ``note``.  The empty ``params`` and
+    ``keys`` defaults are shared and only read.
     """
 
-    row_id: str
-    text: str
-    instances: Iterable | Callable[[int], Iterable]
-    graph: Callable[..., Graph] | None = None
-    value: int | None = None
-    bounds: Callable[[Graph], tuple] | None = None
-    witness: str | None = None
-    claimed: Callable | None = None
-    oracle: Callable | None = None
-    edits: Callable[..., FlipSet] | None = None
-    size: Callable[..., int] | None = None
-    removal_free: bool = False
-    values: tuple = ()
-    note: str = ""
-    params: dict = field(default_factory=dict)
-    keys: dict | str = field(default_factory=dict)
+    __slots__ = ()
 
 
 def _family_rows(checks: tuple[_Check, ...], coords: tuple[str, ...],
@@ -427,12 +424,19 @@ def _complement_aut_order(g: Graph) -> int | None:
     return repc.order if cross and rep.orbits == repc.orbits else None
 
 
+@cache
+def _cycle_chord_count(n: int) -> int:
+    """Classes of asymmetric C_n plus two chords, by enumeration; the
+    Rem2.1 and Sec2.2-count rows share each count."""
+    return count_nonisomorphic_asymmetrizations(cycle(n), 0, 2)
+
+
 def _chord_count(claim_id: str, variant: str, key: str) -> _Check:
     return _Check(
         claim_id, f"{variant} chord-count formula matches enumeration", range(6, 13),
         claimed=partial(cycle_augmentation_formula, variant=variant),
-        oracle=lambda n: count_nonisomorphic_asymmetrizations(cycle(n), 0, 2),
-        note="formula disagrees with brute-force count", keys=key)
+        oracle=_cycle_chord_count, note="formula disagrees with brute-force count",
+        keys=key)
 
 
 #: The fixed named instances of the bounds claims, by label.
@@ -446,8 +450,8 @@ _CIRCULANTS = ((4, "+"), (4, "-"))
 # -- catalog ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(namedtuple("_Entry", ("rows", "param", "minimum", "texts"),
+                        defaults=(None, None, {}))):
     """One catalog entry: ``rows(budget)`` yields the default instances'
     rows.  With a range ``param`` it also takes ``rows(budget, values)``;
     values below ``minimum`` give not-applicable rows.  ``texts`` maps
@@ -455,10 +459,7 @@ class _Entry:
     row ids than its own.
     """
 
-    rows: Callable[..., Iterable[ClaimReport]]
-    param: str | None = None
-    minimum: int | None = None
-    texts: dict = field(default_factory=dict)
+    __slots__ = ()
 
 
 def _family(param, minimum, coords, *checks: _Check) -> _Entry:

@@ -8,8 +8,6 @@ path becomes the pair (1, 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, cartesian_product, disjoint_union, join, bfs_distances
 from .search import FlipSet
 from .enumeration import asymmetric_trees
@@ -23,15 +21,29 @@ WITNESS_NAMES = ("path-add-chord", "cycle-remove-add", "cycle-two-chords",
 _SEPARATORS = {"grid": "x", "pxc": "x", "torus": "x", "split": "+"}
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Tagged family choice, convertible to and from the CLI text syntax.
 
     Examples: ``path:9``, ``circulant:17:1,4``, ``grid:3x4``, ``split:8+3``.
     """
 
-    kind: str
-    args: tuple
+    __slots__ = ("kind", "args")
+
+    def __init__(self, kind: str, args: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FamilySpec instances are immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FamilySpec) and (self.kind, self.args) == (other.kind, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.args))
+
+    def __reduce__(self):
+        return (FamilySpec, (self.kind, self.args))
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":

@@ -56,6 +56,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph instances are immutable")
 
+    def __reduce__(self):
+        return (Graph, (self.n, self.rows))     # copy and pickle re-validate
+
     # -- constructors -------------------------------------------------
 
     @classmethod

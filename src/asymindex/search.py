@@ -22,7 +22,7 @@ exactly r removals or exactly s additions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graph import Graph
 from .enumeration import all_pairs
@@ -62,20 +62,32 @@ def _norm_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class FlipSet:
     """A set of removed existing edges plus added non-edges."""
 
-    removed: frozenset[tuple[int, int]] = frozenset()
-    added: frozenset[tuple[int, int]] = frozenset()
+    __slots__ = ("removed", "added")
 
-    def __post_init__(self):
-        removed = frozenset(_norm_pair(*e) for e in self.removed)
-        added = frozenset(_norm_pair(*e) for e in self.added)
+    def __init__(self, removed: Iterable[tuple[int, int]] = frozenset(),
+                 added: Iterable[tuple[int, int]] = frozenset()):
+        removed = frozenset(_norm_pair(*e) for e in removed)
+        added = frozenset(_norm_pair(*e) for e in added)
         if removed & added:
             raise ValueError("removed and added sets overlap")
         object.__setattr__(self, "removed", removed)
         object.__setattr__(self, "added", added)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlipSet instances are immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FlipSet) and \
+            (self.removed, self.added) == (other.removed, other.added)
+
+    def __hash__(self) -> int:
+        return hash((self.removed, self.added))
+
+    def __reduce__(self):
+        return (FlipSet, (self.removed, self.added))
 
     @property
     def size(self) -> int:
@@ -98,26 +110,39 @@ class FlipSet:
         return f"FlipSet(removed=[{rem}] added=[{add}])"
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0        # candidate pairs: the mode's pairs outside S,
-                          # summed over the classes g xor S expanded
-    tested: int = 0       # asymmetry tests: g, then one per child tested
-    dedup_hits: int = 0   # children that land on a class already seen
+    __slots__ = ("nodes", "tested", "dedup_hits")
+
+    def __init__(self, nodes: int = 0, tested: int = 0, dedup_hits: int = 0):
+        self.nodes = nodes              # candidate pairs: the mode's pairs outside S,
+                                        # summed over the classes g xor S expanded
+        self.tested = tested            # asymmetry tests: g, then one per child tested
+        self.dedup_hits = dedup_hits    # children that land on a class already seen
 
     def as_dict(self) -> dict:
         return {"nodes": self.nodes, "tested": self.tested,
                 "dedup_hits": self.dedup_hits}
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SearchStats) and self.as_dict() == other.as_dict()
 
-@dataclass
+
 class AiResult:
     """Computed index with witnesses and search statistics."""
 
-    value: int
-    witnesses: list[FlipSet] = field(default_factory=list)
-    mode: str = "mixed"
-    stats: SearchStats = field(default_factory=SearchStats)
+    __slots__ = ("value", "witnesses", "mode", "stats")
+
+    def __init__(self, value: int, witnesses: list[FlipSet] | None = None,
+                 mode: str = "mixed", stats: SearchStats | None = None):
+        self.value = value
+        self.witnesses = [] if witnesses is None else witnesses
+        self.mode = mode
+        self.stats = SearchStats() if stats is None else stats
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AiResult) and \
+            (self.value, self.witnesses, self.mode, self.stats) == \
+            (other.value, other.witnesses, other.mode, other.stats)
 
 
 def apply_flips(g: Graph, flips: FlipSet) -> Graph:

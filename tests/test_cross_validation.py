@@ -1,7 +1,6 @@
 """Cross-validation against networkx's VF2 isomorphism machinery —
 an independent algorithm family, so agreement here is real evidence."""
 
-import dataclasses
 import random
 from itertools import islice
 
@@ -151,7 +150,7 @@ class TestGroupElementsOracle:
             rep = automorphism_group(g)
             gens = list(rep.generators)
             rng.shuffle(gens)
-            rep = dataclasses.replace(rep, generators=tuple(gens))
+            rep = AutReport(rep.is_asymmetric, rep.order, tuple(gens), rep.orbits, rep.base)
             out.append((rep, g.n, bfs_closure(gens, g.n)))
         return out
 

@@ -6,7 +6,7 @@ function stops a traced run (``bench/run.py --trace 1``) at the first
 missing name.  The tuple is read with ``ast``; the bench is not imported.
 The same ``ast`` reading keeps the ledger and the CLI off the engine's
 private names, checks that every name the test modules import from
-the package exists, and keeps numpy out of the package.  The tracer's
+the package exists, and keeps numpy and dataclasses out of the package.  The tracer's
 check that the asymmetry tests under ``asymmetric_index`` number
 ``SearchStats.tested`` is held here with a counter in its place.
 """
@@ -124,20 +124,23 @@ def imported_names(path: Path) -> set[str]:
 
 def test_search_keeps_off_the_group_table():
     # the search walks isomorphism classes, so the group table over
-    # Aut(G) stays out of it; numpy stays out of the whole package
+    # Aut(G) stays out of it; numpy and dataclasses (whose import of
+    # inspect costs start-up time) stay out of the whole package
     imported = imported_names(PACKAGE / "search.py")
     assert imported
     assert not imported & {"numpy", "subgroup_elements", "MAX_CLOSURE"}
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
-    assert [m.name for m in modules if "numpy" in imported_names(m)] == []
+    assert [m.name for m in modules
+            if imported_names(m) & {"numpy", "dataclasses"}] == []
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # a fresh interpreter, so no earlier test has loaded numpy
-    code = "import sys, asymindex.cli; print('numpy' in sys.modules)"
+    # a fresh interpreter, so no earlier test has loaded these modules
+    code = ("import sys, asymindex.cli; "
+            "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
