@@ -15,9 +15,12 @@ on its twin quotient (``automorphism._class_search``), gives a key,
 which decides whether its class is new, and its group's generators,
 which prune its own expansion.  The pairs, their index table and the
 mode's universe are set up once per walk (``_walk``).
-The same layers drive the index search, which builds a FlipSet only
-for each witness, and the count of asymmetric graphs reachable by
-exactly r removals or exactly s additions.
+Each layer is yielded in parts, one per class expanded, so a consumer
+sees children as soon as their parent is searched.  The index search
+tests them as they arrive, stops at its last witness or at the opening
+of the layer after its first hit, and builds a FlipSet only for each
+distinct witness; the count of asymmetric graphs reachable by exactly r
+removals or exactly s additions reads the parts of layer r + s.
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ class SearchStats:
     __slots__ = ("nodes", "tested", "dedup_hits")
 
     def __init__(self, nodes: int = 0, tested: int = 0, dedup_hits: int = 0):
+        # Each counts up to where the search stopped: its last witness,
+        # the opening of the layer after its first hit, or its budget.
         self.nodes = nodes              # candidate pairs: the mode's pairs outside S,
                                         # summed over the classes g xor S expanded
         self.tested = tested            # asymmetry tests: g, then one per child tested
@@ -182,23 +187,26 @@ def _walk(n: int, mode: str):
 
 def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                       stats: SearchStats | None = None):
-    """Yield (k, children) for k = 1..max_k: a breadth-first search over
+    """Yield layers k = 1..max_k of a breadth-first search over
     isomorphism classes, rooted at ``g``, whose steps flip one pair of
-    the mode.
+    the mode, each in parts (k, children): first an empty part when
+    layer k opens, then one part per class of layer k - 1 (layer 0 is
+    ``g``) as soon as its search finds it new.
 
     Each child of layer k is (S, rows): S is a tuple of k indices into
     ``all_pairs(g.n)``, in the order they were flipped, and rows are the
     adjacency rows of g xor S.  Layer k's graphs cover every class at
     distance exactly k from ``g`` at least once; any other class among
-    them lies at distance k - 2.  Each class h = g xor S kept from layer
-    k - 1 gives one child S + (e,) per orbit of Aut(h) on h's pairs of
-    the mode, e the orbit's least pair index, in parent order and then by
-    e.  An orbit that meets S is skipped: flipping one of its pairs gives
-    a class at distance k - 2 or less.  After layer k is yielded, each of
-    its graphs gets one canonical search on its twin quotient, which gives
-    a key and its group's generators, and those whose key is new are
-    kept; the last layer is only yielded.  Candidate pairs and children
-    of a class already seen are added to ``stats`` when given.
+    them lies at distance k - 2.  Each child of layer k - 1 gets one
+    canonical search on its twin quotient, which gives a key and its
+    group's generators.  A class h = g xor S whose key is new gives one
+    child S + (e,) per orbit of Aut(h) on h's pairs of the mode, e the
+    orbit's least pair index, in parent order and then by e.  An orbit
+    that meets S is skipped: flipping one of its pairs gives a class at
+    distance k - 2 or less.  Layer max_k is only yielded, not kept.  A
+    consumer may stop between parts; ``stats``, when given, then counts
+    the candidate pairs of the classes expanded and the children of a
+    class already seen up to that point.
     """
     stats = SearchStats() if stats is None else stats
     n = g.n
@@ -225,29 +233,29 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                 children.append((s + (orbit[0],), tuple(child)))
         return children
 
-    # Stopgap for the root only, until a work budget (ROADMAP item 8): an
-    # input with twins is also searched whole, as ``aut`` searches it, so
-    # one too deep for the tree search stops here with a RecursionError
-    # (exit 4 in the CLI).  A twin class gives ``_pair_maps`` at most two
-    # generators, but many isomorphic components give many lifted quotient
-    # generators: 550 copies of P_3 ran 275 s and 3 GB without this guard.
+    # Stopgap for the root only, until a work budget (the second half of
+    # ROADMAP item 4): an input with twins is also searched whole, as
+    # ``aut`` searches it, so one too deep for the tree search stops here
+    # with a RecursionError (exit 4 in the CLI).  A twin class gives
+    # ``_pair_maps`` at most two generators, but many isomorphic components
+    # give many lifted quotient generators: 550 copies of P_3 ran 275 s and
+    # 3 GB without this guard.
     if _has_twins(g.rows, n):
         _search(g.rows, n, [(1 << n) - 1])
-    children, parents = expand((), g.rows), 1
+    parents = [((), g.rows)]
     for k in range(1, max_k + 1):
-        stats.nodes += parents * (size - (k - 1))
-        yield k, children
-        if k == max_k:
-            return
-        following, parents = [], 0
-        for s, rows in children:
-            more = expand(s, rows)
-            if more is None:
+        yield k, []
+        following = []
+        for s, rows in parents:
+            children = expand(s, rows)
+            if children is None:
                 stats.dedup_hits += 1
-            else:
-                parents += 1
-                following += more
-        children = following
+                continue
+            stats.nodes += size - (k - 1)
+            if k < max_k:
+                following += children
+            yield k, children
+        parents = following
 
 
 def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
@@ -257,9 +265,13 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     Breadth-first over isomorphism classes: layer k of
     ``flip_orbit_layers`` reaches every class at distance k from ``g``,
     and isomorphic graphs are asymmetric together, so the first layer
-    with an asymmetric graph gives the exact value.  Its first
-    ``witness_cap`` asymmetric children, as flip sets in ``g``'s labels
-    in ``FlipSet.sort_key`` order, are the witnesses.  Raises
+    with an asymmetric graph gives the exact value.  Children are tested
+    as their parts arrive.  The first ``witness_cap`` distinct flip sets
+    among that layer's asymmetric children (two flip orders of one set
+    give the same child), in ``g``'s labels and ``FlipSet.sort_key``
+    order, are the witnesses.  The search stops at the last of them, or
+    when the next layer opens, so ``stats`` counts only the classes
+    expanded before that.  Raises
     NoAsymmetrizationError for 2 <= n <= 5 and BudgetExceededError (with
     the proven lower bound) when the layer budget runs out.  Raises
     ValueError for an unknown mode, a negative ``max_k`` or a
@@ -279,17 +291,19 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         return AiResult(0, [FlipSet()], mode, stats)
     if max_k is None:
         max_k = 8 if n <= 12 else 3
-    hits: list[tuple[int, ...]] = []
+    hits: set[frozenset[int]] = set()
     last_k = 0
-    for last_k, children in flip_orbit_layers(g, min(max_k, size), mode,
-                                              stats):
+    for k, children in flip_orbit_layers(g, min(max_k, size), mode, stats):
+        if hits and k > last_k:
+            break
+        last_k = k
         for s, rows in children:
             stats.tested += 1
             if is_asymmetric(Graph(n, rows, _trusted=True)):
-                hits.append(s)
+                hits.add(frozenset(s))
                 if len(hits) >= witness_cap:
                     break
-        if hits:
+        if len(hits) >= witness_cap:
             break
     if not hits:
         raise BudgetExceededError(min(max_k, size) + 1, stats,
@@ -325,6 +339,7 @@ def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
     if r + s == 0:
         return int(is_asymmetric(g))
     mode = "add-only" if r == 0 else "remove-only"
-    *_, (_, children) = flip_orbit_layers(g, r + s, mode)
-    hits = (Graph(g.n, rows, _trusted=True) for _, rows in children)
+    hits = (Graph(g.n, rows, _trusted=True)
+            for k, children in flip_orbit_layers(g, r + s, mode)
+            if k == r + s for _, rows in children)
     return len({canonical_form(h) for h in hits if is_asymmetric(h)})

@@ -16,7 +16,7 @@ import pytest
 
 from asymindex.graph import Graph
 from asymindex.enumeration import all_pairs, graph_from_mask
-from asymindex.search import FlipSet, apply_flips
+from asymindex.search import FlipSet, apply_flips, flip_orbit_layers
 
 
 def perm_edge_action(n: int) -> np.ndarray:
@@ -110,6 +110,16 @@ def rebuilt_child(g: Graph, child) -> Graph:
                                added={p for p in flips if not g.has_edge(*p)}))
     assert h.rows == tuple(rows)
     return h
+
+
+def whole_layers(g: Graph, max_k: int, mode: str = "mixed", stats=None) -> list:
+    """``flip_orbit_layers`` run to its end, its parts grouped by k:
+    [(k, children of layer k)] for k = 1..max_k, children in the order
+    the parts gave them."""
+    layers: dict = {}
+    for k, part in flip_orbit_layers(g, max_k, mode, stats):
+        layers.setdefault(k, []).extend(part)
+    return list(layers.items())
 
 
 @pytest.fixture(scope="session")

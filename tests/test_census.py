@@ -20,10 +20,9 @@ import pytest
 
 from asymindex.automorphism import canonical_form, is_asymmetric
 from asymindex.enumeration import nonisomorphic_graphs
-from asymindex.search import (BudgetExceededError, asymmetric_index,
-                              flip_orbit_layers)
+from asymindex.search import BudgetExceededError, asymmetric_index
 
-from conftest import rebuilt_child
+from conftest import rebuilt_child, whole_layers
 
 
 @cache
@@ -109,7 +108,7 @@ def test_layers_reach_each_class_at_its_distance(mode):
     for c, (g, _, _) in classes.items():
         dist = _bfs(classes, [c], _FORWARD[mode])
         max_k = ai[c] if c in ai else max(dist.values())
-        for k, children in flip_orbit_layers(g, max_k, mode):
+        for k, children in whole_layers(g, max_k, mode):
             assert all(len(s) == k for s, _ in children)
             reached = {canonical_form(rebuilt_child(g, c)) for c in children}
             exact = {d for d, j in dist.items() if j == k}

@@ -265,7 +265,7 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "648919ba9725ce1c64046e12f3998193c44929a7f6c5491a758fce71a894067d")
+            "ee356cdf9f797cc1f98e92a3fa39d2b18268665a84341fa1114f98808280ca99")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path

@@ -138,7 +138,7 @@ class TestAi:
     # its budget with bound 2
     @pytest.mark.parametrize("g,argv,exit_code,digest", [
         pytest.param(complete(9), ["--mode", "remove-only", "--max-k", "7"], 0,
-                     "d327426c33d7a1df9e28d51d167e53d3409948b74fc22495fbbdd7353212b639",
+                     "285e90384509be69556ca29d4b5d3ffe3e5ebfe348dc1a84a65cb3192c712109",
                      id="k9-remove-only"),
         pytest.param(star(10), ["--max-k", "1"], 4,
                      "64748aa75196bccfb504ad571cd00c71bda43478146f260e90ebae4d841d65d6",

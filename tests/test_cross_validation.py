@@ -14,7 +14,7 @@ from asymindex.automorphism import (AutReport, are_isomorphic,
                                     is_asymmetric, subgroup_elements)
 from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 from asymindex.claims import verify
-from asymindex.families import complete, star, torus
+from asymindex.families import complete, split, star, torus
 from asymindex.search import FlipSet, apply_flips, asymmetric_index
 
 from conftest import bfs_closure
@@ -101,15 +101,19 @@ class TestSearchSpotAudit:
 
 class TestHeavyInputs:
     """Inputs that took seconds to minutes while each search layer was a
-    table over Aut(G); every witness is asymmetric by VF2's count of
-    self-maps."""
+    table over Aut(G), or while the hit layer was built whole; every
+    witness is asymmetric by VF2's count of self-maps."""
 
     @pytest.mark.parametrize("g,mode,value", [
         pytest.param(star(10), "mixed", 7, id="star10"),
-        pytest.param(complete(10), "remove-only", 8, id="k10-remove-only")])
+        pytest.param(complete(10), "remove-only", 8, id="k10-remove-only"),
+        pytest.param(star(11), "mixed", 8, id="star11"),
+        pytest.param(complete(12), "remove-only", 10, id="k12-remove-only"),
+        pytest.param(split(8, 3), "mixed", 7, id="split8+3")])
     def test_exact_value_with_vf2_checked_witnesses(self, g, mode, value):
-        res = asymmetric_index(g, mode)
+        res = asymmetric_index(g, mode, max_k=value)
         assert res.value == value and res.witnesses
+        assert len(set(res.witnesses)) == len(res.witnesses)
         for w in res.witnesses:
             assert w.size == value and (mode == "mixed" or not w.added)
             h = to_nx(apply_flips(g, w))

@@ -26,13 +26,13 @@ from asymindex.automorphism import (_orbit_partition, _pair_index, _pair_maps,
 from asymindex.enumeration import all_pairs, graph_from_mask
 from asymindex.families import path, cycle, complete, grid, star, torus, wheel
 import asymindex.search as search_mod
-from asymindex.search import (MODES, BudgetExceededError, FlipSet,
-                              NoAsymmetrizationError, SearchStats, apply_flips,
-                              asymmetric_index,
+from asymindex.search import (DEFAULT_WITNESS_CAP, MODES, BudgetExceededError,
+                              FlipSet, NoAsymmetrizationError, SearchStats,
+                              apply_flips, asymmetric_index,
                               count_nonisomorphic_asymmetrizations,
                               flip_orbit_layers)
 
-from conftest import brute_is_asymmetric, rebuilt_child
+from conftest import brute_is_asymmetric, rebuilt_child, whole_layers
 from test_automorphism import petersen
 
 
@@ -154,12 +154,17 @@ class TestAsymmetricIndex:
         assert exc.value.lower_bound == 1
 
     def test_witnesses_are_valid_and_sorted(self):
-        res = asymmetric_index(wheel(8), witness_cap=3)
-        assert len(res.witnesses) <= 3
-        assert res.witnesses == sorted(res.witnesses, key=FlipSet.sort_key)
-        for w in res.witnesses:
-            assert w.size == res.value
-            assert is_asymmetric(apply_flips(wheel(8), w))
+        # two flip orders reach C_6 + {0-2, 0-3} and W_6 - {0-1, 1-2}; each
+        # flip set is one witness
+        for g, mode, cap in ((wheel(8), "mixed", 3), (cycle(6), "mixed", 4),
+                             (cycle(6), "add-only", 4), (wheel(6), "mixed", 4),
+                             (wheel(6), "remove-only", 4)):
+            res = asymmetric_index(g, mode, witness_cap=cap)
+            assert 0 < len(res.witnesses) <= cap
+            assert res.witnesses == sorted(set(res.witnesses), key=FlipSet.sort_key)
+            for w in res.witnesses:
+                assert w.size == res.value
+                assert is_asymmetric(apply_flips(g, w))
 
     def test_matches_reference_on_all_six_vertex_classes(self, classes6):
         for g in classes6:
@@ -229,7 +234,7 @@ class TestAsymmetricIndex:
         out.append([exc.value.lower_bound, exc.value.universe_exhausted,
                     exc.value.stats.as_dict()])
         assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
-            "584d79ed082d8a8152ee156ab025c2c2d4757f8f9c109b6a7b1139553a8617ab"
+            "ab33d5d47bd99bad47b9ffc6283d61efe28d35f7ad442d6ea002aea6d46c3b4e"
 
 
 class TestTestedCount:
@@ -279,11 +284,11 @@ class TestTestedCount:
 class TestEngineWork:
     """The walk's canonical searches run on twin quotients, so the
     refinements one ``asymmetric_index`` run makes stay far below what
-    searches of each whole child cost: 562 on K_8 and 2447 on K_{1,8}."""
+    searches of each whole child cost: 428 on K_8 and 2268 on K_{1,8}."""
 
     @pytest.mark.parametrize("g,ceiling,stats", [
-        pytest.param(complete(8), 250, (1048, 237, 51), id="k8"),
-        pytest.param(star(9), 1000, (5178, 1618, 314), id="star9")])
+        pytest.param(complete(8), 250, (956, 237, 31), id="k8"),
+        pytest.param(star(9), 1000, (5054, 1618, 282), id="star9")])
     def test_refinements_under_the_search(self, monkeypatch, g, ceiling, stats):
         calls = 0
         refine = automorphism_mod._refine
@@ -298,6 +303,91 @@ class TestEngineWork:
         assert res.value == 6
         assert (res.stats.nodes, res.stats.tested, res.stats.dedup_hits) == stats
         assert calls <= ceiling
+
+
+def whole_layer_index(g: Graph, mode: str, max_k: int,
+                      cap: int = DEFAULT_WITNESS_CAP):
+    """(value, witnesses) by the whole-layer rule, or None past ``max_k``:
+    ``flip_orbit_layers`` runs to its end, its parts grouped by k, and the
+    first ``cap`` distinct asymmetric children of the first layer that
+    holds one are the witnesses, as sorted flip sets."""
+    if is_asymmetric(g):
+        return 0, [FlipSet()]
+    pairs = all_pairs(g.n)
+    for k, children in whole_layers(g, max_k, mode):
+        hits = []
+        for s, rows in children:
+            if is_asymmetric(Graph(g.n, rows)) and set(s) not in hits:
+                hits.append(set(s))
+        if hits:
+            return k, sorted((FlipSet(removed={pairs[i] for i in s if g.has_edge(*pairs[i])},
+                                      added={pairs[i] for i in s if not g.has_edge(*pairs[i])})
+                              for s in hits[:cap]), key=FlipSet.sort_key)
+    return None
+
+
+class TestStreamedLayers:
+    """``flip_orbit_layers`` yields each layer in parts, one per class
+    expanded, and ``asymmetric_index`` stops at its last witness or when
+    the layer after its first hit opens, so it searches fewer classes
+    than the whole layers would take, with the same answer."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        count = [0]
+        search = search_mod._class_search
+
+        def counted(*args):
+            count[0] += 1
+            return search(*args)
+
+        monkeypatch.setattr(search_mod, "_class_search", counted)
+        return count
+
+    # ai is at most 6 on 6 vertices in every mode (tests/test_census.py).
+    # The whole layers run up to the value found: a hit in an earlier layer
+    # or none in the last would show as another answer.
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_whole_layer_rule(self, classes6, mode):
+        for g in classes6:
+            try:
+                res = asymmetric_index(g, mode, max_k=6)
+            except BudgetExceededError:
+                assert whole_layer_index(g, mode, 6) is None
+                continue
+            assert whole_layer_index(g, mode, res.value) == \
+                (res.value, res.witnesses)
+
+    # torus(6, 7) finds its four witnesses among the children of its
+    # first two classes, where the whole layers 1 and 2 take 16 searches;
+    # C_6 has only three, so it stops when layer 3 opens, after the root
+    # and the three classes of layer 1
+    @pytest.mark.parametrize("g,value,witnesses,calls,whole", [
+        pytest.param(torus(6, 7), 2, 4, 2, 16, id="torus6x7"),
+        pytest.param(cycle(6), 2, 3, 4, 4, id="c6")])
+    def test_class_searches_up_to_the_stop(self, searches, g, value, witnesses,
+                                           calls, whole):
+        res = asymmetric_index(g)
+        assert (res.value, len(res.witnesses), searches[0]) == \
+            (value, witnesses, calls)
+        searches[0] = 0
+        whole_layers(g, value)
+        assert searches[0] == whole
+
+    def test_stopping_at_an_opening_part_searches_no_further(self, searches):
+        layers = flip_orbit_layers(cycle(8), 3)
+        assert next(layers) == (1, []) and searches[0] == 0
+        k, first = next(layers)
+        assert k == 1 and len(first) == 4 and searches[0] == 1
+        assert next(layers) == (2, []) and searches[0] == 1
+        layers.close()
+        assert searches[0] == 1
+        # read to the end, each child of layer 1 is searched once and
+        # layer 3 is only yielded
+        searches[0] = 0
+        parts = list(flip_orbit_layers(cycle(8), 3))
+        second = [c for k, part in parts if k == 2 for c in part]
+        assert searches[0] == 1 + len(first) + len(second)
 
 
 # -- orbit-table layers: the small-input oracle of the orbit tests
@@ -404,7 +494,7 @@ class TestLayers:
         # 6 vertices, by complement; the classes of K_6 - {01, 02} and
         # K_6 - {01, 23} have 4 and 3 orbits of edges
         stats = SearchStats()
-        layers = list(flip_orbit_layers(complete(6), 3, "remove-only", stats))
+        layers = whole_layers(complete(6), 3, "remove-only", stats)
         assert [(k, len(children)) for k, children in layers] == \
             [(1, 1), (2, 2), (3, 7)]
         assert [len({canonical_form(rebuilt_child(complete(6), c)) for c in children})
@@ -420,7 +510,7 @@ class TestLayers:
         for name in ("subgroup_elements", "group_elements"):
             monkeypatch.setattr(automorphism_mod, name, forbidden)
         # S_9 fixes the centre: one orbit of edges, one of non-edges
-        (_, first), _ = flip_orbit_layers(star(10), 2)
+        (_, first), _ = whole_layers(star(10), 2)
         assert len(first) == 2
 
     @pytest.mark.parametrize("mode", MODES)
@@ -430,7 +520,7 @@ class TestLayers:
         # no pair or one: every layer past the mode's universe is empty
         size = len([p for p in all_pairs(g.n) if mode == "mixed"
                     or g.has_edge(*p) == (mode == "remove-only")])
-        assert [(k, len(sets)) for k, sets in flip_orbit_layers(g, 3, mode)] == \
+        assert [(k, len(sets)) for k, sets in whole_layers(g, 3, mode)] == \
             [(k, int(k <= size)) for k in (1, 2, 3)]
 
     @pytest.mark.parametrize("mode", MODES)
@@ -439,7 +529,7 @@ class TestLayers:
     def test_first_layer_nodes_are_the_universe(self, g, mode):
         # nodes counts candidate pairs: at depth 1, the mode's whole universe
         stats = SearchStats()
-        list(flip_orbit_layers(g, 1, mode, stats))
+        whole_layers(g, 1, mode, stats)
         npairs = g.n * (g.n - 1) // 2
         size = {"mixed": npairs, "remove-only": g.edge_count,
                 "add-only": npairs - g.edge_count}[mode]
@@ -568,7 +658,7 @@ class TestLayerOne:
         images = pair_images(g, group_table(automorphism_group(g)))
         expected = sorted(set(images[universe].min(axis=1).tolist()))
         assert len(expected) == count
-        (k, children), = flip_orbit_layers(g, 1, mode)
+        (k, children), = whole_layers(g, 1, mode)
         assert k == 1
         for child in children:
             rebuilt_child(g, child)
