@@ -17,12 +17,11 @@ print(f"  printed lower bound {row.computed['claimed']} at n=8, but the upper "
 print(f"  -> {row.status} (allowlisted as {row.allowlist_key})")
 
 print()
-print("the torus claim: no single flip works, a two-removal witness does")
+print("the torus claim ai = 3: the search finds two flips enough")
 for row in verify("Thm2.10"):
-    print(f"  r={row.params['r']} s={row.params['s']}: computed {row.computed} "
+    print(f"  r={row.params['r']} s={row.params['s']}: ai = {row.evidence['value']} "
           f"-> {row.status}")
-    print("    one-flip hits:", row.evidence["one_flip_hits"],
-          " witness:", row.evidence["cross_direction_two_removal"])
+    print("    first witness:", row.evidence["witnesses"][0])
 
 print()
 print("whole-suite status counts (takes a little while):")

@@ -230,9 +230,12 @@ def _norm_range(value) -> list[int]:
     return values
 
 
-# -- claims that stay handlers ---------------------------------------------
-# Each yields ClaimReport rows.  ``budget`` is the search layer budget; a
-# ranged handler takes the in-domain values of its range parameter next.
+# -- the claim that stays a handler ------------------------------------------
+# Prop1.2 searches each class once and reads both of a row's indices off
+# those shared searches, its own and its complement's; as a table line it
+# would make ``_family_rows`` branch on this one caller.  It yields
+# ClaimReport rows; ``budget`` is the search layer budget, and the
+# in-domain orders of its range come next.
 
 _PROP_1_2 = "ai(G) = ai(complement(G))"
 
@@ -273,69 +276,18 @@ def _prop_1_2(budget, orders=(6,)) -> Iterator[ClaimReport]:
                           g, budget, partial(judge, g), search=search)
 
 
-def _torus_scan(r: int, s: int) -> ClaimReport:
-    """Thm2.10 row for C_r x C_s from two proofs.
-
-    The search's first layer (``asymmetric_index`` at ``max_k`` 1) covers
-    every pair but tests one per orbit of Aut(g) on pairs.  Its budget
-    stop proves ai > 1, and the shared-vertex cross-direction 2-removal
-    witness proves ai <= 2, so the row reads 2; a failed witness leaves
-    only ">= 2" (budget-exceeded in range).  A search that returns reads
-    its value, with its witnesses.
-    """
-    g = torus(r, s)
-    try:
-        res = asymmetric_index(g, max_k=1)
-        computed, evidence = res.value, _ai_evidence(res)
-    except BudgetExceededError as exc:
-        fs = FlipSet(removed=frozenset([(0, 1), (0, s)]))
-        ok = is_asymmetric(apply_flips(g, fs))
-        evidence = {"one_flip_candidates": exc.stats.nodes, "one_flip_hits": 0,
-                    "cross_direction_two_removal": fs.as_dict(), "asymmetric": ok}
-        computed = 2 if ok else ">= 2"
-    key = None
-    if r < 10 or s < 10:
-        status = NOT_APPLICABLE
-        evidence["note"] = "exploratory: below the claimed range r, s >= 10"
-    elif computed == ">= 2":
-        status = BUDGET_EXCEEDED
-    else:
-        status, key = REFUTED, "Thm2.10-nonsquare"
-        evidence["note"] = "explicit witness beats the claimed value 3"
-    return ClaimReport("Thm2.10", {"r": r, "s": s}, "ai(C_r x C_s) = 3",
-                       computed, status, evidence, allowlist_key=key,
-                       ai=computed if isinstance(computed, int) else None,
-                       vertices=g.n)
-
-
-def _component_bounds(parts: tuple[Graph, ...], budget) -> tuple[int, int]:
-    ai = [asymmetric_index(c, max_k=budget).value for c in parts]
-    return min(ai), sum(ai)
-
-
-def _thm_3_1(budget) -> Iterator[ClaimReport]:
-    text = "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)"
-    for label, parts in (("P6+C6", (path(6), cycle(6))),
-                         ("P6+P7", (path(6), path(7)))):
-        yield _bounds_row("Thm3.1", {"components": label}, text,
-                          disjoint_union(*parts),
-                          partial(_component_bounds, parts, budget), budget)
-    yield ClaimReport(
-        "Thm3.1", {"components": "P6+P6"}, text, None, NOT_APPLICABLE,
-        {"note": "isomorphic components; the one-line proof does not cover them"})
-
-
 # -- claims as data -------------------------------------------------------
 
 
 class _Check(namedtuple("_Check", (
         "row_id", "text", "instances", "graph", "value", "bounds", "witness", "claimed",
-        "oracle", "edits", "size", "removal_free", "values", "note", "params", "keys"),
-        defaults=(None,) * 8 + (False, (), "", {}, {}))):
+        "oracle", "edits", "size", "removal_free", "values", "note", "params", "keys",
+        "outside"),
+        defaults=(None,) * 8 + (False, (), "", {}, {}, {}))):
     """One row per instance x of a claim, in one of six shapes: the
     catalog ``witness(*x)`` asymmetrizes its graph; ``claimed(*x)`` equals
-    ``oracle(*x)``; ai(``graph(*x)``) is ``value``; ``bounds(graph(*x))``
-    = (lower, upper) holds around it; with ``removal_free``, no edge
+    ``oracle(*x)``; ai(``graph(*x)``) is ``value``; ``bounds(*x)`` =
+    (lower, upper) holds around it; with ``removal_free``, no edge
     removals asymmetrize the graph; or else the graph, edited by
     ``edits(*x)`` when given (of ``size(*x)`` pairs when given), is
     asymmetric.
@@ -346,8 +298,11 @@ class _Check(namedtuple("_Check", (
     row's params.  ``keys`` maps an instance tuple to the allowlist key
     of its refutation (for a search row, also of a graph that cannot be
     asymmetrized at all), or is one key for every instance; an equality
-    row's refutation also carries ``note``.  The empty ``params`` and
-    ``keys`` defaults are shared and only read.
+    row's refutation also carries ``note``.  ``outside`` maps an instance
+    tuple the claim does not cover to a note: its row is built as usual,
+    keeps its computed side and evidence, and reads not-applicable with
+    no allowlist key and the note in its evidence.  The empty ``params``,
+    ``keys`` and ``outside`` defaults are shared and only read.
     """
 
     __slots__ = ()
@@ -368,38 +323,43 @@ def _family_rows(checks: tuple[_Check, ...], coords: tuple[str, ...],
                 xs = [(v, *rest) for v in values
                       for rest in dict.fromkeys(x[1:] for x in xs)]
         for x in xs:
-            key = check.keys if isinstance(check.keys, str) else check.keys.get(x)
-            if check.witness:
-                spec, flips = witness(check.witness, *x)
-                yield _asym_row(check.row_id,
-                                {"witness": check.witness, "args": list(x)},
-                                check.text, generate(spec), flips, key=key)
-                continue
-            params = {**{c: to_graph6(v).decode() if isinstance(v, Graph) else v
-                         for c, v in zip(coords, x)}, **check.params}
-            if check.oracle:
-                claimed, computed = check.claimed(*x), check.oracle(*x)
-                ok = claimed == computed
-                yield ClaimReport(check.row_id, params, check.text,
-                                  {"claimed": claimed, "computed": computed},
-                                  CONFIRMED if ok else REFUTED,
-                                  {"note": check.note} if check.note and not ok else {},
-                                  allowlist_key=None if ok else key)
-                continue
-            g = check.graph(*x)
-            if check.bounds:
-                yield _bounds_row(check.row_id, params, check.text, g,
-                                  partial(check.bounds, g), budget, key)
-            elif check.value is not None:
-                yield _search_row(check.row_id, params, check.text, g, budget,
-                                  lambda res: (res.value, res.value == check.value,
-                                               _ai_evidence(res)), key)
-            elif check.removal_free:
-                yield _removal_free_row(check.row_id, params, g, check.text, budget)
-            else:
-                yield _asym_row(check.row_id, params, check.text, g,
-                                check.edits and check.edits(*x),
-                                check.size and check.size(*x), key)
+            row = _check_row(check, coords, x, budget)
+            if x in check.outside:
+                row.status, row.allowlist_key = NOT_APPLICABLE, None
+                row.evidence["note"] = check.outside[x]
+            yield row
+
+
+def _check_row(check: _Check, coords: tuple[str, ...], x: tuple,
+               budget) -> ClaimReport:
+    """The row of ``check`` on instance ``x``, in the check's shape."""
+    key = check.keys if isinstance(check.keys, str) else check.keys.get(x)
+    if check.witness:
+        spec, flips = witness(check.witness, *x)
+        return _asym_row(check.row_id, {"witness": check.witness, "args": list(x)},
+                         check.text, generate(spec), flips, key=key)
+    params = {**{c: to_graph6(v).decode() if isinstance(v, Graph) else v
+                 for c, v in zip(coords, x)}, **check.params}
+    if check.oracle:
+        claimed, computed = check.claimed(*x), check.oracle(*x)
+        ok = claimed == computed
+        return ClaimReport(check.row_id, params, check.text,
+                           {"claimed": claimed, "computed": computed},
+                           CONFIRMED if ok else REFUTED,
+                           {"note": check.note} if check.note and not ok else {},
+                           allowlist_key=None if ok else key)
+    g = check.graph(*x)
+    if check.bounds:
+        return _bounds_row(check.row_id, params, check.text, g,
+                           partial(check.bounds, *x), budget, key)
+    if check.value is not None:
+        return _search_row(check.row_id, params, check.text, g, budget,
+                           lambda res: (res.value, res.value == check.value,
+                                        _ai_evidence(res)), key)
+    if check.removal_free:
+        return _removal_free_row(check.row_id, params, g, check.text, budget)
+    return _asym_row(check.row_id, params, check.text, g,
+                     check.edits and check.edits(*x), check.size and check.size(*x), key)
 
 
 def _transposable_bound(g: Graph) -> int:
@@ -445,18 +405,27 @@ _NAMED = {"P_8": path(8), "C_8": cycle(8), "C_9": cycle(9), "W_8": wheel(8),
           "empty_6": Graph.empty(6)}
 _GRIDS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
 _CIRCULANTS = ((4, "+"), (4, "-"))
+#: Thm3.1's component lists, by label.
+_COMPONENTS = {"P6+C6": (path(6), cycle(6)), "P6+P7": (path(6), path(7)),
+               "P6+P6": (path(6), path(6))}
+
+
+def _component_bounds(label: str) -> tuple[int, int]:
+    """(min, sum) of the components' indices.  Their searches take no
+    layer budget: each component here has an index at most its union's,
+    so they return whenever the union's own search did."""
+    ai = [asymmetric_index(c).value for c in _COMPONENTS[label]]
+    return min(ai), sum(ai)
 
 
 # -- catalog ----------------------------------------------------------------
 
 
-class _Entry(namedtuple("_Entry", ("rows", "param", "minimum", "texts"),
-                        defaults=(None, None, {}))):
+class _Entry(namedtuple("_Entry", ("rows", "param", "minimum", "texts"))):
     """One catalog entry: ``rows(budget)`` yields the default instances'
     rows.  With a range ``param`` it also takes ``rows(budget, values)``;
     values below ``minimum`` give not-applicable rows.  ``texts`` maps
-    each row id it produces to its statement, when it has a range or more
-    row ids than its own.
+    each row id it produces to its statement.
     """
 
     __slots__ = ()
@@ -491,7 +460,7 @@ _CATALOG: dict[str, _Entry] = {
         None, None, ("graph",),
         _Check("Lem1.4", "ai(G) >= floor((t-1)/2) for a pairwise-transposable t-set",
                ("K_1,5", "K_6", "C_8"), _NAMED.__getitem__,
-               bounds=lambda g: (_transposable_bound(g), None),
+               bounds=lambda label: (_transposable_bound(_NAMED[label]), None),
                keys={("C_8",): "Lem1.4-overreach"})),
     "Lem2.1": _family(
         "i", 6, ("i",),
@@ -503,7 +472,7 @@ _CATALOG: dict[str, _Entry] = {
         None, None, ("graph",),
         _Check("Thm1.2", "0 <= ai(G) <= n(n-1)/2 - (n-2)",
                ("P_8", "C_9", "W_8", "K_6", "K_1,6", "empty_6"), _NAMED.__getitem__,
-               bounds=lambda g: (0, general_upper_bound(g.n)))),
+               bounds=lambda label: (0, general_upper_bound(_NAMED[label].n)))),
     "Thm2.1": _family(
         "n", 6, ("n",),
         _Check("Thm2.1", "ai(P_n) = 1", range(6, 13), path, 1),
@@ -545,7 +514,7 @@ _CATALOG: dict[str, _Entry] = {
     "Thm2.5": _family(
         "n", 6, ("n",),
         _Check("Thm2.5", "floor((n-1)/2) <= ai(K_{1,n-1}) <= n-1", range(6, 10),
-               star, bounds=lambda g: ((g.n - 1) // 2, g.n - 1))),
+               star, bounds=lambda n: ((n - 1) // 2, n - 1))),
     "Thm2.6": _family(
         None, None, ("n",),
         _Check("Thm2.6-exact", "ai(K_n) = 6", (6, 7), Graph.complete, 6),
@@ -557,7 +526,7 @@ _CATALOG: dict[str, _Entry] = {
                note="printed lower bound exceeds the upper bound",
                keys="Thm2.6-printed-lower"),
         _Check("Thm2.6-asymptotic", "6*floor(n/7) <= ai(K_n) <= n - 2", (8,), Graph.complete,
-               bounds=lambda g: itemgetter("lower_asymptotic", "upper")(kn_bound_formulas(g.n))),
+               bounds=lambda n: itemgetter("lower_asymptotic", "upper")(kn_bound_formulas(n))),
         _Check("Thm2.6-upper",
                "removing an asymmetric forest leaves K_n asymmetric (ai <= n-2)",
                (8, 9, 10), Graph.complete,
@@ -583,8 +552,15 @@ _CATALOG: dict[str, _Entry] = {
                "removing two edges at the corner vertex asymmetrizes P_r x C_s",
                ((2, 3), (2, 4), (3, 5)), witness="pxc-two-removals",
                keys={(2, 4): "Thm2.9-witness-cube"})),
-    "Thm2.10": _Entry(lambda budget: (_torus_scan(6, 7), _torus_scan(10, 11))),
-    "Thm3.1": _Entry(_thm_3_1),
+    "Thm2.10": _family(None, None, ("r", "s"), _Check(
+        "Thm2.10", "ai(C_r x C_s) = 3", ((6, 7), (10, 11)), torus, 3,
+        keys="Thm2.10-nonsquare",
+        outside={(6, 7): "exploratory: below the claimed range r, s >= 10"})),
+    "Thm3.1": _family(None, None, ("components",), _Check(
+        "Thm3.1", "min_i ai(G_i) <= ai(G) <= sum_i ai(G_i)", tuple(_COMPONENTS),
+        lambda label: disjoint_union(*_COMPONENTS[label]), bounds=_component_bounds,
+        outside={("P6+P6",): "isomorphic components; the one-line proof does not "
+                             "cover them"})),
     "Ex3.1": _family(
         "l", 3, ("l",),
         _Check("Ex3.1", "joining each pendant path to its own cycle vertex gives an "
@@ -601,7 +577,7 @@ _ALIASES = {"Thm2.7": "Thm1.2"}
 CLAIM_IDS = tuple(_CATALOG)
 
 #: Row ids produced by each catalog entry (for id resolution).
-ROW_IDS = {cid: tuple(entry.texts) or (cid,) for cid, entry in _CATALOG.items()}
+ROW_IDS = {cid: tuple(entry.texts) for cid, entry in _CATALOG.items()}
 
 
 def _resolve(claim_id: str) -> tuple[str, str | None]:

@@ -2,15 +2,17 @@
 
 The oracles here deliberately avoid the library's refinement machinery:
 isomorphism classes come from marking permutation orbits over all labeled
-graphs, automorphisms are counted by looping over every permutation, and
-groups are closed by breadth-first search over products of generators.
-That keeps the expected values independent of the code paths they check.
+graphs, automorphisms are counted by looping over every permutation (on
+large graphs, by networkx's VF2), and groups are closed by breadth-first
+search over products of generators.  That keeps the expected values
+independent of the code paths they check.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -78,6 +80,28 @@ def brute_automorphism_count(g: Graph) -> int:
 
 def brute_is_asymmetric(g: Graph) -> bool:
     return brute_automorphism_count(g) == 1
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def vf2_self_maps(g: Graph, cap: int | None = None) -> int:
+    """Automorphisms of ``g`` found by networkx's VF2, at most ``cap``."""
+    h = to_nx(g)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+    return sum(1 for _ in itertools.islice(matcher.isomorphisms_iter(), cap))
+
+
+def witnesses_asymmetrize(g: Graph, witnesses: list[dict]) -> bool:
+    """By VF2: ``g`` has a non-trivial automorphism, and ``g`` edited by
+    each witness (a ``FlipSet.as_dict``, of which there is at least one)
+    has only the identity."""
+    return vf2_self_maps(g, 2) == 2 and bool(witnesses) and all(
+        vf2_self_maps(apply_flips(g, FlipSet(**w))) == 1 for w in witnesses)
 
 
 def bfs_closure(generators, n: int) -> list:

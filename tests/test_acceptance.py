@@ -17,8 +17,8 @@ from asymindex.enumeration import (all_pairs, asymmetric_graphs,
                                    graph_from_mask, nonisomorphic_graphs)
 from asymindex.families import (circulant, complete, cycle, generate, grid,
                                 path, path_cycle, pendant_extension, star,
-                                wheel, witness, FamilySpec)
-from asymindex.search import (BudgetExceededError, FlipSet,
+                                torus, wheel, witness)
+from asymindex.search import (BudgetExceededError,
                               NoAsymmetrizationError, apply_flips,
                               asymmetric_index,
                               count_nonisomorphic_asymmetrizations)
@@ -27,7 +27,7 @@ from asymindex.claims import (CONFIRMED, NOT_APPLICABLE, REFUTED,
                               general_upper_bound, kn_bound_formulas,
                               partition_count, verify)
 
-from conftest import brute_automorphism_count
+from conftest import brute_automorphism_count, witnesses_asymmetrize
 
 # every (n, ai) value computed during this run, for the criterion-13 sweep
 _AI_VALUES: list[tuple[int, int]] = []
@@ -208,24 +208,20 @@ def test_criterion_12_products_and_torus():
         ok &= _ai(path_cycle(2, s)) == 2
     rows = {(r.params["r"], r.params["s"]): r for r in verify("Thm2.10")}
     sub, big = rows[(6, 7)], rows[(10, 11)]
-    ev = sub.evidence
-    ok &= ev["one_flip_candidates"] == 861 and ev["one_flip_hits"] == 0
     ok &= sub.status == NOT_APPLICABLE  # recorded as exploratory, sub-range
-    ok &= sub.computed == 2  # no 1-flip hit plus a 2-removal witness pin it
-    ev = big.evidence
-    ok &= ev["one_flip_candidates"] == 5995 and ev["one_flip_hits"] == 0
-    ok &= big.computed == 2 and big.status == REFUTED
-    ok &= big.allowlist_key == "Thm2.10-nonsquare"
-    # cross-direction witnesses re-validated against the engine
+    ok &= sub.allowlist_key is None
+    ok &= big.status == REFUTED and big.allowlist_key == "Thm2.10-nonsquare"
+    # the search's value, and each of its witnesses re-validated by VF2
     for (r, s), row in rows.items():
-        two = row.evidence["cross_direction_two_removal"]
-        fs2 = FlipSet(removed=frozenset(map(tuple, two["removed"])))
-        ok &= not two["added"] and len(fs2.removed) == 2
-        ok &= is_asymmetric(apply_flips(generate(FamilySpec("torus", (r, s))), fs2))
+        ok &= row.computed == row.ai == row.evidence["value"] == 2
+        ok &= witnesses_asymmetrize(torus(r, s), row.evidence["witnesses"])
         _AI_VALUES.append((r * s, 2))
+    union, = [r for r in verify("Thm3.1") if r.params["components"] == "P6+P6"]
+    ok &= witnesses_asymmetrize(disjoint_union(path(6), path(6)),
+                                union.evidence["witnesses"])
     _criterion(12, 1800, t0, ok,
-               "ai(P_2xC_3) = ai(P_2xC_4) = 2; torus 1-flip scans complete, "
-               "C_6xC_7 and C_10xC_11 pinned to 2 by a 2-removal witness")
+               "ai(P_2xC_3) = ai(P_2xC_4) = 2; C_6xC_7 and C_10xC_11 searched "
+               "to 2, every witness and P6+P6's checked by VF2")
 
 
 def test_criterion_13_bounds_ledger():

@@ -1,9 +1,11 @@
 """Claim ledger: formulas against enumeration oracles, statuses, evidence
 discipline, and determinism."""
 
+import ast
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,11 @@ from asymindex.claims import (cycle_augmentation_formula,
                               REFUTED, NOT_APPLICABLE)
 from asymindex.automorphism import canonical_form
 from asymindex.families import cycle, path
-from asymindex.graph import from_graph6
+from asymindex.graph import disjoint_union, from_graph6
 from asymindex.search import (BudgetExceededError, SearchStats, asymmetric_index,
                               count_nonisomorphic_asymmetrizations)
+
+BENCH_CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
 
 
 class TestPartitionCount:
@@ -125,7 +129,7 @@ class TestVerify:
         assert by_graph["C_8"].allowlist_key == "Lem1.4-overreach"
 
     @pytest.mark.parametrize("claim_id", ["Lem1.4", "Thm1.2", "Thm2.5",
-                                          "Thm2.6", "Thm3.1", "Prop1.2"])
+                                          "Thm2.6", "Thm2.10", "Thm3.1", "Prop1.2"])
     def test_budget_stop_gives_rows(self, claim_id):
         # a search that stops at the layer budget yields a budget-exceeded
         # row carrying the bound proven for the row's own graph
@@ -207,6 +211,35 @@ class TestVerify:
         rows = verify("Thm3.1")
         degenerate = [r for r in rows if r.params["components"] == "P6+P6"]
         assert degenerate[0].status == NOT_APPLICABLE
+        assert degenerate[0].ai == degenerate[0].evidence["value"] == 1
+        assert degenerate[0].evidence["note"].startswith("isomorphic components")
+
+    def test_thm31_component_searches_need_no_budget(self):
+        # the component searches take no layer budget, which holds the
+        # rows to the union's budget while no component outranks its union
+        for parts in claims._COMPONENTS.values():
+            assert max(asymmetric_index(c).value for c in parts) <= \
+                asymmetric_index(disjoint_union(*parts)).value
+
+    @pytest.mark.parametrize("budget", [None, 0, 1, 2])
+    def test_outside_rows_carry_no_key(self, budget):
+        # the (6,7) torus and P6+P6 are outside their claims: whatever their
+        # search gives, the rows read not-applicable with no allowlist key
+        rows = [r for r in verify("Thm2.10", budget=budget) + verify("Thm3.1", budget=budget)
+                if r.params in ({"r": 6, "s": 7}, {"components": "P6+P6"})]
+        assert len(rows) == 2
+        for r in rows:
+            assert r.status == NOT_APPLICABLE and r.allowlist_key is None
+            assert r.evidence["note"]
+
+    def test_outside_row_keeps_a_budget_stop(self):
+        # a stopped search is reported as such, under not-applicable
+        sub, big = verify("Thm2.10", budget=1)
+        assert sub.params == {"r": 6, "s": 7} and sub.status == NOT_APPLICABLE
+        assert sub.computed == "> 1" and sub.ai is None
+        assert sub.evidence == {"proven_lower_bound": 2, "note": "exploratory: below "
+                                "the claimed range r, s >= 10"}
+        assert big.status == claims.BUDGET_EXCEEDED
 
     def test_report_serialization(self):
         row = verify("Lem2.1", i=7)[0]
@@ -235,15 +268,6 @@ class TestVerify:
         assert row.status == REFUTED
         assert row.computed == {"size": 6, "asymmetric": True}
 
-    def test_torus_row_reads_a_returned_search(self, monkeypatch):
-        # no catalog torus has ai <= 1; a graph that does makes the
-        # first-layer search return, and the row reads its value
-        monkeypatch.setattr(claims, "torus", lambda r, s: path(6))
-        row = claims._torus_scan(10, 11)
-        assert row.computed == row.ai == 1
-        assert row.status == REFUTED and row.allowlist_key == "Thm2.10-nonsquare"
-        assert row.evidence["value"] == 1 and row.evidence["witnesses"]
-
     def test_determinism(self):
         first = [r.to_dict() for r in verify("Thm2.3")]
         second = [r.to_dict() for r in verify("Thm2.3")]
@@ -255,6 +279,17 @@ def suite_rows():
     return verify_suite()
 
 
+def bench_ledger_pins() -> dict:
+    """The ledger checker's pinned constants, read from ``bench/checks.py``
+    with ``ast``; the bench is not imported."""
+    names = {"LEDGER_ROWS", "LEDGER_STATUS", "LEDGER_REFUTED_KEY"}
+    pins = {node.targets[0].id: ast.literal_eval(node.value)
+            for node in ast.parse(BENCH_CHECKS.read_text()).body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names}
+    assert set(pins) == names
+    return pins
+
+
 class TestSuite:
 
     def test_every_catalog_claim_has_rows(self, suite_rows):
@@ -262,10 +297,21 @@ class TestSuite:
         for cid in claims.CLAIM_IDS:
             assert any(p in produced for p in claims.ROW_IDS[cid]), cid
 
+    def test_bench_ledger_checker_agrees(self, suite_rows):
+        # bench/checks.py pins the ledger's row count, its (claim, status)
+        # counts and the key of each refuted claim; the bench marks a pass
+        # incorrect when the suite leaves them
+        pins = bench_ledger_pins()
+        assert len(suite_rows) == pins["LEDGER_ROWS"]
+        assert Counter((r.claim_id, r.status) for r in suite_rows) == Counter(
+            {(c, s): k for c, by in pins["LEDGER_STATUS"].items() for s, k in by.items()})
+        assert {(r.claim_id, r.allowlist_key) for r in suite_rows if r.status == REFUTED} \
+            == set(pins["LEDGER_REFUTED_KEY"].items())
+
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "ee356cdf9f797cc1f98e92a3fa39d2b18268665a84341fa1114f98808280ca99")
+            "ff4e88dd551d760127a8b7d8080a3faa6bea133a1b413a19ec4707be9144c77d")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path
@@ -334,16 +380,27 @@ class TestSuite:
         # at least the 156 complement-duality instances feed the sweep
         assert sweep[0].params["values_checked"] > 156
 
+    def test_outside_rows_feed_the_sweep(self, suite_rows):
+        # a not-applicable row outside its claim keeps the search's value,
+        # and the sweep checks it
+        sub, union = [r for r in suite_rows
+                      if r.params in ({"r": 6, "s": 7}, {"components": "P6+P6"})]
+        assert (sub.computed, sub.ai, sub.vertices) == (2, 2, 42)
+        assert (union.computed, union.ai, union.vertices) == \
+            ({"lower": 1, "ai": 1, "upper": 2}, 1, 12)
+        assert sub.status == union.status == NOT_APPLICABLE
+        assert sub.allowlist_key is union.allowlist_key is None
+
     def test_sweep_rows_carry_vertex_counts(self, suite_rows):
         fed = [r for r in suite_rows if r.ai is not None]
         sweep = next(r for r in suite_rows if r.claim_id == "Thm1.2-sweep")
-        assert len(fed) == sweep.params["values_checked"] == 208
+        assert len(fed) == sweep.params["values_checked"] == 209
         by_claim = {}
         for r in fed:
             by_claim.setdefault(r.claim_id, []).append(r.vertices)
         assert sorted(by_claim["Thm2.4"]) == [15, 17]
         assert sorted(by_claim["Thm2.3-alt"]) == [7, 8, 9, 10]
-        assert sorted(by_claim["Thm3.1"]) == [12, 13]
+        assert sorted(by_claim["Thm3.1"]) == [12, 12, 13]
         assert sorted(by_claim["Thm2.10"]) == [42, 110]
         for r in fed:
             if "graph6" in r.params:

@@ -291,7 +291,8 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "suite", "--budget", "1")
         assert code == 0 and err == ""
         assert out.splitlines()[-1].endswith(
-            "133 budget-exceeded, 2 not-applicable")
+            "604 confirmed, 23 refuted (23 allowlisted), 134 budget-exceeded, "
+            "2 not-applicable")
 
     def test_unknown_claim_exit2(self, capsys):
         code, _, err = run(capsys, "verify", "Thm7.7")

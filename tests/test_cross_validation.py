@@ -2,30 +2,22 @@
 an independent algorithm family, so agreement here is real evidence."""
 
 import random
-from itertools import islice
 
 import networkx as nx
 import pytest
 
-from asymindex.graph import Graph
+from asymindex.graph import Graph, disjoint_union
 from asymindex.automorphism import (AutReport, are_isomorphic,
                                     automorphism_group, group_elements,
                                     identity_perm,
                                     is_asymmetric, subgroup_elements)
 from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 from asymindex.claims import verify
-from asymindex.families import complete, split, star, torus
-from asymindex.search import FlipSet, apply_flips, asymmetric_index
+from asymindex.families import complete, path, split, star, torus
+from asymindex.search import apply_flips, asymmetric_index
 
-from conftest import bfs_closure
+from conftest import bfs_closure, to_nx, witnesses_asymmetrize
 from test_search import reference_index
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges())
-    return out
 
 
 class TestIsomorphismAgainstVf2:
@@ -68,18 +60,16 @@ class TestIsomorphismAgainstVf2:
             assert automorphism_group(g).order == count
 
     def test_torus_witness_self_maps(self):
-        # each Thm2.10 row's upper bound rests on its two-removal witness:
-        # the torus has a non-trivial self-map and the edited graph has none
+        # every witness of the Thm2.10 rows and of Thm3.1's P6+P6 row: the
+        # row's graph has a non-trivial self-map and each edited graph none
         rows = verify("Thm2.10")
         assert [(r.params["r"], r.params["s"]) for r in rows] == [(6, 7), (10, 11)]
         for row in rows:
             g = torus(row.params["r"], row.params["s"])
-            removed = row.evidence["cross_direction_two_removal"]["removed"]
-            h = to_nx(apply_flips(g, FlipSet(removed=frozenset(map(tuple, removed)))))
-            base = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
-            assert len(list(islice(base.isomorphisms_iter(), 2))) == 2
-            edited = nx.algorithms.isomorphism.GraphMatcher(h, h)
-            assert sum(1 for _ in edited.isomorphisms_iter()) == 1
+            assert witnesses_asymmetrize(g, row.evidence["witnesses"])
+        union, = [r for r in verify("Thm3.1") if r.params["components"] == "P6+P6"]
+        assert witnesses_asymmetrize(disjoint_union(path(6), path(6)),
+                                     union.evidence["witnesses"])
 
 
 class TestSearchSpotAudit:

@@ -1,8 +1,4 @@
-"""Demo scripts run to completion from a checkout.
-
-``05_claim_ledger.py`` is left out: it runs the whole claim ledger,
-which ``test_claims.py`` already exercises.
-"""
+"""Demo scripts run to completion from a checkout."""
 
 import os
 import subprocess
@@ -13,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_graphs_and_formats.py", "02_families_and_witnesses.py",
-         "03_automorphism_engine.py", "04_asymmetric_index.py"]
+         "03_automorphism_engine.py", "04_asymmetric_index.py", "05_claim_ledger.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)
