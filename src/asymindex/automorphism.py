@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graph import Graph, _iter_bits, pack_triangle_bits, triangle_bits
+from .graph import Frozen, Graph, _iter_bits, pack_triangle_bits, triangle_bits
 
 Perm = tuple[int, ...]
 
@@ -399,31 +399,14 @@ def is_asymmetric(g: Graph) -> bool:
     return not _has_twins(g.rows, g.n) and find_nontrivial_automorphism(g) is None
 
 
-class AutReport:
+class AutReport(Frozen):
     """Automorphism group summary: exact order, generators, orbits, base."""
 
     __slots__ = ("is_asymmetric", "order", "generators", "orbits", "base")
 
     def __init__(self, is_asymmetric: bool, order: int, generators: tuple[Perm, ...],
                  orbits: tuple[tuple[int, ...], ...], base: tuple[int, ...]):
-        for name, value in zip(AutReport.__slots__,
-                               (is_asymmetric, order, generators, orbits, base)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AutReport instances are immutable")
-
-    def _fields(self) -> tuple:
-        return (self.is_asymmetric, self.order, self.generators, self.orbits, self.base)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AutReport) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (AutReport, self._fields())
+        self._set(is_asymmetric, order, generators, orbits, base)
 
 
 def automorphism_group(g: Graph) -> AutReport:

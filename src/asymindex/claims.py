@@ -19,7 +19,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .graph import Graph, disjoint_union, join, to_graph6
+from .graph import Graph, Record, disjoint_union, join, to_graph6
 from .automorphism import (automorphism_group, canonical_form, cycles_str,
                            find_nontrivial_automorphism, is_asymmetric,
                            is_automorphism, transposable_pairs)
@@ -51,7 +51,7 @@ DEFAULT_ALLOWLIST = (
 )
 
 
-class ClaimReport:
+class ClaimReport(Record):
     """Outcome of one claim instance.
 
     ``ai`` and ``vertices`` are the exact index a row computed and the
@@ -74,10 +74,6 @@ class ClaimReport:
         self.allowlist_key = allowlist_key
         self.ai = ai
         self.vertices = vertices
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClaimReport) and (self.to_dict(), self.ai, self.vertices) \
-            == (other.to_dict(), other.ai, other.vertices)
 
     def to_dict(self) -> dict:
         return {"claim": self.claim_id, "params": self.params,

@@ -25,7 +25,41 @@ def _iter_bits(x: int) -> Iterator[int]:
         x ^= b
 
 
-class Graph:
+class Record:
+    """A record of named fields, its ``__slots__``: equal to a record of
+    the same type whose fields are all equal, and unhashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+
+class Frozen(Record):
+    """An immutable record, hashed by its fields.  Copy and pickle go back
+    through the constructor, so they re-validate."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Write the fields once, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} instances are immutable")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class Graph(Frozen):
     """Undirected simple graph on vertices ``0..n-1``.
 
     Instances are immutable values: edit operations return new graphs, so
@@ -34,8 +68,8 @@ class Graph:
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Iterable[int] = (), *, _trusted: bool = False):
-        rows = tuple(rows) if rows else tuple([0] * n)
+    def __init__(self, n: int, rows: Iterable[int] | None = None, *, _trusted: bool = False):
+        rows = tuple([0] * n) if rows is None else tuple(rows)
         if not _trusted:
             if n < 0:
                 raise ValueError("vertex count must be nonnegative")
@@ -50,14 +84,9 @@ class Graph:
                 for u in _iter_bits(row):
                     if not (rows[u] >> v) & 1:
                         raise ValueError(f"adjacency not symmetric at ({v},{u})")
+        # direct writes, not ``_set``: the search builds one Graph per test
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph instances are immutable")
-
-    def __reduce__(self):
-        return (Graph, (self.n, self.rows))     # copy and pickle re-validate
 
     # -- constructors -------------------------------------------------
 
@@ -172,12 +201,6 @@ class Graph:
         return Graph(n, rows, _trusted=True)
 
     # -- dunder -------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

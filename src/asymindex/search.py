@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Graph
+from .graph import Frozen, Graph, Record
 from .enumeration import all_pairs
 from .automorphism import (_class_search, _orbit_partition, _pair_index,
                            _pair_maps, _search, _has_twins, canonical_form,
@@ -65,7 +65,7 @@ def _norm_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-class FlipSet:
+class FlipSet(Frozen):
     """A set of removed existing edges plus added non-edges."""
 
     __slots__ = ("removed", "added")
@@ -76,21 +76,7 @@ class FlipSet:
         added = frozenset(_norm_pair(*e) for e in added)
         if removed & added:
             raise ValueError("removed and added sets overlap")
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "added", added)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlipSet instances are immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FlipSet) and \
-            (self.removed, self.added) == (other.removed, other.added)
-
-    def __hash__(self) -> int:
-        return hash((self.removed, self.added))
-
-    def __reduce__(self):
-        return (FlipSet, (self.removed, self.added))
+        self._set(removed, added)
 
     @property
     def size(self) -> int:
@@ -113,7 +99,7 @@ class FlipSet:
         return f"FlipSet(removed=[{rem}] added=[{add}])"
 
 
-class SearchStats:
+class SearchStats(Record):
     __slots__ = ("nodes", "tested", "dedup_hits")
 
     def __init__(self, nodes: int = 0, tested: int = 0, dedup_hits: int = 0):
@@ -128,11 +114,8 @@ class SearchStats:
         return {"nodes": self.nodes, "tested": self.tested,
                 "dedup_hits": self.dedup_hits}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SearchStats) and self.as_dict() == other.as_dict()
 
-
-class AiResult:
+class AiResult(Record):
     """Computed index with witnesses and search statistics."""
 
     __slots__ = ("value", "witnesses", "mode", "stats")
@@ -143,11 +126,6 @@ class AiResult:
         self.witnesses = [] if witnesses is None else witnesses
         self.mode = mode
         self.stats = SearchStats() if stats is None else stats
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AiResult) and \
-            (self.value, self.witnesses, self.mode, self.stats) == \
-            (other.value, other.witnesses, other.mode, other.stats)
 
 
 def apply_flips(g: Graph, flips: FlipSet) -> Graph:

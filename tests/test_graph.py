@@ -49,6 +49,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="beyond"):
             Graph(2, [4, 0])
 
+    def test_row_count_checked_when_rows_are_empty(self):
+        # only leaving rows out gives the edgeless graph; an empty
+        # sequence is a sequence of the wrong length
+        for rows in ([], ()):
+            with pytest.raises(ValueError, match="expected 3 adjacency rows, got 0"):
+                Graph(3, rows)
+        assert Graph(3) == Graph.empty(3)
+        assert Graph(0, []) == Graph.empty(0)
+
     def test_from_edges_errors(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(3, [(0, 3)])

@@ -1,7 +1,7 @@
 """The package's records behave as values: a copy, a deep copy and a
-pickle round trip give an equal object, equality compares the fields,
-the frozen records hash by value and refuse assignment, and the mutable
-ones are unhashable."""
+pickle round trip give an equal object, equality compares the type and
+the fields, the frozen records hash by value and refuse assignment with
+an error that names their class, and the mutable ones are unhashable."""
 
 import copy
 import pickle
@@ -53,4 +53,26 @@ def test_record_is_a_value(name):
         assert hash(a) == hash(b)
         with pytest.raises(AttributeError):
             setattr(a, frozen_field, getattr(b, frozen_field))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_equals_only_its_own_type(name):
+    # a record's fields alone, such as a FlipSet's (removed, added) or a
+    # Graph's (n, rows), never equal it, and bring no ordering with them
+    a = RECORDS[name][0]()
+    fields = tuple(getattr(a, slot) for slot in type(a).__slots__)
+    for value in (fields, list(fields)):
+        assert a != value and value != a
+    with pytest.raises(TypeError):
+        a < fields
+
+
+@pytest.mark.parametrize("name", [n for n, (_, _, field) in RECORDS.items() if field])
+def test_immutability_error_names_the_class(name):
+    make, _, field = RECORDS[name]
+    a = make()
+    with pytest.raises(AttributeError, match=f"^{name} instances are immutable$"):
+        setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError, match=f"^{name} instances are immutable$"):
+        a.unknown = 1
 

@@ -6,7 +6,8 @@ function stops a traced run (``bench/run.py --trace 1``) at the first
 missing name.  The tuple is read with ``ast``; the bench is not imported.
 The same ``ast`` reading keeps the ledger and the CLI off the engine's
 private names, checks that every name the test modules import from
-the package exists, and keeps numpy and dataclasses out of the package.  The tracer's
+the package exists, keeps numpy and dataclasses out of the package and
+keeps the record protocol in ``graph.py``.  The tracer's
 check that the asymmetry tests under ``asymmetric_index`` number
 ``SearchStats.tested`` is held here with a counter in its place.
 """
@@ -144,3 +145,16 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_record_protocol_lives_in_graph():
+    # `graph.Record` and `graph.Frozen` say once what a record's
+    # equality, hash, immutability and copying are; no other class in the
+    # package writes them again
+    protocol = {"__eq__", "__hash__", "__setattr__", "__reduce__"}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    own = [f"{m.name}: {node.name}.{item.name}" for m in modules if m.name != "graph.py"
+           for node in ast.walk(ast.parse(m.read_text())) if isinstance(node, ast.ClassDef)
+           for item in node.body if isinstance(item, ast.FunctionDef) and item.name in protocol]
+    assert own == []
