@@ -10,8 +10,8 @@ gives an automorphism; the automorphisms found prune the tree and
 generate the group that fixes the partition's cells.  Cells are vertex
 bitmasks.  Refinement is incremental: a tree node individualizes one
 vertex of an equitable partition, and only the remainder of its cell is
-queued as a splitter; a splitter visits only the cells that meet its
-neighbourhood; refinement stops once the partition is discrete.  Each of
+queued as a splitter; a splitter counts only inside the cells that meet
+its neighbourhood; refinement stops once the partition is discrete.  Each of
 these yields the same ordered partition as queueing and scanning every
 cell.
 
@@ -26,12 +26,14 @@ The class walk of ``search`` canonicalizes each child on its twin
 quotient instead (``_class_search``): every twin class becomes one
 vertex coloured by its kind and size, so the tree search runs on fewer
 vertices, and its key and lifted generators, with a swap and a cycle
-per twin class, stand in for the leaf and generators of the whole graph.
+per twin class, stand in for the leaf, generators and order of the
+whole graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .graph import Frozen, Graph, _iter_bits, pack_triangle_bits, triangle_bits
 
@@ -104,10 +106,10 @@ def _refine(rows: tuple[int, ...], cells: list[int],
     """Coarsest equitable refinement of an ordered partition.
 
     Split groups are ordered by neighbor count, so the refined cell order
-    depends only on isomorphism-invariant data.  A splitter visits only
-    the cells that meet its neighbourhood ``hit``, whose count-0 part is
-    ``cell & ~hit``; every other cell counts 0 and stays whole, so the
-    order is that of a scan of every cell.  The LIFO queue starts with
+    depends only on isomorphism-invariant data.  A splitter scans every
+    cell but counts only inside the cells that meet its neighbourhood
+    ``hit``, whose count-0 part is ``cell & ~hit``; every other cell
+    counts 0 and stays whole.  The LIFO queue starts with
     ``splitters`` (default: every cell).  After ``_individualize(cells,
     i, v)`` of an equitable partition, ``[cells[i + 1]]`` gives the same
     result: an old cell never splits a subset of an old cell, and
@@ -331,10 +333,27 @@ def _search(rows, n, cells, first: bool = False
     return best[0], auts, head
 
 
-def _class_search(rows, n) -> tuple[object, list[Perm]]:
+def _base_order(auts, path) -> tuple[tuple[int, ...], int]:
+    """Base and order of the group that ``_search``'s automorphisms
+    ``auts`` generate, given its first ``path``.  The base is the prefix of
+    the path along which some generator fixing the earlier base points is
+    left.  The search runs the subtree below the k-th base node first, so
+    the generators fixing the first k base points generate their
+    pointwise stabilizer, and the order is the product of each base
+    point's orbit under the generators fixing the earlier ones."""
+    order, base = 1, ()
+    while auts:     # they move a vertex, so the first path goes deeper
+        b = path[len(base)]
+        base += (b,)
+        order *= len(_orbit([b], auts))
+        auts = [s for s in auts if s[b] == b]
+    return base, order
+
+
+def _class_search(rows, n) -> tuple[object, list[Perm], int]:
     """A key, equal for two graphs on n vertices iff they are isomorphic,
-    and generators of the automorphism group of the graph with these
-    rows, from a search of its twin quotient.
+    generators of the automorphism group of the graph with these rows,
+    and the group's order, from a search of its twin quotient.
 
     The ``_twin_pairs`` of the whole vertex set chain into the nontrivial
     twin classes (a vertex lies in at most one: open twins are never
@@ -345,12 +364,16 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
     sorted colours and the quotient's least leaf, one cell per colour in
     sorted order.  The quotient's generators, lifted sorted members onto
     sorted members, and for each class the swap of its first two members
-    and the cycle of all of them generate the group.  A twin-free graph
-    is searched whole, and its key is its leaf.
+    and the cycle of all of them generate the group.  Its order is the
+    coloured quotient's (``_base_order``) times t! per twin class of size
+    t: every quotient automorphism lifts, and the ones that lift to the
+    identity permute each twin class freely.  A twin-free graph is
+    searched whole, and its key is its leaf.
     """
     twins = _twin_pairs(rows, n, [(1 << n) - 1])
     if not twins:
-        return _search(rows, n, [(1 << n) - 1])[:2]
+        leaf, gens, head = _search(rows, n, [(1 << n) - 1])
+        return leaf, gens, _base_order(gens, head)[1]
     block: dict[int, list[int]] = {}    # each twin to its class's members
     for u, v in twins:
         block[v] = block.setdefault(u, [u])
@@ -378,10 +401,12 @@ def _class_search(rows, n) -> tuple[object, list[Perm]]:
         qrows.append(acc & ~(1 << x))
     cells = [sum(1 << x for x, c in enumerate(colours) if c == colour)
              for colour in sorted(set(colours))]
-    leaf, qgens, _ = _search(qrows, len(members), cells)
+    leaf, qgens, head = _search(qrows, len(members), cells)
     flat = [v for vs in members for v in vs]
     gens += [_perm(n, flat, [w for y in s for w in members[y]]) for s in qgens]
-    return (tuple(sorted(colours)), leaf), gens
+    order = _base_order(qgens, head)[1] * math.prod(math.factorial(len(vs))
+                                                    for vs in members)
+    return (tuple(sorted(colours)), leaf), gens, order
 
 
 # -- public asymmetry / group API ---------------------------------------
@@ -413,25 +438,12 @@ def automorphism_group(g: Graph) -> AutReport:
     """Generators, exact order, orbits and base from one tree search.
 
     The generators are the twin transpositions and the automorphisms
-    found by one search of the root partition.  The base is the prefix of
-    the search's first path along which some generator fixing the earlier
-    base points is left: each step individualizes the least vertex of the
-    first smallest non-singleton cell.  The search runs the subtree below
-    the k-th base node first, exactly as a search of that node's
-    partition would, so the generators fixing the first k base points
-    generate their pointwise stabilizer.  The order is the product of
-    each base point's orbit under the generators fixing the earlier ones.
+    found by one search of the root partition; ``_base_order`` reads the
+    base and the order off them and that search's first path.
     """
     n = g.n
     _, generators, path = _search(g.rows, n, [(1 << n) - 1])
-    auts = generators
-    order = 1
-    base: tuple[int, ...] = ()
-    while auts:     # they move a vertex, so the first path goes deeper
-        b = path[len(base)]
-        base += (b,)
-        order *= len(_orbit([b], auts))
-        auts = [s for s in auts if s[b] == b]
+    base, order = _base_order(generators, path)
     orbits = _orbit_partition(range(n), generators)
     return AutReport(order == 1, order, tuple(generators), tuple(orbits), base)
 

@@ -5,22 +5,24 @@ The togglable universe is the set of all vertex pairs: a pair currently
 present is a removal candidate, an absent one an addition candidate, and
 the mode masks the universe down to removals or additions only.  The
 search starts at G, and each step flips one pair of the mode.  Layer k
-holds children (S, rows): S is k pair indices in G's labels and rows
-are the rows of G xor S, and those graphs cover every isomorphism class
-at distance exactly k from G at least once.  A class kept from layer
-k - 1 is expanded by the least pair of each orbit of its own
-automorphism group on its pairs of the mode; flipping two pairs of one
-orbit gives isomorphic graphs.  One canonical search of each child, run
-on its twin quotient (``automorphism._class_search``), gives a key,
-which decides whether its class is new, and its group's generators,
-which prune its own expansion.  The pairs, their index table and the
-mode's universe are set up once per walk (``_walk``).
-Each layer is yielded in parts, one per class expanded, so a consumer
-sees children as soon as their parent is searched.  The index search
-tests them as they arrive, stops at its last witness or at the opening
-of the layer after its first hit, and builds a FlipSet only for each
-distinct witness; the count of asymmetric graphs reachable by exactly r
-removals or exactly s additions reads the parts of layer r + s.
+holds children (S, rows, symmetric): S is k pair indices in G's labels,
+rows are the rows of G xor S, and those graphs cover every isomorphism
+class at distance exactly k from G at least once.  A class P kept from
+layer k - 1 is expanded by the least pair e of each orbit of Aut(P) on
+its pairs of the mode; flipping two pairs of one orbit gives isomorphic
+graphs.  One canonical search of each child, run on its twin quotient
+(``automorphism._class_search``), gives a key, which decides whether its
+class is new, its group's generators, which prune its own expansion,
+and the group's order.  A child P xor e is flagged symmetric when e's
+orbit is smaller than Aut(P): it keeps the |Aut(P)| / |orbit|
+automorphisms of P that fix e.  The pairs, their index table and the
+mode's universe are set up once per walk (``_walk``).  Each layer is
+yielded in parts, one per class expanded, so a consumer sees children
+as soon as their parent is searched.  The index search tests the
+children not flagged as they arrive, stops at its last witness or at
+the opening of the layer after its first hit, and builds a FlipSet only
+for each distinct witness; the count of asymmetric graphs reachable by
+exactly r removals or exactly s additions reads the parts of layer r + s.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ class SearchStats(Record):
         # the opening of the layer after its first hit, or its budget.
         self.nodes = nodes              # candidate pairs: the mode's pairs outside S,
                                         # summed over the classes g xor S expanded
-        self.tested = tested            # asymmetry tests: g, then one per child tested
+        self.tested = tested            # is_asymmetric calls: g, then one per child
+                                        # not flagged symmetric by its parent's group
         self.dedup_hits = dedup_hits    # children that land on a class already seen
 
     def as_dict(self) -> dict:
@@ -171,17 +174,19 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     layer k opens, then one part per class of layer k - 1 (layer 0 is
     ``g``) as soon as its search finds it new.
 
-    Each child of layer k is (S, rows): S is a tuple of k indices into
-    ``all_pairs(g.n)``, in the order they were flipped, and rows are the
-    adjacency rows of g xor S.  Layer k's graphs cover every class at
-    distance exactly k from ``g`` at least once; any other class among
-    them lies at distance k - 2.  Each child of layer k - 1 gets one
+    Each child of layer k is (S, rows, symmetric): S is a tuple of k
+    indices into ``all_pairs(g.n)``, in the order they were flipped, rows
+    are the adjacency rows of g xor S, and ``symmetric`` is True when its
+    parent's group proves it symmetric.  Layer k's graphs cover every
+    class at distance exactly k from ``g`` at least once; any other class
+    among them lies at distance k - 2.  Each child of layer k - 1 gets one
     canonical search on its twin quotient, which gives a key and its
-    group's generators.  A class h = g xor S whose key is new gives one
-    child S + (e,) per orbit of Aut(h) on h's pairs of the mode, e the
-    orbit's least pair index, in parent order and then by e.  An orbit
-    that meets S is skipped: flipping one of its pairs gives a class at
-    distance k - 2 or less.  Layer max_k is only yielded, not kept.  A
+    group's generators and order.  A class h = g xor S whose key is new
+    gives one child S + (e,) per orbit of Aut(h) on h's pairs of the mode,
+    flagged when the orbit is smaller than Aut(h), e the orbit's least
+    pair index, in parent order and then by e.  An orbit that meets S is
+    skipped: flipping one of its pairs gives a class at distance k - 2 or
+    less.  Layer max_k is only yielded, not kept.  A
     consumer may stop between parts; ``stats``, when given, then counts
     the candidate pairs of the classes expanded and the children of a
     class already seen up to that point.
@@ -195,7 +200,7 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     def expand(s: tuple[int, ...], rows) -> list | None:
         """The children of the class of g xor S (``rows``), or None if
         that class was seen before."""
-        key, gens = _class_search(rows, n)
+        key, gens, order = _class_search(rows, n)
         if key in seen:
             return None
         seen.add(key)
@@ -208,7 +213,7 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
                 child = list(rows)
                 child[u] ^= 1 << v
                 child[v] ^= 1 << u
-                children.append((s + (orbit[0],), tuple(child)))
+                children.append((s + (orbit[0],), tuple(child), len(orbit) < order))
         return children
 
     # Stopgap for the root only, until a work budget (the second half of
@@ -220,11 +225,11 @@ def flip_orbit_layers(g: Graph, max_k: int, mode: str = "mixed",
     # 3 GB without this guard.
     if _has_twins(g.rows, n):
         _search(g.rows, n, [(1 << n) - 1])
-    parents = [((), g.rows)]
+    parents = [((), g.rows, False)]
     for k in range(1, max_k + 1):
         yield k, []
         following = []
-        for s, rows in parents:
+        for s, rows, _ in parents:
             children = expand(s, rows)
             if children is None:
                 stats.dedup_hits += 1
@@ -244,16 +249,17 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     ``flip_orbit_layers`` reaches every class at distance k from ``g``,
     and isomorphic graphs are asymmetric together, so the first layer
     with an asymmetric graph gives the exact value.  Children are tested
-    as their parts arrive.  The first ``witness_cap`` distinct flip sets
-    among that layer's asymmetric children (two flip orders of one set
-    give the same child), in ``g``'s labels and ``FlipSet.sort_key``
-    order, are the witnesses.  The search stops at the last of them, or
-    when the next layer opens, so ``stats`` counts only the classes
-    expanded before that.  Raises
-    NoAsymmetrizationError for 2 <= n <= 5 and BudgetExceededError (with
-    the proven lower bound) when the layer budget runs out.  Raises
-    ValueError for an unknown mode, a negative ``max_k`` or a
-    ``witness_cap`` below 1.
+    by ``is_asymmetric`` as their parts arrive, except those their
+    parent's group flags symmetric; ``stats.tested`` counts the tests
+    made.  The first ``witness_cap`` distinct flip sets among that
+    layer's asymmetric children (two flip orders of one set give the same
+    child), in ``g``'s labels and ``FlipSet.sort_key`` order, are the
+    witnesses.  The search stops at the last of them, or when the next
+    layer opens, so ``stats`` counts only the classes expanded before
+    that.  Raises NoAsymmetrizationError for 2 <= n <= 5 and
+    BudgetExceededError (with the proven lower bound) when the layer
+    budget runs out.  Raises ValueError for an unknown mode, a negative
+    ``max_k`` or a ``witness_cap`` below 1.
     """
     n = g.n
     size = _universe_size(g, mode)
@@ -275,7 +281,9 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         if hits and k > last_k:
             break
         last_k = k
-        for s, rows in children:
+        for s, rows, symmetric in children:
+            if symmetric:
+                continue
             stats.tested += 1
             if is_asymmetric(Graph(n, rows, _trusted=True)):
                 hits.add(frozenset(s))
@@ -319,5 +327,5 @@ def count_nonisomorphic_asymmetrizations(g: Graph, r: int, s: int) -> int:
     mode = "add-only" if r == 0 else "remove-only"
     hits = (Graph(g.n, rows, _trusted=True)
             for k, children in flip_orbit_layers(g, r + s, mode)
-            if k == r + s for _, rows in children)
+            if k == r + s for _, rows, symmetric in children if not symmetric)
     return len({canonical_form(h) for h in hits if is_asymmetric(h)})

@@ -123,11 +123,11 @@ def bfs_closure(generators, n: int) -> list:
 
 
 def rebuilt_child(g: Graph, child) -> Graph:
-    """The graph of a layer child (S, rows), rebuilt from S's distinct
-    pairs with ``apply_flips``, which checks each pair's state in g.  The
-    rows the search yielded must equal it, so the graph a test reads
-    does not rest on the search's own flips."""
-    s, rows = child
+    """The graph of a layer child (S, rows, symmetric), rebuilt from S's
+    distinct pairs with ``apply_flips``, which checks each pair's state in
+    g.  The rows the search yielded must equal it, so the graph a test
+    reads does not rest on the search's own flips."""
+    s, rows, _ = child
     flips = [all_pairs(g.n)[i] for i in s]
     assert len(set(flips)) == len(flips)
     h = apply_flips(g, FlipSet(removed={p for p in flips if g.has_edge(*p)},

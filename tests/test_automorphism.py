@@ -628,7 +628,8 @@ class TestTwinSeeds:
 class TestClassSearch:
     """The walk's twin-quotient search: its key against ``canonical_form``,
     its generators against ``is_automorphism`` and, closed by
-    ``bfs_closure``, against the group order."""
+    ``bfs_closure``, against the group order, and its order against that
+    closure, a count of every permutation and ``automorphism_group``."""
 
     @staticmethod
     def inputs():
@@ -649,15 +650,32 @@ class TestClassSearch:
         forms: dict = {}                # (n, key) to canonical forms
         keys: dict = {}                 # canonical form to keys
         for g in self.inputs():
-            key, gens = _class_search(g.rows, g.n)
+            key, gens, order = _class_search(g.rows, g.n)
             form = canonical_form(g)
             forms.setdefault((g.n, key), set()).add(form)
             keys.setdefault(form, set()).add(key)
             assert all(is_automorphism(g, p) for p in gens)
-            assert len(bfs_closure(gens, g.n)) == automorphism_group(g).order
+            assert len(bfs_closure(gens, g.n)) == order == automorphism_group(g).order
         assert all(len(v) == 1 for v in forms.values())
         assert all(len(v) == 1 for v in keys.values())
         assert len(keys) == 1044 + 5     # E_7 and K_7 are 7-vertex classes
+
+    def test_order(self, classes6):
+        # on 6 vertices against the closure of its generators and a count
+        # of all 720 permutations (the 7-vertex classes are checked above);
+        # on inputs made mostly of twins, where the quotient's order times
+        # t! per twin class of size t must give the whole group's, against
+        # automorphism_group and the orders by hand: 9!, 9!, 9!, 2^3 * 3!
+        # for three P_3, 6! * 3! for K_6 plus three isolated vertices
+        for g in classes6:
+            _, gens, order = _class_search(g.rows, g.n)
+            assert order == len(bfs_closure(gens, g.n)) == brute_automorphism_count(g)
+        p3 = path(3)
+        twin_heavy = [Graph.empty(9), star(10), complete(9),
+                      disjoint_union(disjoint_union(p3, p3), p3), split(6, 3)]
+        assert [_class_search(g.rows, g.n)[2] for g in twin_heavy] == \
+            [automorphism_group(g).order for g in twin_heavy] == \
+            [362880, 362880, 362880, 48, 4320]
 
     def test_two_generators_per_twin_class(self):
         # Each quotient is one vertex or two of distinct colours, so it has

@@ -109,7 +109,7 @@ def test_layers_reach_each_class_at_its_distance(mode):
         dist = _bfs(classes, [c], _FORWARD[mode])
         max_k = ai[c] if c in ai else max(dist.values())
         for k, children in whole_layers(g, max_k, mode):
-            assert all(len(s) == k for s, _ in children)
+            assert all(len(s) == k for s, _, _ in children)
             reached = {canonical_form(rebuilt_child(g, c)) for c in children}
             exact = {d for d, j in dist.items() if j == k}
             assert exact <= reached, (c, k)

@@ -311,7 +311,7 @@ class TestSuite:
     def test_ledger_pinned(self, suite_rows):
         ledger = json.dumps([r.to_dict() for r in suite_rows], sort_keys=True)
         assert hashlib.sha256(ledger.encode()).hexdigest() == (
-            "ff4e88dd551d760127a8b7d8080a3faa6bea133a1b413a19ec4707be9144c77d")
+            "ab14aa3ea001f655d9a3fab4c332cbfca6764dddc56ebfb45e99a6c249d7779a")
 
     # each entry's default range, given explicitly, reaches the same rows
     # through the range path as the suite does through the default path

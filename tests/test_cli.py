@@ -138,10 +138,10 @@ class TestAi:
     # its budget with bound 2
     @pytest.mark.parametrize("g,argv,exit_code,digest", [
         pytest.param(complete(9), ["--mode", "remove-only", "--max-k", "7"], 0,
-                     "285e90384509be69556ca29d4b5d3ffe3e5ebfe348dc1a84a65cb3192c712109",
+                     "d4735b14fa2cc0a57bbe07f61ed10ddb5d2666a108eac0c7496136ac609ca451",
                      id="k9-remove-only"),
         pytest.param(star(10), ["--max-k", "1"], 4,
-                     "64748aa75196bccfb504ad571cd00c71bda43478146f260e90ebae4d841d65d6",
+                     "b09a48f6ccfd2d2e6b68ab5a0508c5f99f72aa57a391ba1fc59441012aa2e49e",
                      id="star10-budget")])
     def test_heavy_inputs_pinned(self, capsys, g, argv, exit_code, digest):
         code, out, _ = run(capsys, "ai", to_graph6(g).decode(), *argv, "--json")

@@ -16,7 +16,8 @@ from asymindex.claims import verify
 from asymindex.families import complete, path, split, star, torus
 from asymindex.search import apply_flips, asymmetric_index
 
-from conftest import bfs_closure, to_nx, witnesses_asymmetrize
+from conftest import (bfs_closure, rebuilt_child, to_nx, vf2_self_maps,
+                      whole_layers, witnesses_asymmetrize)
 from test_search import reference_index
 
 
@@ -87,6 +88,26 @@ class TestSearchSpotAudit:
                 continue
             assert reference_index(g, max_k=value) == value
             audited += 1
+
+
+class TestSymmetricFlagAgainstVf2:
+    # A child h = P xor e keeps the automorphisms of P that fix the pair
+    # e, Stab(e) of order |Aut P| / |orbit of e|; the walk flags h
+    # symmetric when that is above 1, and asymmetric_index never tests it.
+    # VF2 must find a self-map besides the identity in each flagged child
+    # of layers 1 and 2 from every class on 6 vertices: 5616 of the 9988
+    # children in mixed mode, 1670 of the 2919 in each one-sided mode.
+    @pytest.mark.parametrize("mode,flagged", [
+        ("mixed", 5616), ("add-only", 1670), ("remove-only", 1670)])
+    def test_flagged_children_are_symmetric(self, classes6, mode, flagged):
+        seen = 0
+        for g in classes6:
+            for _, children in whole_layers(g, 2, mode):
+                for child in children:
+                    if child[2]:
+                        seen += 1
+                        assert vf2_self_maps(rebuilt_child(g, child), 2) == 2
+        assert seen == flagged
 
 
 class TestHeavyInputs:

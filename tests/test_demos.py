@@ -20,7 +20,7 @@ DEMOS = {
     "03_automorphism_engine.py":
         "56000b18d7352288a67f1538f7956f24fa25049a6e68f720b03a6fa0c545cb06",
     "04_asymmetric_index.py":
-        "3fa310e7884f47046015f3b79e3bd21062e88ffcf8f56bc506f34bbf65a8f77c",
+        "b39f2d43a0d80c36c185aada903c594e8abbd27872ea18f40e3bf3c736d7bdf3",
     "05_claim_ledger.py":
         "fb4ef24190e246956b7fccc01066c9d818b6f976a54ec02d0ebfaa3db34abc8d",
 }

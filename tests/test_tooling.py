@@ -7,9 +7,10 @@ missing name.  The tuple is read with ``ast``; the bench is not imported.
 The same ``ast`` reading keeps the ledger and the CLI off the engine's
 private names, checks that every name the test modules import from
 the package exists, keeps numpy and dataclasses out of the package and
-keeps the record protocol in ``graph.py``.  The tracer's
-check that the asymmetry tests under ``asymmetric_index`` number
-``SearchStats.tested`` is held here with a counter in its place.
+keeps the record protocol in ``graph.py``.  The tracer's two
+consistency checks are held here with a counter in its place: the
+asymmetry tests under ``asymmetric_index`` number ``SearchStats.tested``,
+and the 7-vertex enumeration step makes 156 * 2^6 canonical forms.
 """
 
 import ast
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import asymindex.enumeration as enumeration_mod
 import asymindex.search as search_mod
 from asymindex.families import complete, cycle
 from asymindex.search import BudgetExceededError, asymmetric_index
@@ -49,7 +51,9 @@ def test_traced_names_resolve():
 def test_asymmetry_tests_number_stats_tested(monkeypatch):
     # the tracer wraps `is_asymmetric` at the search module's binding and
     # checks its calls under `asymmetric_index` against `tested`, on a
-    # search that hits and on one that runs out of budget
+    # search that hits and on one that runs out of budget; K_6's children
+    # up to depth 3 are all flagged symmetric by their parent's group, so
+    # its budget is 5, where some child is tested
     calls = []
 
     def counted(g):
@@ -61,8 +65,27 @@ def test_asymmetry_tests_number_stats_tested(monkeypatch):
     assert asymmetric_index(cycle(8)).stats.tested == len(calls) > 1
     calls.clear()
     with pytest.raises(BudgetExceededError) as exc:
-        asymmetric_index(complete(6), max_k=3)
+        asymmetric_index(complete(6), max_k=5)
     assert exc.value.stats.tested == len(calls) > 1
+
+
+def test_seven_vertex_step_makes_one_canonical_form_per_extension(monkeypatch):
+    # the tracer counts the canonical forms made while
+    # nonisomorphic_graphs(7) runs on a warm 6-vertex list: one per base
+    # (156 classes) and per neighbourhood of the new vertex (2^6)
+    calls = 0
+    original = enumeration_mod.canonical_form
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return original(g)
+
+    enumeration_mod.nonisomorphic_graphs.cache_clear()
+    assert len(enumeration_mod.nonisomorphic_graphs(6)) == 156
+    monkeypatch.setattr(enumeration_mod, "canonical_form", counted)
+    assert len(enumeration_mod.nonisomorphic_graphs(7)) == 1044
+    assert calls == 156 * 2 ** 6
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asymindex"
