@@ -21,7 +21,8 @@ except NoAsymmetrizationError as exc:
     print()
     print("C_4:", exc)
 
-# Pure removals never fix a cycle: the search exhausts every subset.
+# Pure removals never fix a cycle: every subgraph has maximum degree at
+# most 2, so the search proves the whole universe empty without a walk.
 try:
     asymmetric_index(cycle(7), mode="remove-only", max_k=7)
 except BudgetExceededError as exc:

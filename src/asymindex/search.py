@@ -51,7 +51,8 @@ class NoAsymmetrizationError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """Search exhausted its layer budget; carries the proven lower bound."""
+    """No asymmetric graph within the layer budget; carries the proven
+    lower bound, and whether the universe was searched or proven empty."""
 
     def __init__(self, lower_bound: int, stats: "SearchStats",
                  universe_exhausted: bool = False):
@@ -105,8 +106,9 @@ class SearchStats(Record):
     __slots__ = ("nodes", "tested", "dedup_hits")
 
     def __init__(self, nodes: int = 0, tested: int = 0, dedup_hits: int = 0):
-        # Each counts up to where the search stopped: its last witness,
-        # the opening of the layer after its first hit, or its budget.
+        # Each counts up to where the search stopped: its last witness, the
+        # opening of the layer after its first hit, its budget, or at the
+        # root, when ``_degree_rule`` proves no asymmetric graph reachable.
         self.nodes = nodes              # candidate pairs: the mode's pairs outside S,
                                         # summed over the classes g xor S expanded
         self.tested = tested            # is_asymmetric calls: g, then one per child
@@ -152,6 +154,16 @@ def _universe_size(g: Graph, mode: str) -> int:
     total = g.n * (g.n - 1) // 2
     return {"mixed": total, "remove-only": g.edge_count,
             "add-only": total - g.edge_count}[mode]
+
+
+def _degree_rule(g: Graph, mode: str) -> bool:
+    """True when a one-direction ``mode`` reaches no asymmetric graph from
+    ``g`` (n >= 2): the rows it can only shrink, g's or its complement's,
+    have maximum degree at most 2, which removals keep, so every component
+    is a path or a cycle, each with a reversal or a rotation."""
+    if mode == "mixed" or g.n < 2:
+        return False
+    return (g.complement() if mode == "add-only" else g).degree_sequence()[0] <= 2
 
 
 def _walk(n: int, mode: str):
@@ -256,10 +268,10 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
     child), in ``g``'s labels and ``FlipSet.sort_key`` order, are the
     witnesses.  The search stops at the last of them, or when the next
     layer opens, so ``stats`` counts only the classes expanded before
-    that.  Raises NoAsymmetrizationError for 2 <= n <= 5 and
-    BudgetExceededError (with the proven lower bound) when the layer
-    budget runs out.  Raises ValueError for an unknown mode, a negative
-    ``max_k`` or a ``witness_cap`` below 1.
+    that.  Raises NoAsymmetrizationError for 2 <= n <= 5, BudgetExceededError
+    (with the proven lower bound) when the layer budget runs out or, with no
+    walk, when ``_degree_rule`` proves that none suffices, and ValueError for
+    an unknown mode, a negative ``max_k`` or a ``witness_cap`` below 1.
     """
     n = g.n
     size = _universe_size(g, mode)
@@ -275,9 +287,11 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         return AiResult(0, [FlipSet()], mode, stats)
     if max_k is None:
         max_k = 8 if n <= 12 else 3
+    budget = min(max_k, size)
     hits: set[frozenset[int]] = set()
     last_k = 0
-    for k, children in flip_orbit_layers(g, min(max_k, size), mode, stats):
+    layers = () if _degree_rule(g, mode) else flip_orbit_layers(g, budget, mode, stats)
+    for k, children in layers:
         if hits and k > last_k:
             break
         last_k = k
@@ -292,8 +306,7 @@ def asymmetric_index(g: Graph, mode: str = "mixed", max_k: int | None = None,
         if len(hits) >= witness_cap:
             break
     if not hits:
-        raise BudgetExceededError(min(max_k, size) + 1, stats,
-                                  universe_exhausted=last_k >= size)
+        raise BudgetExceededError(budget + 1, stats, universe_exhausted=budget >= size)
     pairs = all_pairs(n)
     witnesses = sorted((FlipSet(removed={pairs[i] for i in s if g.has_edge(*pairs[i])},
                                 added={pairs[i] for i in s if not g.has_edge(*pairs[i])})

@@ -248,6 +248,21 @@ class TestAut:
         assert result["proven_lower_bound"] == 0
         assert result["universe_exhausted"] is False
 
+    def test_remove_only_degree_rule_on_too_deep_input(self, capsys, tmp_path):
+        # remove-only from an edgeless graph reaches nothing asymmetric, so
+        # the search stops at its root, before any tree search too deep
+        # for Python's recursion limit, with the universe proven empty
+        f = tmp_path / "empty1100.txt"
+        f.write_text("1100\n")
+        code, out, _ = run(capsys, "ai", f"@{f}", "--mode", "remove-only", "--json")
+        payload = json.loads(out)
+        assert code == 4
+        assert payload["stats"] == {"nodes": 0, "tested": 1, "dedup_hits": 0}
+        result = payload["result"]
+        assert result["status"] == "budget-exceeded"
+        assert result["proven_lower_bound"] == 1
+        assert result["universe_exhausted"] is True
+
 
 class TestCountCycleAug:
     def test_n6(self, capsys):

@@ -23,7 +23,7 @@ from asymindex.automorphism import (_orbit_partition, _pair_index, _pair_maps,
                                     canonical_form, group_elements,
                                     is_asymmetric, subgroup_elements,
                                     MAX_CLOSURE)
-from asymindex.enumeration import all_pairs, graph_from_mask
+from asymindex.enumeration import all_pairs, graph_from_mask, nonisomorphic_graphs
 from asymindex.families import path, cycle, complete, grid, star, torus, wheel
 import asymindex.search as search_mod
 from asymindex.search import (DEFAULT_WITNESS_CAP, MODES, BudgetExceededError,
@@ -220,6 +220,25 @@ class TestAsymmetricIndex:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][:2] == (9, True)
 
+    @pytest.mark.parametrize("g,mode", [
+        pytest.param(star(6), "remove-only", id="star6-remove-only"),
+        pytest.param(star(6).complement(), "add-only", id="star6-complement-add-only")])
+    def test_walk_stops_at_universe(self, g, mode):
+        # the cycles above now end at the root by the degree rule, which
+        # does not decide K_{1,5} (maximum degree 5): the walk itself
+        # exhausts its universe of 5 pairs
+        assert not search_mod._degree_rule(g, mode)
+        outcomes = []
+        for max_k in (5, 10**9):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError) as exc:
+                asymmetric_index(g, mode=mode, max_k=max_k)
+            assert time.perf_counter() - start < 1
+            outcomes.append((exc.value.lower_bound, exc.value.universe_exhausted,
+                             exc.value.stats.as_dict()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (6, True, {"nodes": 15, "tested": 1, "dedup_hits": 0})
+
     def test_outputs_pinned(self):
         # sha256 of value, witnesses and stats of the class search
         out = []
@@ -234,7 +253,7 @@ class TestAsymmetricIndex:
         out.append([exc.value.lower_bound, exc.value.universe_exhausted,
                     exc.value.stats.as_dict()])
         assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
-            "20bb57ac36a99d1f38b5a18be8ac743255b33d13ccf6a81a0d12cebc55f2dea5"
+            "f3ea19a0418c5bfa210ebb41d596af84fb24ba523302d28a16ab6f8741bff270"
 
 
 class TestTestedCount:
@@ -274,6 +293,9 @@ class TestTestedCount:
     @pytest.mark.parametrize("g,mode,max_k", [
         pytest.param(cycle(8), "mixed", 1, id="c8-max-k-1"),
         pytest.param(cycle(8), "remove-only", None, id="c8-remove-only-exhausted"),
+        pytest.param(star(6), "remove-only", None, id="star6-remove-only-exhausted"),
+        pytest.param(star(6).complement(), "add-only", None,
+                     id="star6-complement-add-only-exhausted"),
         pytest.param(complete(6), "add-only", None, id="k6-add-only-empty")])
     def test_budget_exceeded(self, calls, g, mode, max_k):
         with pytest.raises(BudgetExceededError) as exc:
@@ -390,6 +412,46 @@ class TestStreamedLayers:
         parts = list(flip_orbit_layers(cycle(8), 3))
         second = [c for k, part in parts if k == 2 for c in part]
         assert searches[0] == 1 + len(first) + len(second)
+
+
+@pytest.fixture(scope="module")
+def degree_rule_cases(classes6):
+    """The (class, mode) pairs on 6 and 7 vertices whose one-direction
+    search ``_degree_rule`` ends at the root."""
+    return [(g, mode) for g in list(classes6) + nonisomorphic_graphs(7)
+            for mode in ("remove-only", "add-only")
+            if search_mod._degree_rule(g, mode)]
+
+
+class TestDegreeRule:
+    """Where ``_degree_rule`` holds, ``asymmetric_index`` raises at the
+    root, with no walk, the bound and flag the walk would give; the walk,
+    which the rule does not touch, is the oracle."""
+
+    def test_fires_on_96_pairs(self, degree_rule_cases):
+        # a rule that silently stopped firing would pass the oracles below
+        assert len(degree_rule_cases) == 96
+        assert not any(search_mod._degree_rule(g, "mixed")
+                       for g in (cycle(12), Graph.empty(7)))
+
+    def test_universe_holds_no_hit(self, degree_rule_cases):
+        for g, mode in degree_rule_cases:
+            assert whole_layer_index(g, mode, search_mod._universe_size(g, mode)) \
+                is None, to_debug(g)
+
+    @pytest.mark.parametrize("max_k", [0, 1, 3, None, "size"])
+    def test_raises_what_the_walk_gives(self, degree_rule_cases, max_k):
+        for g, mode in degree_rule_cases:
+            size = search_mod._universe_size(g, mode)
+            k = size if max_k == "size" else max_k
+            budget = min(8 if k is None else k, size)
+            last = max((j for j, _ in whole_layers(g, budget, mode)), default=0)
+            with pytest.raises(BudgetExceededError) as exc:
+                asymmetric_index(g, mode, max_k=k)
+            assert (exc.value.lower_bound, exc.value.universe_exhausted) == \
+                (budget + 1, last >= size), to_debug(g)
+            assert exc.value.stats.as_dict() == {"nodes": 0, "tested": 1,
+                                                 "dedup_hits": 0}
 
 
 # -- orbit-table layers: the small-input oracle of the orbit tests
@@ -748,6 +810,11 @@ class TestCounting:
             else:
                 assert count_nonisomorphic_asymmetrizations(g, r, s) == \
                     brute_count(g, r, s)
+
+    def test_cycle_removals_count_zero(self):
+        # Thm2.2: no pure edge removal asymmetrizes a cycle
+        assert [count_nonisomorphic_asymmetrizations(cycle(n), r, 0)
+                for n in range(6, 13) for r in range(1, 4)] == [0] * 21
 
     def test_c6_two_chords_oracle(self):
         # independent recount: all 36 chord pairs, brute-force asymmetry,
